@@ -22,8 +22,10 @@ from typing import Iterable, Mapping, Sequence
 from .errors import (
     EnumerationCapExceeded,
     IndexOutOfRange,
+    InvariantViolation,
     NotASubgroup,
     TrivialClassPresent,
+    UnknownSeed,
 )
 from .groups import FiniteGroup, subgroup_generated
 from .invariants import TwistSpec
@@ -359,12 +361,20 @@ def braid_orbits(
 
     The result is canonically ordered (orbits sorted by their least
     canonical representative) and independent of traversal order;
-    _seed_order exists to let tests check exactly that.
+    _seed_order, a sequence of canonical tuples (the `members` of the
+    orbits) to start searches from, exists to let tests check exactly that.
     """
     ctx = _indexed(G, N)
     tuples = _enumerate_idx(ctx, cv, node_cap)
     canonical = sorted({ctx.canonical(t) for t in tuples})
+    if _seed_order is not None and not set(_seed_order) <= set(canonical):
+        raise UnknownSeed("every seed must be one of the canonical tuples")
     parts = _orbit_partition(ctx, canonical, visited_cap, _seed_order)
+    covered = sum(len(members) for members in parts)
+    if covered != len(canonical):
+        raise InvariantViolation(
+            f"orbit sizes sum to {covered}, not to the {len(canonical)} canonical tuples"
+        )
     orbits = []
     for members in parts:
         rep = members[0]

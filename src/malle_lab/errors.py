@@ -49,6 +49,14 @@ class EnumerationCapExceeded(MalleLabError):
         self.partial = partial
 
 
+class InvariantViolation(MalleLabError):
+    """A computed result broke an invariant that the algorithm guarantees."""
+
+
+class UnknownSeed(MalleLabError):
+    """A braid-orbit seed is not one of the canonical tuples."""
+
+
 class IndexOutOfRange(MalleLabError, IndexError):
     """A braid generator index is outside 1..k-1."""
 

@@ -185,24 +185,24 @@ def centralizer(N: FiniteGroup, G: FiniteGroup) -> FiniteGroup:
 
 def subgroup_generated(N: FiniteGroup, seed: Iterable[Permutation]) -> FiniteGroup:
     """Subgroup of N generated by `seed` (finite, so products suffice)."""
-    gens = sorted(set(seed))
-    elements = {N.identity}
-    frontier = [N.identity]
-    while frontier:
-        new = []
-        for x in frontier:
-            for g in gens:
-                y = x * g
-                if y not in elements:
-                    elements.add(y)
-                    new.append(y)
-        frontier = new
-    return FiniteGroup(N.degree, tuple(gens), elements)
+    return closure(sorted(set(seed)), N.degree)
 
 
 def derived_subgroup(N: FiniteGroup) -> FiniteGroup:
-    comms = {a.commutator(b) for a in N.elements for b in N.elements}
-    return subgroup_generated(N, comms)
+    """[N, N], as the normal closure K of the generators' commutators.
+
+    K <= [N, N], and the generators commute modulo K, so N/K is abelian
+    and [N, N] <= K.  A subgroup is normal in N once the conjugates of its
+    generators by those of N lie in it; the loop adds them until none is new.
+    """
+    gens = N.generators or N.elements
+    seed = {a.commutator(b) for a in gens for b in gens}
+    while True:
+        D = subgroup_generated(N, seed)
+        new = {g.conjugate_by(x) for g in D.generators for x in gens} - D._element_set
+        if not new:
+            return D
+        seed |= new
 
 
 def coset_order(N: FiniteGroup, G: FiniteGroup, x: Permutation) -> int:
@@ -221,18 +221,34 @@ def quotient_is_cyclic(N: FiniteGroup, G: FiniteGroup) -> bool:
 
 
 def _subgroups_between(N: FiniteGroup, D: FiniteGroup) -> list[FiniteGroup]:
-    """All subgroups H with D <= H <= N, for D normal with abelian quotient."""
+    """All subgroups H with D <= H <= N, for D normal with abelian quotient.
+
+    Each such H contains [N, N], so it is normal in N and <H, x> = H<x> is
+    the union of the cosets H x^k: |<H, x>| products from the powers of x.
+    <H, x> depends only on the coset Hx, so one x per coset of H is tried;
+    skipping every x inside some <H, x'> would lose subgroups (in C4 = <g>,
+    <g> covers g^2).  Every H > D is <H', x> for some H' in the interval
+    below it, so the breadth-first search from D reaches it.
+    """
     seen = {D._element_set: D}
     frontier = [D]
     while frontier:
         new = []
         for H in frontier:
+            covered = set(H._element_set)
             for x in N.elements:
-                if x in H:
+                if x in covered:
                     continue
-                H2 = subgroup_generated(N, set(H.elements) | {x})
-                if H2._element_set not in seen:
-                    seen[H2._element_set] = H2
+                elements = list(H.elements)
+                y = x
+                while y not in H:
+                    elements.extend(h * y for h in H.elements)
+                    y = y * x
+                covered.update(elements[H.order : 2 * H.order])  # the coset Hx
+                key = frozenset(elements)
+                if key not in seen:
+                    H2 = FiniteGroup(N.degree, H.generators + (x,), elements)
+                    seen[key] = H2
                     new.append(H2)
         frontier = new
     return list(seen.values())
@@ -321,7 +337,7 @@ def find_cyclic_complement(N: FiniteGroup, G: FiniteGroup) -> GNContext:
         tau = coset_gens[0]
 
     cen = centralizer(N, G)
-    gcen = subgroup_generated(N, set(G.elements) | set(cen.elements))
+    gcen = subgroup_generated(N, set(G.generators) | set(cen.generators))
     d_prime = N.order // gcen.order
     d_double_prime = d // d_prime
     return GNContext(
@@ -343,9 +359,7 @@ def ind(g: Permutation) -> int:
 
 def a_invariant(G: FiniteGroup) -> Fraction:
     """1 / min{ind(g) : g in G, g != 1}, exact."""
-    if G.order == 1:
-        raise TrivialGroup("a-invariant undefined for the trivial group")
-    return Fraction(1, min(g.index() for g in G.elements if not g.is_identity))
+    return Fraction(1, group_index(G))
 
 
 def group_index(G: FiniteGroup) -> int:

@@ -16,6 +16,7 @@ from typing import Mapping, Sequence
 
 from .errors import (
     BadModulus,
+    InvariantViolation,
     NoAdmissibleSubgroup,
     NotAHomomorphism,
     NotSplit,
@@ -72,7 +73,8 @@ def twist_class(c: ConjugacyClass, spec: TwistSpec) -> ConjugacyClass:
     t = spec.ctx.tau ** (-spec.e)
     image = G.class_of((c.representative ** spec.q).conjugate_by(t))
     # well-definedness: any member must land in the same class
-    assert (c.members[-1] ** spec.q).conjugate_by(t) in image.member_set
+    if (c.members[-1] ** spec.q).conjugate_by(t) not in image.member_set:
+        raise InvariantViolation("the twist is not well defined on classes")
     return image
 
 
@@ -113,13 +115,15 @@ def orbit_blocks(spec: TwistSpec, restrict_minimal: bool) -> list[OrbitBlock]:
         current = by_id[cid]
         while True:
             current = twist_class(current, spec)
-            assert current.class_id in by_id, "twist left the class pool"
+            if current.class_id not in by_id:
+                raise InvariantViolation("twist left the class pool")
             if current.class_id == cid:
                 break
             orbit.append(current.class_id)
         remaining.difference_update(orbit)
         idx = by_id[cid].index
-        assert all(by_id[i].index == idx for i in orbit)
+        if any(by_id[i].index != idx for i in orbit):
+            raise InvariantViolation("a twist orbit mixes class indices")
         blocks.append(
             OrbitBlock(e=spec.e, classes=frozenset(orbit), size=len(orbit), index=idx)
         )
@@ -239,7 +243,7 @@ def _phi_is_surjective(N: FiniteGroup, G: FiniteGroup, table: Mapping[int, Permu
     # image subgroup of N/G, measured through the subgroup <G, phi values>
     from .groups import subgroup_generated
 
-    image = subgroup_generated(N, set(G.elements) | set(table.values()))
+    image = subgroup_generated(N, set(G.generators) | set(table.values()))
     return image.order == N.order
 
 
@@ -272,7 +276,8 @@ def b_phi(N: FiniteGroup, G: FiniteGroup, fieldspec: RationalNumberField) -> int
         lift_inv = x.inverse()
         for cid, c in ids.items():
             image = G.class_of((c.representative ** u).conjugate_by(lift_inv))
-            assert image.class_id in ids, "cyclotomic action left C(G)"
+            if image.class_id not in ids:
+                raise InvariantViolation("cyclotomic action left C(G)")
             ra, rb = find(cid), find(image.class_id)
             if ra != rb:
                 parent[ra] = rb

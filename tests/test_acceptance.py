@@ -293,10 +293,11 @@ def test_criterion_7_braid_machinery():
     # traversal-order independence
     c = parse_cycles("(1 2 3)", 3)
     cv2 = class_vector_of(G, [t, t, c])
-    a_run = braid_orbits(G, G, cv2, _seed_order="sorted")
-    b_run = braid_orbits(G, G, cv2, _seed_order="reversed")
-    if [(o.canonical_rep, o.size) for o in a_run] != [
-        (o.canonical_rep, o.size) for o in b_run
+    canonical = sorted(m for o in braid_orbits(G, G, cv2) for m in o.members)
+    a_run = braid_orbits(G, G, cv2, _seed_order=canonical)
+    b_run = braid_orbits(G, G, cv2, _seed_order=canonical[::-1])
+    if not a_run or [(o.canonical_rep, o.size, o.members) for o in a_run] != [
+        (o.canonical_rep, o.size, o.members) for o in b_run
     ]:
         ok = False
     verdict(7, ok, "braid relations, Clebsch connectivity, traversal independence")

@@ -15,7 +15,12 @@ from malle_lab.braid import (
     enumerate_nielsen,
     frobenius_stable_orbits,
 )
-from malle_lab.errors import IndexOutOfRange, TrivialClassPresent
+from malle_lab.errors import (
+    IndexOutOfRange,
+    InvariantViolation,
+    TrivialClassPresent,
+    UnknownSeed,
+)
 from malle_lab.groups import closure, find_cyclic_complement
 from malle_lab.invariants import TwistSpec
 from malle_lab.perms import Permutation, parse_cycles, product
@@ -233,11 +238,24 @@ class TestOrbits:
         t = parse_cycles("(1 2)", 3)
         c = parse_cycles("(1 2 3)", 3)
         cv = class_vector_of(G, [t, t, c])
-        a = braid_orbits(G, G, cv, _seed_order="sorted")
-        b = braid_orbits(G, G, cv, _seed_order="reversed")
-        assert [(o.canonical_rep, o.size) for o in a] == [
-            (o.canonical_rep, o.size) for o in b
+        canonical = sorted(m for o in braid_orbits(G, G, cv) for m in o.members)
+        a = braid_orbits(G, G, cv, _seed_order=canonical)
+        b = braid_orbits(G, G, cv, _seed_order=canonical[::-1])
+        assert a and b
+        assert [(o.canonical_rep, o.size, o.members) for o in a] == [
+            (o.canonical_rep, o.size, o.members) for o in b
         ]
+
+    # a string is a sequence of characters, none of them a tuple; an empty
+    # seed list leaves every canonical tuple outside the partition
+    @pytest.mark.parametrize("seeds,error", [("sorted", UnknownSeed), ([], InvariantViolation)])
+    def test_seed_order_must_be_canonical_and_cover_every_tuple(self, seeds, error):
+        G = s3()
+        t = parse_cycles("(1 2)", 3)
+        c = parse_cycles("(1 2 3)", 3)
+        cv = class_vector_of(G, [t, t, c])
+        with pytest.raises(error):
+            braid_orbits(G, G, cv, _seed_order=seeds)
 
     def test_klueners_g1_orbit(self):
         N = klueners()

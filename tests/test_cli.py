@@ -233,6 +233,16 @@ class TestVerifyCommand:
         assert code == 3
         assert json.loads(out)["outputs"]["all_ok"] is False
 
+    def test_klueners_asymptotic_follows_the_computed_b(self, capsys, monkeypatch):
+        import malle_lab.cli as cli
+
+        monkeypatch.setattr(cli.inv, "b_constant", lambda ctx, q: 3 if q == 11 else 2)
+        code, out, _ = run(capsys, "verify", "--preset", "klueners-s6")
+        asymptotic = json.loads(out)["outputs"]["checks"]["asymptotic"]
+        assert code == 3
+        assert asymptotic["got"] == "X^{1/2} log X; X^{1/2} (log X)^2"
+        assert asymptotic["ok"] is False
+
 
 class TestPresetsCommand:
     def test_lists_all(self, capsys):

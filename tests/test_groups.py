@@ -4,6 +4,8 @@ from fractions import Fraction
 from itertools import product as iproduct
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from malle_lab.errors import (
     DegreeMismatch,
@@ -13,6 +15,7 @@ from malle_lab.errors import (
     TrivialGroup,
 )
 from malle_lab.groups import (
+    _subgroups_between,
     a_invariant,
     centralizer,
     closure,
@@ -22,8 +25,10 @@ from malle_lab.groups import (
     ind,
     normal_subgroups_with_abelian_quotient,
     normal_subgroups_with_cyclic_quotient,
+    subgroup_generated,
 )
 from malle_lab.perms import Permutation, parse_cycles
+from malle_lab.presets import abelian_suite, get_preset
 
 
 def s3():
@@ -199,3 +204,91 @@ class TestGNContext:
             ctx = find_cyclic_complement(N, G)
             assert ctx.d % ctx.d_prime == 0
             assert ctx.d_prime * ctx.d_double_prime == ctx.d
+
+
+# ---------------------------------------------------------------------------
+# the lattice step against the straightforward algorithms it replaced
+
+
+def oracle_derived_subgroup(N):
+    """[N, N] closed from all |N|^2 commutators."""
+    comms = {a.commutator(b) for a in N.elements for b in N.elements}
+    return subgroup_generated(N, comms)
+
+
+def oracle_subgroups_between(N, D):
+    """Every H between D and N, re-closing H's elements plus x for each x."""
+    seen = {D._element_set: D}
+    frontier = [D]
+    while frontier:
+        new = []
+        for H in frontier:
+            for x in N.elements:
+                if x in H:
+                    continue
+                H2 = subgroup_generated(N, set(H.elements) | {x})
+                if H2._element_set not in seen:
+                    seen[H2._element_set] = H2
+                    new.append(H2)
+        frontier = new
+    return list(seen.values())
+
+
+def check_lattice_against_oracles(N):
+    D = derived_subgroup(N)
+    assert D._element_set == oracle_derived_subgroup(N)._element_set
+    subs = _subgroups_between(N, D)
+    expected = {H._element_set for H in oracle_subgroups_between(N, D)}
+    assert len(subs) == len(expected)
+    assert {H._element_set for H in subs} == expected
+    # later steps close from the generators, so they must generate
+    for H in [D, *subs]:
+        assert closure(H.generators, N.degree)._element_set == H._element_set
+
+
+# S4: the commutators of its two generators alone generate a C3, not A4.
+# C4 = <g>: skipping every x inside <1, g> would lose <g^2>.
+SMALL_GROUPS = {
+    "S4": (4, ("(1 2)", "(1 2 3 4)")),
+    "A4": (4, ("(1 2 3)", "(1 2)(3 4)")),
+    "D4": (4, ("(1 2 3 4)", "(1 3)")),
+    "C4": (4, ("(1 2 3 4)",)),
+    "C2xC2": (4, ("(1 2)", "(3 4)")),
+    "S3xC3": (6, ("(1 2)", "(1 2 3)", "(4 5 6)")),
+}
+
+
+PRESET_SPECS = {
+    **{name: get_preset(name).spec for name in ("klueners-s6", "wreath-s18", "s3-clebsch")},
+    **abelian_suite(),
+}
+
+
+@st.composite
+def permutations_of(draw, degree):
+    """A random permutation of a random set of at least two points."""
+    support = draw(st.lists(st.integers(1, degree), min_size=2, max_size=degree, unique=True))
+    images = list(range(1, degree + 1))
+    for a, b in zip(support, draw(st.permutations(support))):
+        images[a - 1] = b
+    return Permutation(images)
+
+
+class TestLatticeOracles:
+    @pytest.mark.parametrize("name", sorted(SMALL_GROUPS))
+    def test_small_groups(self, name):
+        degree, gens = SMALL_GROUPS[name]
+        check_lattice_against_oracles(closure([parse_cycles(g, degree) for g in gens], degree))
+
+    @pytest.mark.parametrize("name", sorted(PRESET_SPECS))
+    def test_preset_groups(self, name):
+        # wreath-s18 takes about 20 s: the oracle makes ~7M products
+        check_lattice_against_oracles(PRESET_SPECS[name].group())
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+    @given(degree=st.sampled_from((5, 6)), data=st.data())
+    def test_random_subgroups_of_s5_s6(self, degree, data):
+        N = closure(data.draw(st.lists(permutations_of(degree), min_size=1, max_size=3)), degree)
+        # the oracle lattice costs up to |N|^3 products: 2 s at |N| = 120
+        assume(N.order <= 72)
+        check_lattice_against_oracles(N)

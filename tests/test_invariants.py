@@ -6,6 +6,7 @@ import pytest
 
 from malle_lab.errors import (
     BadModulus,
+    InvariantViolation,
     NotAHomomorphism,
     NotSplit,
 )
@@ -91,6 +92,18 @@ class TestTwist:
         ctx = find_cyclic_complement(N, G1)
         with pytest.raises(Exception):
             TwistSpec(q=5, e=2, ctx=ctx)  # d' = 2, gcd(2,2) != 1
+
+    def test_twist_leaving_the_pool_is_a_typed_error(self, monkeypatch):
+        # raised, not asserted, so the check survives python -O
+        import malle_lab.invariants as inv
+
+        N = klueners()
+        G1 = klueners_g1(N)
+        spec = TwistSpec(q=5, e=1, ctx=find_cyclic_complement(N, G1))
+        trivial = G1.class_of(G1.identity)
+        monkeypatch.setattr(inv, "twist_class", lambda c, spec: trivial)
+        with pytest.raises(InvariantViolation):
+            orbit_blocks(spec, restrict_minimal=True)
 
     def test_q_not_coprime_rejected(self):
         N = klueners()
