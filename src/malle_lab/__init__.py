@@ -47,6 +47,7 @@ from .invariants import (
     b_e,
     b_phi,
     b_report,
+    b_table,
     minimal_index_classes,
     orbit_blocks,
     render_growth,

@@ -5,9 +5,9 @@ Tuples live in G; orbits are computed on N-conjugation classes of tuples
 
     Q_i(g_1, ..., g_k) = (g_1, ..., g_i g_{i+1} g_i^{-1}, g_i, ..., g_k).
 
-All heavy loops run on integer element indices with precomputed
-multiplication / inversion / conjugation tables; the public API speaks
-Permutations.
+All heavy loops run on integer element indices, over the group's own
+index, multiplication and inversion tables plus the conjugation rows of
+N; the public API speaks Permutations.
 
 Frobenius stability of an orbit is a *model*: the entrywise map
 g -> (g^q) conjugated by tau^{-e}, followed by reduction modulo braid
@@ -17,7 +17,8 @@ moves and N-conjugation.  Reports built on it carry a warning.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from functools import lru_cache
+from typing import Mapping, Sequence
 
 from .errors import (
     EnumerationCapExceeded,
@@ -33,6 +34,10 @@ from .perms import Permutation, product
 
 DEFAULT_NODE_CAP = 10**8
 DEFAULT_VISITED_CAP = 10**7
+# Cache bounds: more (G, N) pairs and generation tests than one braid
+# session touches, so a bound costs no recomputation in practice.
+PAIR_CACHE_SIZE = 16
+GENERATES_CACHE_SIZE = 2**16
 
 FROBENIUS_MODEL_WARNING = (
     "orbit-level Frobenius stability uses the entrywise twisted-power "
@@ -147,9 +152,10 @@ def braid_generator(t: NielsenTuple, i: int) -> NielsenTuple:
     a, b = g[i - 1], g[i]
     g[i - 1], g[i] = a * b * a.inverse(), a
     out = NielsenTuple(t.group, tuple(g))
-    assert subgroup_generated(t.group, out.entries).order == subgroup_generated(
+    if subgroup_generated(t.group, out.entries).order != subgroup_generated(
         t.group, t.entries
-    ).order
+    ).order:
+        raise InvariantViolation("a braid move changed the subgroup the entries generate")
     return out
 
 
@@ -169,70 +175,47 @@ def braid_generator_inverse(t: NielsenTuple, i: int) -> NielsenTuple:
 
 
 class _IndexedPair:
-    """Multiplication/conjugation tables for G with N acting by conjugation."""
+    """N acting on G by conjugation, over the index tables of G."""
 
     def __init__(self, G: FiniteGroup, N: FiniteGroup):
         if not G.is_normal_in(N):
             raise NotASubgroup("braid orbits need G normal in N")
         self.G = G
         self.N = N
-        self.elements = list(G.elements)
-        self.index = {p: i for i, p in enumerate(self.elements)}
-        n = len(self.elements)
-        self.mul = [
-            [self.index[a * b] for b in self.elements] for a in self.elements
-        ]
-        self.inv = [self.index[a.inverse()] for a in self.elements]
-        self.id = self.index[G.identity]
-        classes = G.conjugacy_classes()
-        self.class_id = [0] * n
-        self.class_members: dict[int, list[int]] = {}
-        for c in classes:
-            self.class_members[c.class_id] = sorted(self.index[m] for m in c.members)
-            for m in c.members:
-                self.class_id[self.index[m]] = c.class_id
+        index = G.index
         # distinct conjugation rows of N on G (the action factors through
         # N / Cen_N(G), so duplicates are common and worth dropping)
         rows = {
-            tuple(self.index[g.conjugate_by(x)] for g in self.elements)
+            tuple(index[g.conjugate_by(x)] for g in G.elements)
             for x in N.elements
         }
         self.conj_rows = sorted(rows)
-        self._gen_cache: dict[frozenset, bool] = {}
 
     def canonical(self, t: tuple[int, ...]) -> tuple[int, ...]:
         return min(tuple(row[g] for g in t) for row in self.conj_rows)
 
-    def generates(self, entries: Iterable[int]) -> bool:
-        key = frozenset(entries)
-        hit = self._gen_cache.get(key)
-        if hit is not None:
-            return hit
-        closed = {self.id}
-        frontier = [self.id]
+    @lru_cache(maxsize=GENERATES_CACHE_SIZE)
+    def generates(self, entries: frozenset[int]) -> bool:
+        mul = self.G.mul
+        identity = self.G.index[self.G.identity]
+        closed = {identity}
+        frontier = [identity]
         while frontier:
             new = []
             for x in frontier:
-                row = self.mul[x]
-                for g in key:
+                row = mul[x]
+                for g in entries:
                     y = row[g]
                     if y not in closed:
                         closed.add(y)
                         new.append(y)
             frontier = new
-        ok = len(closed) == len(self.elements)
-        self._gen_cache[key] = ok
-        return ok
+        return len(closed) == self.G.order
 
 
-_pair_cache: dict[tuple[FiniteGroup, FiniteGroup], _IndexedPair] = {}
-
-
+@lru_cache(maxsize=PAIR_CACHE_SIZE)
 def _indexed(G: FiniteGroup, N: FiniteGroup) -> _IndexedPair:
-    key = (G, N)
-    if key not in _pair_cache:
-        _pair_cache[key] = _IndexedPair(G, N)
-    return _pair_cache[key]
+    return _IndexedPair(G, N)
 
 
 def _enumerate_idx(
@@ -244,8 +227,14 @@ def _enumerate_idx(
     out: list[tuple[int, ...]] = []
     if k == 0:
         return out
-    mul = ctx.mul
-    members = ctx.class_members
+    G = ctx.G
+    mul, inv, class_ids, index = G.mul, G.inv, G.class_ids, G.index
+    identity = index[G.identity]
+    members = {
+        c.class_id: [index[m] for m in c.members]
+        for c in G.conjugacy_classes()
+        if c.class_id in counts
+    }
     nodes = 0
     entries: list[int] = []
 
@@ -258,11 +247,11 @@ def _enumerate_idx(
                 partial=list(out),
             )
         if pos == k - 1:
-            last = ctx.inv[prefix]
-            cid = ctx.class_id[last]
-            if counts.get(cid, 0) > 0 and last != ctx.id:
+            last = inv[prefix]
+            cid = class_ids[last]
+            if counts.get(cid, 0) > 0 and last != identity:
                 entries.append(last)
-                if ctx.generates(entries):
+                if ctx.generates(frozenset(entries)):
                     out.append(tuple(entries))
                 entries.pop()
             return
@@ -277,7 +266,7 @@ def _enumerate_idx(
                 entries.pop()
             counts[cid] += 1
 
-    dfs(0, ctx.id)
+    dfs(0, identity)
     return out
 
 
@@ -288,7 +277,7 @@ def enumerate_nielsen(
     ctx = _indexed(G, G)
     tuples = _enumerate_idx(ctx, cv, node_cap)
     return [
-        NielsenTuple(G, tuple(ctx.elements[i] for i in t)) for t in tuples
+        NielsenTuple(G, tuple(G.elements[i] for i in t)) for t in tuples
     ]
 
 
@@ -314,7 +303,7 @@ def _orbit_partition(
     seeds_order: Sequence[tuple[int, ...]] | None = None,
 ) -> list[list[tuple[int, ...]]]:
     """BFS partition of canonical tuples under braid moves; deterministic."""
-    mul, inv = ctx.mul, ctx.inv
+    mul, inv = ctx.G.mul, ctx.G.inv
     unseen = set(canonical_tuples)
     orbits = []
     seeds = seeds_order if seeds_order is not None else sorted(unseen)
@@ -382,7 +371,7 @@ def braid_orbits(
             BraidOrbit(
                 group=G,
                 ambient=N,
-                canonical_rep=NielsenTuple(G, tuple(ctx.elements[i] for i in rep)),
+                canonical_rep=NielsenTuple(G, tuple(G.elements[i] for i in rep)),
                 size=len(members),
                 class_vector=cv,
                 members=frozenset(members),
@@ -409,19 +398,19 @@ def frobenius_stable_orbits(
     if any(o.class_vector != cv for o in orbits):
         raise ValueError("orbits must share one class vector")
     ctx = _indexed(G, N)
+    index = G.index
     t = spec.ctx.tau ** (-spec.e)
-    twist = [
-        ctx.index[(g**spec.q).conjugate_by(t)] for g in ctx.elements
-    ]
+    twist = [index[(g**spec.q).conjugate_by(t)] for g in G.elements]
+    identity = index[G.identity]
     stable = []
     for orbit in orbits:
-        rep = tuple(ctx.index[g] for g in orbit.canonical_rep.entries)
+        rep = tuple(index[g] for g in orbit.canonical_rep.entries)
         image = tuple(twist[g] for g in rep)
         # product-one must survive for the image to be a tuple at all
-        prod = ctx.id
+        prod = identity
         for g in image:
-            prod = ctx.mul[prod][g]
-        if prod != ctx.id:
+            prod = G.mul[prod][g]
+        if prod != identity:
             continue
         if ctx.canonical(image) in orbit.members:
             stable.append(orbit)

@@ -119,15 +119,14 @@ def cmd_invariants(args) -> dict:
     warnings = []
     if not ctx.split:
         warnings.append(inv.NON_SPLIT_WARNING)
-    by_e = {e: inv.b_e(inv.TwistSpec(q=q, e=e, ctx=ctx)) for e in ctx.admissible_e()}
-    b = max(by_e.values())
+    report = inv.b_table(ctx, q)
     a = a_invariant(G)
     outputs = {
         "a": a,
-        "b": b,
-        "b_by_e": by_e,
-        "argmax_e": [e for e, v in by_e.items() if v == b],
-        "asymptotic": inv.render_growth(a, b),
+        "b": report.value,
+        "b_by_e": report.by_e,
+        "argmax_e": report.argmax,
+        "asymptotic": inv.render_growth(a, report.value),
         "minimal_index": int(1 / a),
         "minimal_classes": sorted(
             format_cycles(c.representative) for c in inv.minimal_index_classes(G)
@@ -252,11 +251,6 @@ def cmd_presets(args) -> dict:
 # verify: golden scenarios
 
 
-def _b_lax(ctx: GNContext, q: int) -> int:
-    """max b_e over admissible e, allowing the non-split fallback tau."""
-    return max(inv.b_e(inv.TwistSpec(q=q, e=e, ctx=ctx)) for e in ctx.admissible_e())
-
-
 def _verify_klueners_s6(preset) -> tuple[dict, list[str]]:
     spec = preset.spec
     N = spec.group()
@@ -308,14 +302,14 @@ def _verify_abelian_suite(preset) -> tuple[dict, list[str]]:
         N = spec.group()
         for q in abelian_q(label):
             ctx_N = find_cyclic_complement(N, N)
-            b_N = _b_lax(ctx_N, q)
+            b_N = inv.b_table(ctx_N, q).value
             for G in normal_subgroups_with_cyclic_quotient(N):
                 if G.order == 1:
                     continue
                 ctx = find_cyclic_complement(N, G)
                 if not ctx.split:
                     warnings.append(f"{label}: non-split subgroup of order {G.order}")
-                b_G = _b_lax(ctx, q)
+                b_G = inv.b_table(ctx, q).value
                 checks[f"{label}_q{q}_order{G.order}"] = {
                     "expected": f"b <= {b_N}",
                     "got": b_G,

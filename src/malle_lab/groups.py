@@ -8,6 +8,7 @@ subgroups, complements — is deterministic across runs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from math import gcd
 from typing import Iterable, Sequence
@@ -25,7 +26,7 @@ DEFAULT_ORDER_CAP = 10**6
 
 
 class FiniteGroup:
-    """A fully enumerated permutation group on points 1..degree."""
+    """A fully enumerated permutation group on points 1..degree, generated by `generators`."""
 
     def __init__(self, degree: int, generators: Sequence[Permutation], elements: Iterable[Permutation]):
         self.degree = degree
@@ -34,6 +35,22 @@ class FiniteGroup:
         self.order = len(self.elements)
         self._element_set = frozenset(self.elements)
         self._classes: list[ConjugacyClass] | None = None
+
+    # Integer tables over `elements`, built on first use.  `mul` holds |G|^2
+    # products, so only the small groups braid.py works on build it.
+
+    @cached_property
+    def index(self) -> dict[Permutation, int]:
+        return {p: i for i, p in enumerate(self.elements)}
+
+    @cached_property
+    def mul(self) -> list[list[int]]:
+        index = self.index
+        return [[index[a * b] for b in self.elements] for a in self.elements]
+
+    @cached_property
+    def inv(self) -> list[int]:
+        return [self.index[a.inverse()] for a in self.elements]
 
     @property
     def identity(self) -> Permutation:
@@ -86,14 +103,20 @@ class FiniteGroup:
 
     def conjugacy_classes(self) -> list["ConjugacyClass"]:
         if self._classes is None:
-            self._classes = _compute_classes(self)
+            self._classes, self._class_ids = _compute_classes(self)
         return self._classes
 
+    @property
+    def class_ids(self) -> list[int]:
+        """class_ids[i] is the class_id of elements[i]."""
+        self.conjugacy_classes()
+        return self._class_ids
+
     def class_of(self, p: Permutation) -> "ConjugacyClass":
-        for c in self.conjugacy_classes():
-            if p in c.member_set:
-                return c
-        raise NotASubgroup(f"{p!r} is not an element of this group")
+        i = self.index.get(p)
+        if i is None:
+            raise NotASubgroup(f"{p!r} is not an element of this group")
+        return self.conjugacy_classes()[self.class_ids[i]]
 
 
 @dataclass(frozen=True)
@@ -104,10 +127,6 @@ class ConjugacyClass:
     representative: Permutation
     members: tuple[Permutation, ...]
     class_id: int
-
-    @property
-    def member_set(self) -> frozenset:
-        return frozenset(self.members)
 
     @property
     def size(self) -> int:
@@ -153,21 +172,28 @@ def closure(
     return FiniteGroup(degree, generators, elements)
 
 
-def _compute_classes(G: FiniteGroup) -> list[ConjugacyClass]:
-    remaining = set(G.elements)
+def _compute_classes(G: FiniteGroup) -> tuple[list[ConjugacyClass], list[int]]:
+    """The classes of G, numbered by least member, and each element's class id.
+
+    A class is the orbit of its least member under conjugation by the
+    generators of G.
+    """
+    conjugators = [(x.inverse(), x) for x in G.generators or G.elements]
+    class_ids = [-1] * G.order
     classes = []
-    # G.elements is sorted, so classes come out keyed by their least member.
-    for g in G.elements:
-        if g not in remaining:
+    # G.elements is sorted, so each new class starts at its least member.
+    for i, g in enumerate(G.elements):
+        if class_ids[i] >= 0:
             continue
-        members = sorted({g.conjugate_by(x) for x in G.elements})
-        remaining.difference_update(members)
-        classes.append((members[0], tuple(members)))
-    classes.sort(key=lambda pair: pair[0])
-    return [
-        ConjugacyClass(ambient=G, representative=rep, members=members, class_id=i)
-        for i, (rep, members) in enumerate(classes)
-    ]
+        class_ids[i] = cid = len(classes)
+        orbit = [g]
+        for y in orbit:
+            for z in (x_inv * y * x for x_inv, x in conjugators):
+                if class_ids[G.index[z]] < 0:
+                    class_ids[G.index[z]] = cid
+                    orbit.append(z)
+        classes.append(ConjugacyClass(G, g, tuple(sorted(orbit)), cid))
+    return classes, class_ids
 
 
 def conjugacy_classes(G: FiniteGroup) -> list[ConjugacyClass]:
@@ -316,29 +342,16 @@ def find_cyclic_complement(N: FiniteGroup, G: FiniteGroup) -> GNContext:
     if not coset_gens:
         raise NonCyclicQuotient(f"N/G of order {d} is not cyclic")
 
-    tau = None
-    split = False
-    for x in coset_gens:
-        if x.order() != d:
-            continue
-        # <x> meets G trivially iff no proper power lands in G before x^d = 1
-        powers_ok = True
-        y = x
-        for _ in range(d - 1):
-            if y in G:
-                powers_ok = False
-                break
-            y = y * x
-        if powers_ok:
-            tau = x
-            split = True
-            break
-    if tau is None:
+    # x has coset order d: <x> meets G trivially iff x^d = 1
+    tau = next((x for x in coset_gens if x.order() == d), None)
+    split = tau is not None
+    if not split:
         tau = coset_gens[0]
 
     cen = centralizer(N, G)
-    gcen = subgroup_generated(N, set(G.generators) | set(cen.generators))
-    d_prime = N.order // gcen.order
+    # G is normal in N, so G C is a subgroup of order |G||C| / |G ∩ C|
+    meet = sum(1 for x in cen.elements if x in G)
+    d_prime = N.order * meet // (G.order * cen.order)
     d_double_prime = d // d_prime
     return GNContext(
         N=N,

@@ -30,7 +30,6 @@ from .groups import (
     find_cyclic_complement,
     group_index,
     normal_subgroups_with_abelian_quotient,
-    normal_subgroups_with_cyclic_quotient,
     quotient_is_cyclic,
 )
 from .perms import Permutation
@@ -73,7 +72,7 @@ def twist_class(c: ConjugacyClass, spec: TwistSpec) -> ConjugacyClass:
     t = spec.ctx.tau ** (-spec.e)
     image = G.class_of((c.representative ** spec.q).conjugate_by(t))
     # well-definedness: any member must land in the same class
-    if (c.members[-1] ** spec.q).conjugate_by(t) not in image.member_set:
+    if G.class_of((c.members[-1] ** spec.q).conjugate_by(t)) is not image:
         raise InvariantViolation("the twist is not well defined on classes")
     return image
 
@@ -144,13 +143,22 @@ class BReport:
     argmax: tuple[int, ...]
 
 
-def b_report(ctx: GNContext, q: int) -> BReport:
-    if not ctx.split:
-        raise NotSplit(NON_SPLIT_WARNING)
+def b_table(ctx: GNContext, q: int) -> BReport:
+    """b_e for every admissible e, with its maximum and argmax.
+
+    When G does not split, ctx.tau is only a coset representative and the
+    caller owes NON_SPLIT_WARNING; b_report refuses that case instead.
+    """
     by_e = {e: b_e(TwistSpec(q=q, e=e, ctx=ctx)) for e in ctx.admissible_e()}
     value = max(by_e.values())
     argmax = tuple(e for e, v in by_e.items() if v == value)
     return BReport(value=value, by_e=by_e, argmax=argmax)
+
+
+def b_report(ctx: GNContext, q: int) -> BReport:
+    if not ctx.split:
+        raise NotSplit(NON_SPLIT_WARNING)
+    return b_table(ctx, q)
 
 
 def b_constant(ctx: GNContext, q: int) -> int:
@@ -379,25 +387,16 @@ class RevisedBReport:
     warnings: tuple[str, ...]
 
 
-def revised_b(
-    N: FiniteGroup,
-    fieldspec: FieldSpec,
-    quotient_filter: str = "abelian",
-) -> RevisedBReport:
+def revised_b(N: FiniteGroup, fieldspec: FieldSpec) -> RevisedBReport:
     """The revised conjecture constant: max of b(G, N, k) over normal G
-    with abelian (or, with quotient_filter="cyclic", cyclic) quotient and
-    a(G) = a(N).
+    with abelian quotient and a(G) = a(N).
 
-    Function fields: b(G, N, F_q) from the twisted action, split G only
-    (non-split G are reported and skipped).  Number fields: max of b_phi
-    over surjective phi at the configured cyclotomic level.
+    Function fields: b(G, N, F_q) from the twisted action, split G with
+    cyclic quotient only (the others are reported and skipped).  Number
+    fields: max of b_phi over surjective phi at the configured cyclotomic
+    level.
     """
-    if quotient_filter not in ("abelian", "cyclic"):
-        raise ValueError(f"unknown quotient filter {quotient_filter!r}")
-    if quotient_filter == "cyclic":
-        candidates = normal_subgroups_with_cyclic_quotient(N)
-    else:
-        candidates = normal_subgroups_with_abelian_quotient(N)
+    candidates = normal_subgroups_with_abelian_quotient(N)
     a_N = a_invariant(N)
     rows: list[RevisedBRow] = []
     warnings: list[str] = []

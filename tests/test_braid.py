@@ -4,6 +4,7 @@ from itertools import product as iproduct
 
 import pytest
 
+from malle_lab import braid
 from malle_lab.braid import (
     ClassVector,
     NielsenTuple,
@@ -103,6 +104,16 @@ class TestBraidMoves:
             braid_generator(t, 0)
         with pytest.raises(IndexOutOfRange):
             braid_generator(t, 2)
+
+    def test_changed_generated_subgroup_is_a_typed_error(self, monkeypatch):
+        # raised, not asserted, so the check survives python -O
+        G = s3()
+        a, b = parse_cycles("(1 2)", 3), parse_cycles("(1 3)", 3)
+        t = NielsenTuple(G, (a, b, b, a))
+        subgroups = iter((G, closure([a], 3)))
+        monkeypatch.setattr(braid, "subgroup_generated", lambda N, seed: next(subgroups))
+        with pytest.raises(InvariantViolation):
+            braid_generator(t, 1)
 
     @pytest.mark.parametrize("k", [4, 5])
     def test_braid_relations_on_full_tuple_set(self, k):
@@ -310,3 +321,8 @@ class TestConwayParker:
         assert not probe.truncated
         assert [m for m, _ in probe.counts] == [0, 1, 2]
         assert all(v == 1 for _, v in probe.counts)
+
+
+def test_caches_are_bounded():
+    assert braid._indexed.cache_info().maxsize == braid.PAIR_CACHE_SIZE == 16
+    assert braid._IndexedPair.generates.cache_info().maxsize == braid.GENERATES_CACHE_SIZE == 2**16

@@ -85,12 +85,12 @@ class TestConjugacyClasses:
         for c in G.conjugacy_classes():
             for g in c.members:
                 for h in G:
-                    assert g.conjugate_by(h) in c.member_set
+                    assert g.conjugate_by(h) in c.members
 
     def test_class_of(self):
         G = s3()
         t = parse_cycles("(1 2)", 3)
-        assert t in G.class_of(t).member_set
+        assert t in G.class_of(t).members
 
 
 class TestInvariants:
@@ -292,3 +292,62 @@ class TestLatticeOracles:
         # the oracle lattice costs up to |N|^3 products: 2 s at |N| = 120
         assume(N.order <= 72)
         check_lattice_against_oracles(N)
+
+
+# ---------------------------------------------------------------------------
+# the indexed core against the algorithms it replaced
+
+
+def oracle_classes(G):
+    """(class_id, representative, members): conjugates by every element."""
+    remaining = set(G.elements)
+    classes = []
+    for g in G.elements:
+        if g not in remaining:
+            continue
+        members = sorted({g.conjugate_by(x) for x in G.elements})
+        remaining.difference_update(members)
+        classes.append((members[0], tuple(members)))
+    classes.sort(key=lambda pair: pair[0])
+    return [(i, rep, members) for i, (rep, members) in enumerate(classes)]
+
+
+def oracle_d_prime(N, G):
+    """[N : G Cen_N(G)], closing G with every centralizer element."""
+    gcen = subgroup_generated(N, set(G.generators) | set(centralizer(N, G).elements))
+    return N.order // gcen.order
+
+
+def check_core_against_oracles(N):
+    pairs = normal_subgroups_with_cyclic_quotient(N)
+    for G in {N, *pairs}:
+        classes = G.conjugacy_classes()
+        assert [(c.class_id, c.representative, c.members) for c in classes] == oracle_classes(G)
+        for i, p in enumerate(G.elements):
+            assert G.index[p] == i
+            assert G.class_of(p).class_id == G.class_ids[G.index[p]]
+            assert p in G.class_of(p).members
+    for G in pairs:
+        assert find_cyclic_complement(N, G).d_prime == oracle_d_prime(N, G)
+
+
+class TestCoreOracles:
+    @pytest.mark.parametrize("name", sorted(SMALL_GROUPS))
+    def test_small_groups(self, name):
+        degree, gens = SMALL_GROUPS[name]
+        check_core_against_oracles(closure([parse_cycles(g, degree) for g in gens], degree))
+
+    @pytest.mark.parametrize("name", sorted(PRESET_SPECS))
+    def test_preset_groups(self, name):
+        check_core_against_oracles(PRESET_SPECS[name].group())
+
+    @settings(max_examples=60, deadline=None)
+    @given(degree=st.sampled_from((5, 6)), data=st.data())
+    def test_random_subgroups_of_s5_s6(self, degree, data):
+        N = closure(data.draw(st.lists(permutations_of(degree), min_size=1, max_size=3)), degree)
+        check_core_against_oracles(N)
+
+    def test_class_of_a_non_member(self):
+        G = closure([parse_cycles("(1 2 3)", 4)], 4)
+        with pytest.raises(NotASubgroup):
+            G.class_of(parse_cycles("(1 2)", 4))
