@@ -9,6 +9,21 @@ All heavy loops run on integer element indices, over the group's own
 index, multiplication and inversion tables plus the conjugation rows of
 N; the public API speaks Permutations.
 
+The orbit search applies the forward moves Q_i only.  N-conjugation
+commutes with every Q_i, so each Q_i permutes the finite set of canonical
+tuples, and a permutation of a finite set has finite order: Q_i^{-1} is a
+positive power of Q_i.  The forward closure of a seed is therefore already
+its whole orbit.
+
+The canonical form of a tuple is its least image under simultaneous
+N-conjugation, found as a minimal image (Jefferson, Jonauskyte, Pfeiffer,
+Waldecker, "Minimal and canonical images", J. Algebra 521 (2019)).  The
+least image starts with the least N-conjugate of t[0], so only the rows in
+min_rows[t[0]] can produce it; at each later position the rows that miss
+the least entry there drop out, and once one row is left (or the tuple
+ends) that row gives the image.  Generating tuples usually leave one row
+after the first or second entry, instead of the full scan of conj_rows.
+
 Frobenius stability of an orbit is a *model*: the entrywise map
 g -> (g^q) conjugated by tau^{-e}, followed by reduction modulo braid
 moves and N-conjugation.  Reports built on it carry a warning.
@@ -18,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Mapping, Sequence
+from typing import Collection, Mapping, Sequence
 
 from .errors import (
     EnumerationCapExceeded,
@@ -28,7 +43,7 @@ from .errors import (
     TrivialClassPresent,
     UnknownSeed,
 )
-from .groups import FiniteGroup, subgroup_generated
+from .groups import FiniteGroup
 from .invariants import TwistSpec
 from .perms import Permutation, product
 
@@ -152,11 +167,16 @@ def braid_generator(t: NielsenTuple, i: int) -> NielsenTuple:
     a, b = g[i - 1], g[i]
     g[i - 1], g[i] = a * b * a.inverse(), a
     out = NielsenTuple(t.group, tuple(g))
-    if subgroup_generated(t.group, out.entries).order != subgroup_generated(
-        t.group, t.entries
-    ).order:
+    if _closure_order(t.group, _indices(t)) != _closure_order(t.group, _indices(out)):
         raise InvariantViolation("a braid move changed the subgroup the entries generate")
     return out
+
+
+def _indices(t: NielsenTuple) -> set[int]:
+    index = t.group.index
+    if any(g not in index for g in t.entries):
+        raise NotASubgroup("a tuple entry is not an element of its group")
+    return {index[g] for g in t.entries}
 
 
 def braid_generator_inverse(t: NielsenTuple, i: int) -> NielsenTuple:
@@ -190,27 +210,47 @@ class _IndexedPair:
             for x in N.elements
         }
         self.conj_rows = sorted(rows)
+        # min_rows[g]: the rows sending g to its least N-conjugate (shared
+        # references into conj_rows, in conj_rows order)
+        self.min_rows = []
+        for g in range(G.order):
+            least = min(row[g] for row in self.conj_rows)
+            self.min_rows.append([row for row in self.conj_rows if row[g] == least])
 
     def canonical(self, t: tuple[int, ...]) -> tuple[int, ...]:
-        return min(tuple(row[g] for g in t) for row in self.conj_rows)
+        """The least image of t under the conjugation rows (a minimal image)."""
+        rows = self.min_rows[t[0]]
+        pos = 1
+        while len(rows) > 1 and pos < len(t):
+            g = t[pos]
+            least = min(row[g] for row in rows)
+            rows = [row for row in rows if row[g] == least]
+            pos += 1
+        row = rows[0]
+        return tuple(row[g] for g in t)
 
     @lru_cache(maxsize=GENERATES_CACHE_SIZE)
     def generates(self, entries: frozenset[int]) -> bool:
-        mul = self.G.mul
-        identity = self.G.index[self.G.identity]
-        closed = {identity}
-        frontier = [identity]
-        while frontier:
-            new = []
-            for x in frontier:
-                row = mul[x]
-                for g in entries:
-                    y = row[g]
-                    if y not in closed:
-                        closed.add(y)
-                        new.append(y)
-            frontier = new
-        return len(closed) == self.G.order
+        return _closure_order(self.G, entries) == self.G.order
+
+
+def _closure_order(G: FiniteGroup, entries: Collection[int]) -> int:
+    """Order of the subgroup of G generated by the elements indexed by entries."""
+    mul = G.mul
+    identity = G.index[G.identity]
+    closed = {identity}
+    frontier = [identity]
+    while frontier:
+        new = []
+        for x in frontier:
+            row = mul[x]
+            for g in entries:
+                y = row[g]
+                if y not in closed:
+                    closed.add(y)
+                    new.append(y)
+        frontier = new
+    return len(closed)
 
 
 @lru_cache(maxsize=PAIR_CACHE_SIZE)
@@ -302,7 +342,7 @@ def _orbit_partition(
     visited_cap: int,
     seeds_order: Sequence[tuple[int, ...]] | None = None,
 ) -> list[list[tuple[int, ...]]]:
-    """BFS partition of canonical tuples under braid moves; deterministic."""
+    """BFS partition of canonical tuples under the forward braid moves; deterministic."""
     mul, inv = ctx.G.mul, ctx.G.inv
     unseen = set(canonical_tuples)
     orbits = []
@@ -318,20 +358,16 @@ def _orbit_partition(
             for t in frontier:
                 k = len(t)
                 for i in range(k - 1):
-                    a, b = t[i], t[i + 1]
-                    # Q_i and its inverse
-                    for pair in (
-                        (mul[mul[a][b]][inv[a]], a),
-                        (b, mul[mul[inv[b]][a]][b]),
-                    ):
-                        u = ctx.canonical(t[:i] + pair + t[i + 2 :])
-                        if u not in members:
-                            members.add(u)
-                            new.append(u)
-                            if len(members) > visited_cap:
-                                raise EnumerationCapExceeded(
-                                    f"orbit grew past {visited_cap} canonical tuples"
-                                )
+                    # Q_i only: its inverse is a power of it (module docstring)
+                    a = t[i]
+                    u = ctx.canonical(t[:i] + (mul[mul[a][t[i + 1]]][inv[a]], a) + t[i + 2 :])
+                    if u not in members:
+                        members.add(u)
+                        new.append(u)
+                        if len(members) > visited_cap:
+                            raise EnumerationCapExceeded(
+                                f"orbit grew past {visited_cap} canonical tuples"
+                            )
             frontier = new
         unseen.difference_update(members)
         orbits.append(sorted(members))
@@ -399,8 +435,7 @@ def frobenius_stable_orbits(
         raise ValueError("orbits must share one class vector")
     ctx = _indexed(G, N)
     index = G.index
-    t = spec.ctx.tau ** (-spec.e)
-    twist = [index[(g**spec.q).conjugate_by(t)] for g in G.elements]
+    twist = [index[(g**spec.q).conjugate_by(spec.conjugator)] for g in G.elements]
     identity = index[G.identity]
     stable = []
     for orbit in orbits:

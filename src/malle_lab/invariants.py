@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 from typing import Mapping, Sequence
 
@@ -65,11 +66,16 @@ class TwistSpec:
         if not (1 <= self.e <= dp and gcd(self.e, dp) == 1):
             raise ValueError(f"e = {self.e} not admissible for d' = {dp}")
 
+    @cached_property
+    def conjugator(self) -> Permutation:
+        """tau^{-e}, the element t_e conjugates by; computed once per spec."""
+        return self.ctx.tau ** (-self.e)
+
 
 def twist_class(c: ConjugacyClass, spec: TwistSpec) -> ConjugacyClass:
     """The class of (g^q) conjugated by tau^{-e}, for g a representative."""
     G = spec.ctx.G
-    t = spec.ctx.tau ** (-spec.e)
+    t = spec.conjugator
     image = G.class_of((c.representative ** spec.q).conjugate_by(t))
     # well-definedness: any member must land in the same class
     if G.class_of((c.members[-1] ** spec.q).conjugate_by(t)) is not image:

@@ -3,6 +3,8 @@
 from itertools import product as iproduct
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from malle_lab import braid
 from malle_lab.braid import (
@@ -22,9 +24,11 @@ from malle_lab.errors import (
     TrivialClassPresent,
     UnknownSeed,
 )
-from malle_lab.groups import closure, find_cyclic_complement
+from malle_lab.groups import closure, derived_subgroup, find_cyclic_complement
 from malle_lab.invariants import TwistSpec
 from malle_lab.perms import Permutation, parse_cycles, product
+from malle_lab.presets import get_preset
+from test_groups import permutations_of
 
 
 def s3():
@@ -110,8 +114,8 @@ class TestBraidMoves:
         G = s3()
         a, b = parse_cycles("(1 2)", 3), parse_cycles("(1 3)", 3)
         t = NielsenTuple(G, (a, b, b, a))
-        subgroups = iter((G, closure([a], 3)))
-        monkeypatch.setattr(braid, "subgroup_generated", lambda N, seed: next(subgroups))
+        orders = iter((G.order, closure([a], 3).order))
+        monkeypatch.setattr(braid, "_closure_order", lambda G, entries: next(orders))
         with pytest.raises(InvariantViolation):
             braid_generator(t, 1)
 
@@ -281,6 +285,150 @@ class TestOrbits:
             min(tuple(g.conjugate_by(h) for g in e) for h in N) for e in raw
         }
         assert sum(o.size for o in orbits) == len(classes)
+
+
+# ---------------------------------------------------------------------------
+# the minimal-image canonical form and the forward-only orbit search against
+# the all-rows minimum and the two-way search they replaced
+
+
+def oracle_canonical(ctx, t):
+    """The least image of t over every conjugation row of N."""
+    return min(tuple(row[g] for g in t) for row in ctx.conj_rows)
+
+
+def oracle_orbit_partition(ctx, canonical_tuples):
+    """BFS partition under Q_i and Q_i^{-1}, canonicalising with the oracle."""
+    mul, inv = ctx.G.mul, ctx.G.inv
+    unseen = set(canonical_tuples)
+    orbits = []
+    for seed in sorted(unseen):
+        if seed not in unseen:
+            continue
+        members = {seed}
+        frontier = [seed]
+        while frontier:
+            new = []
+            for t in frontier:
+                for i in range(len(t) - 1):
+                    a, b = t[i], t[i + 1]
+                    for pair in ((mul[mul[a][b]][inv[a]], a), (b, mul[mul[inv[b]][a]][b])):
+                        u = oracle_canonical(ctx, t[:i] + pair + t[i + 2 :])
+                        if u not in members:
+                            members.add(u)
+                            new.append(u)
+            frontier = new
+        unseen.difference_update(members)
+        orbits.append(sorted(members))
+    return orbits
+
+
+def check_orbits_against_oracles(G, N, cv):
+    """Canonical forms, partition, sizes and members agree with the oracles."""
+    ctx = braid._indexed(G, N)
+    tuples = braid._enumerate_idx(ctx, cv, braid.DEFAULT_NODE_CAP)
+    for t in tuples:
+        assert ctx.canonical(t) == oracle_canonical(ctx, t)
+    canonical = sorted({oracle_canonical(ctx, t) for t in tuples})
+    expect = oracle_orbit_partition(ctx, canonical)
+    assert braid._orbit_partition(ctx, canonical, braid.DEFAULT_VISITED_CAP) == expect
+    orbits = braid_orbits(G, N, cv)
+    assert [sorted(o.members) for o in orbits] == expect
+    assert [o.size for o in orbits] == [len(members) for members in expect]
+    assert [tuple(G.index[g] for g in o.canonical_rep.entries) for o in orbits] == [
+        members[0] for members in expect
+    ]
+    return orbits
+
+
+def klueners_g1():
+    return closure([parse_cycles("(1 2 3)", 6), parse_cycles("(4 5 6)", 6)], 6)
+
+
+class TestMinimalImageOracles:
+    @pytest.mark.parametrize("length", range(1, 7))
+    def test_s3_every_class_vector(self, length):
+        G = s3()
+        t = parse_cycles("(1 2)", 3)
+        c = parse_cycles("(1 2 3)", 3)
+        found = 0
+        for n_t in range(length + 1):
+            cv = class_vector_of(G, [t] * n_t + [c] * (length - n_t))
+            found += len(check_orbits_against_oracles(G, G, cv))
+        # a generating product-one tuple of S3 has at least three entries
+        assert found or length <= 2
+
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            # N swaps the blocks, so it does not fix this class vector
+            ("(1 2 3)", "(1 2 3)", "(1 2 3)", "(4 5 6)", "(4 6 5)"),
+            ("(1 2 3)", "(1 3 2)", "(4 5 6)", "(4 6 5)"),
+            ("(1 2 3)", "(1 2 3)", "(4 5 6)", "(1 2 3)(4 5 6)", "(4 5 6)"),
+            ("(1 2 3)(4 5 6)", "(1 2 3)(4 6 5)", "(1 2 3)", "(4 5 6)", "(4 5 6)", "(4 5 6)"),
+        ],
+    )
+    def test_klueners_g1_in_n(self, entries):
+        G1 = klueners_g1()
+        assert check_orbits_against_oracles(G1, klueners(), class_vector_of(
+            G1, [parse_cycles(e, 6) for e in entries]))
+
+    def test_canonical_rep_may_carry_the_image_class_vector(self):
+        # the least N-image of a tuple may start in a class N fuses with
+        # another, so its class vector is an N-image of cv, not cv itself
+        G1, N = klueners_g1(), klueners()
+        cv = class_vector_of(G1, [parse_cycles(e, 6) for e in (
+            "(1 2 3)", "(1 2 3)", "(1 2 3)", "(4 5 6)", "(4 6 5)")])
+        image = class_vector_of(G1, [parse_cycles(e, 6) for e in (
+            "(4 5 6)", "(4 5 6)", "(4 5 6)", "(1 2 3)", "(1 3 2)")])
+        orbits = braid_orbits(G1, N, cv)
+        assert [o.class_vector for o in orbits] == [cv]
+        assert {class_vector_of(G1, o.canonical_rep.entries) for o in orbits} == {image}
+
+    def test_wreath_d_in_n_length_6(self):
+        spec = get_preset("wreath-s18").spec
+        N, D = spec.group(), spec.subgroup("D")
+        entries = (
+            "(4 6 5)(7 9 8)(13 15 14)(16 18 17)",
+            "(1 2 3)(4 5 6)(7 8 9)(10 11 12)(13 14 15)(16 17 18)",
+            "(1 2 3)(4 5 6)(7 8 9)(10 11 12)(13 14 15)(16 17 18)",
+            "(1 2 3)(4 5 6)(7 9 8)(10 11 12)(13 14 15)(16 18 17)",
+            "(1 2 3)(4 6 5)(10 11 12)(13 15 14)",
+            "(1 3 2)(4 6 5)(10 12 11)(13 15 14)",
+        )
+        cv = class_vector_of(D, [parse_cycles(e, 18) for e in entries])
+        assert check_orbits_against_oracles(D, N, cv)
+
+
+S4 = ("(1 2)", "(1 2 3 4)")
+
+
+@st.composite
+def group_pairs(draw):
+    """(G, N): S4 or a random subgroup of S5/S6 as N, with G = N or [N, N]."""
+    degree = draw(st.sampled_from((4, 5, 6)))
+    if degree == 4:
+        N = closure([parse_cycles(g, 4) for g in S4], 4)
+    else:
+        N = closure(draw(st.lists(permutations_of(degree), min_size=1, max_size=3)), degree)
+    # the conjugation rows cost |N| |G| conjugations
+    assume(N.order <= 120)
+    G = draw(st.sampled_from((N, derived_subgroup(N))))
+    assume(G.order > 1)
+    return G, N
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(pair=group_pairs(), data=st.data())
+def test_canonical_is_the_least_image_and_a_conjugation_invariant(pair, data):
+    G, N = pair
+    ctx = braid._IndexedPair(G, N)
+    for _ in range(5):
+        t = tuple(data.draw(st.lists(st.integers(0, G.order - 1), min_size=1, max_size=6)))
+        assert ctx.canonical(t) == oracle_canonical(ctx, t)
+        x = data.draw(st.sampled_from(N.elements))
+        moved = tuple(G.index[G.elements[g].conjugate_by(x)] for g in t)
+        assert ctx.canonical(moved) == ctx.canonical(t)
 
 
 class TestStability:

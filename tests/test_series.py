@@ -2,9 +2,11 @@
 
 import math
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
+from malle_lab.braid import ClassVector, enumerate_nielsen
 from malle_lab.errors import InsufficientRange, TrivialClassPresent
 from malle_lab.groups import closure, find_cyclic_complement
 from malle_lab.invariants import TwistSpec, orbit_blocks
@@ -160,16 +162,27 @@ class TestH2DeskScale:
             assert v <= h3.values[r]
 
     def test_h2_matches_union_find_recount_s3(self):
-        # independent recount: per rational vector, orbits via the
-        # braid_orbits + stability pipeline exercised one vector at a
-        # time in test_braid; here just determinism and r-support
+        # at q = 7 = 1 mod 6 the model fixes every orbit of S3, so h2[r] is
+        # the orbit count times 7^length, summed over the block combinations
+        # of weight r; union_find_orbits calls neither canonical nor
+        # _orbit_partition
+        from test_braid import union_find_orbits
+
         G = closure([parse_cycles("(1 2)", 3), parse_cycles("(1 2 3)", 3)], 3)
-        ctx = find_cyclic_complement(G, G)
-        spec = TwistSpec(q=7, e=1, ctx=ctx)
-        h2a = h2_desk_scale(G, G, spec, R=8)
-        h2b = h2_desk_scale(G, G, spec, R=8)
-        assert h2a == h2b
-        assert all(r <= 8 for r in h2a)
+        spec = TwistSpec(q=7, e=1, ctx=find_cyclic_complement(G, G))
+        blocks = orbit_blocks(spec, restrict_minimal=False)
+        expect: dict[int, int] = {}
+        for mults in product(*(range(8 // blk.weight + 1) for blk in blocks)):
+            r = sum(m * blk.weight for blk, m in zip(blocks, mults))
+            if not 0 < r <= 8:
+                continue
+            counts = {cid: m for blk, m in zip(blocks, mults) for cid in blk.classes}
+            cv = ClassVector.from_counts(G, counts)
+            tuples = [t.entries for t in enumerate_nielsen(G, cv)]
+            if tuples:
+                expect[r] = expect.get(r, 0) + union_find_orbits(G, G, tuples) * 7**cv.length
+        assert sorted(expect) == [4, 6, 8]
+        assert h2_desk_scale(G, G, spec, R=8) == expect
 
     def test_r_with_no_rational_vector_is_absent(self):
         C3 = closure([parse_cycles("(1 2 3)", 3)], 3)
