@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -28,6 +29,7 @@ from .groups import (
     GNContext,
     a_invariant,
     find_cyclic_complement,
+    normal_subgroups_with_cyclic_quotient,
 )
 from .perms import format_cycles, parse_cycles
 from .presets import GroupSpecFile, abelian_q, abelian_suite, get_preset, preset_names
@@ -79,7 +81,7 @@ def resolve_pair(args) -> tuple[FiniteGroup, FiniteGroup, GNContext]:
     spec = resolve_spec(args)
     N = spec.group()
     G = spec.subgroup(args.normal) if args.normal else N
-    if not (G.is_subgroup_of(N) and G.is_normal_in(N)):
+    if not G.is_normal_in(N):
         raise err.NotASubgroup(f"{args.normal!r} is not normal in the main group")
     ctx = find_cyclic_complement(N, G)
     return N, G, ctx
@@ -88,8 +90,6 @@ def resolve_pair(args) -> tuple[FiniteGroup, FiniteGroup, GNContext]:
 def require_q(args, N: FiniteGroup) -> int:
     if args.q is None:
         raise err.ParseError("--q is required for this command", position=0)
-    import math
-
     if math.gcd(args.q, N.order) != 1:
         raise err.ParseError(
             f"q = {args.q} shares a factor with |N| = {N.order}; "
@@ -251,6 +251,11 @@ def cmd_presets(args) -> dict:
 # verify: golden scenarios
 
 
+def _check(expected, got, ok: bool | None = None) -> dict:
+    """One verify check; `ok` defaults to got == expected."""
+    return {"expected": expected, "got": got, "ok": got == expected if ok is None else ok}
+
+
 def _verify_klueners_s6(preset) -> tuple[dict, list[str]]:
     spec = preset.spec
     N = spec.group()
@@ -259,17 +264,15 @@ def _verify_klueners_s6(preset) -> tuple[dict, list[str]]:
     checks = {}
     exp = preset.expected
     a = a_invariant(G1)
-    checks["a"] = {"expected": exp["a"], "got": a, "ok": a == exp["a"]}
+    checks["a"] = _check(exp["a"], a)
     formulas = {}  # distinct growth formulas over q, in q order
     for q in preset.q_values:
         b = inv.b_constant(ctx, q)
-        checks[f"b_q{q}"] = {"expected": exp["b"], "got": b, "ok": b == exp["b"]}
+        checks[f"b_q{q}"] = _check(exp["b"], b)
         formulas[inv.render_growth(a, b)] = None
-    checks["asymptotic"] = {
-        "expected": exp["asymptotic"],
-        "got": "; ".join(formulas),
-        "ok": list(formulas) == [exp["asymptotic"]],
-    }
+    checks["asymptotic"] = _check(
+        exp["asymptotic"], "; ".join(formulas), list(formulas) == [exp["asymptotic"]]
+    )
     return checks, []
 
 
@@ -282,20 +285,14 @@ def _verify_wreath_s18(preset) -> tuple[dict, list[str]]:
         G = spec.subgroup(name)
         ctx = find_cyclic_complement(N, G)
         a = a_invariant(G)
-        checks[f"{name}_a"] = {"expected": exp["a"], "got": a, "ok": a == exp["a"]}
+        checks[f"{name}_a"] = _check(exp["a"], a)
         for q in preset.q_values:
             b = inv.b_constant(ctx, q)
-            checks[f"{name}_b_q{q}"] = {
-                "expected": exp["b"],
-                "got": b,
-                "ok": b == exp["b"],
-            }
+            checks[f"{name}_b_q{q}"] = _check(exp["b"], b)
     return checks, []
 
 
 def _verify_abelian_suite(preset) -> tuple[dict, list[str]]:
-    from .groups import normal_subgroups_with_cyclic_quotient
-
     checks = {}
     warnings = []
     for label, spec in sorted(abelian_suite().items()):
@@ -310,11 +307,7 @@ def _verify_abelian_suite(preset) -> tuple[dict, list[str]]:
                 if not ctx.split:
                     warnings.append(f"{label}: non-split subgroup of order {G.order}")
                 b_G = inv.b_table(ctx, q).value
-                checks[f"{label}_q{q}_order{G.order}"] = {
-                    "expected": f"b <= {b_N}",
-                    "got": b_G,
-                    "ok": b_G <= b_N,
-                }
+                checks[f"{label}_q{q}_order{G.order}"] = _check(f"b <= {b_N}", b_G, b_G <= b_N)
     return checks, warnings
 
 
@@ -327,16 +320,8 @@ def _verify_s3_clebsch(preset) -> tuple[dict, list[str]]:
     orbits = braid_mod.braid_orbits(N, N, cv)
     exp = preset.expected
     checks = {
-        "tuple_count": {
-            "expected": exp["transposition_tuples_k4"],
-            "got": len(tuples),
-            "ok": len(tuples) == exp["transposition_tuples_k4"],
-        },
-        "connected": {
-            "expected": exp["braid_connected"],
-            "got": len(orbits) == 1,
-            "ok": (len(orbits) == 1) == exp["braid_connected"],
-        },
+        "tuple_count": _check(exp["transposition_tuples_k4"], len(tuples)),
+        "connected": _check(exp["braid_connected"], len(orbits) == 1),
     }
     return checks, []
 
@@ -346,13 +331,7 @@ def _verify_klueners_q(preset) -> tuple[dict, list[str]]:
     N = spec.group()
     exp = preset.expected
     report = inv.revised_b(N, inv.RationalNumberField(M=exp["M"]))
-    checks = {
-        "b_phi_max": {
-            "expected": exp["b_phi_max"],
-            "got": report.value,
-            "ok": report.value == exp["b_phi_max"],
-        }
-    }
+    checks = {"b_phi_max": _check(exp["b_phi_max"], report.value)}
     return checks, list(report.warnings)
 
 

@@ -90,17 +90,6 @@ class FiniteGroup:
             for g in self.generators or self.elements
         )
 
-    def is_abelian(self) -> bool:
-        gens = self.generators or self.elements
-        return all(a * b == b * a for a in gens for b in gens)
-
-    def exponent(self) -> int:
-        exp = 1
-        for g in self.elements:
-            o = g.order()
-            exp = exp * o // gcd(exp, o)
-        return exp
-
     def conjugacy_classes(self) -> list["ConjugacyClass"]:
         if self._classes is None:
             self._classes, self._class_ids = _compute_classes(self)

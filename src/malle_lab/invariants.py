@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import product
 from math import gcd
 from typing import Mapping, Sequence
 
@@ -19,6 +20,7 @@ from .errors import (
     BadModulus,
     InvariantViolation,
     NoAdmissibleSubgroup,
+    NonCyclicQuotient,
     NotAHomomorphism,
     NotSplit,
     TrivialGroup,
@@ -31,7 +33,6 @@ from .groups import (
     find_cyclic_complement,
     group_index,
     normal_subgroups_with_abelian_quotient,
-    quotient_is_cyclic,
 )
 from .perms import Permutation
 
@@ -237,9 +238,7 @@ def _units(M: int) -> list[int]:
 def _check_phi(N: FiniteGroup, G: FiniteGroup, fieldspec: RationalNumberField) -> dict[int, Permutation]:
     M = fieldspec.M
     units = _units(M)
-    table = dict(fieldspec.phi_table)
-    if not table:
-        table = {u: N.identity for u in units}
+    table = dict(fieldspec.phi_table) or {u: N.identity for u in units}
     if sorted(table) != sorted(units):
         raise NotAHomomorphism(f"phi table keys {sorted(table)} != units of (Z/{M})*")
     for u, x in table.items():
@@ -251,14 +250,6 @@ def _check_phi(N: FiniteGroup, G: FiniteGroup, fieldspec: RationalNumberField) -
             if table[u] * table[v] * table[w].inverse() not in G:
                 raise NotAHomomorphism(f"phi({u})*phi({v}) != phi({u}*{v}) mod G")
     return table
-
-
-def _phi_is_surjective(N: FiniteGroup, G: FiniteGroup, table: Mapping[int, Permutation]) -> bool:
-    # image subgroup of N/G, measured through the subgroup <G, phi values>
-    from .groups import subgroup_generated
-
-    image = subgroup_generated(N, set(G.generators) | set(table.values()))
-    return image.order == N.order
 
 
 def b_phi(N: FiniteGroup, G: FiniteGroup, fieldspec: RationalNumberField) -> int:
@@ -276,105 +267,66 @@ def b_phi(N: FiniteGroup, G: FiniteGroup, fieldspec: RationalNumberField) -> int
                 f"level M = {fieldspec.M} not divisible by the order "
                 f"{c.representative.order()} of a minimal-index element"
             )
-    ids = {c.class_id: c for c in minimal}
-    # orbits under the group generated by all unit maps
-    parent = {cid: cid for cid in ids}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, x in table.items():
-        lift_inv = x.inverse()
-        for cid, c in ids.items():
-            image = G.class_of((c.representative ** u).conjugate_by(lift_inv))
-            if image.class_id not in ids:
-                raise InvariantViolation("cyclotomic action left C(G)")
-            ra, rb = find(cid), find(image.class_id)
-            if ra != rb:
-                parent[ra] = rb
-    return len({find(cid) for cid in ids})
+    ids = {c.class_id for c in minimal}
+    # phi is a homomorphism, so (Z/M)* acts on the classes and the orbit
+    # of a class is its set of images
+    lifts = [(u, x.inverse()) for u, x in table.items()]
+    orbits = set()
+    for c in minimal:
+        orbit = frozenset(
+            G.class_of((c.representative ** u).conjugate_by(lift_inv)).class_id
+            for u, lift_inv in lifts
+        )
+        if not orbit <= ids:
+            raise InvariantViolation("cyclotomic action left C(G)")
+        orbits.add(orbit)
+    return len(orbits)
 
 
 def _surjective_phis(N: FiniteGroup, G: FiniteGroup, M: int) -> list[dict[int, Permutation]]:
-    """All surjective homomorphisms (Z/M)* -> N/G, as lift tables."""
+    """All surjective homomorphisms (Z/M)* -> N/G, as lift tables.
+
+    Cosets of G are numbered by their least member, the lift a table
+    stores.  A table that satisfies phi(u g) = phi(u) phi(g) along every
+    unit generator g is a homomorphism, so its image is a subgroup and phi
+    is onto exactly when it takes every coset as a value.
+    """
     units = _units(M)
-    # find a small generating sequence of the unit group
     gens: list[int] = []
-    generated = {1 % M if M > 1 else 1}
+    generated = {1}
     for u in units:
-        if u in generated:
-            continue
-        gens.append(u)
-        new = set(generated)
-        frontier = list(generated)
-        while frontier:
-            x = frontier.pop()
-            y = (x * u) % M if M > 1 else 1
-            if y not in new:
-                new.add(y)
-                frontier.append(y)
-        generated = new
-    # coset representatives of N/G: least element of each coset
-    cosets: list[Permutation] = []
-    seen: set[Permutation] = set()
-    for x in N.elements:
-        if x in seen:
-            continue
-        coset = sorted(x * g for g in G.elements)
-        seen.update(coset)
-        cosets.append(coset[0])
+        if u not in generated:
+            gens.append(u)
+            generated = {x * pow(u, k, M) % M for x in generated for k in range(len(units))}
+    coset = [-1] * N.order
+    reps: list[Permutation] = []
+    for i, x in enumerate(N.elements):
+        if coset[i] < 0:
+            for g in G.elements:
+                coset[N.index[x * g]] = len(reps)
+            reps.append(x)
+    qmul = [[coset[N.index[a * b]] for b in reps] for a in reps]
 
-    def coset_rep(x: Permutation) -> Permutation:
-        return min(x * g for g in G.elements)
+    def phi(images: tuple[int, ...]) -> dict[int, int] | None:
+        # coset ids breadth-first from phi(1) = G along the generators;
+        # None if phi(u g) != phi(u) phi(g) for some unit u and generator g
+        table, queue = {1: 0}, [1]
+        for u in queue:
+            for g, c in zip(gens, images):
+                v, w = u * g % M, qmul[table[u]][c]
+                if v not in table:
+                    table[v] = w
+                    queue.append(v)
+                elif table[v] != w:
+                    return None
+        return table
 
-    def unit_order(u: int) -> int:
-        k, y = 1, u
-        while y % M != 1 % M:
-            y = (y * u) % M
-            k += 1
-        return k
-
-    out = []
-    from itertools import product as iproduct
-
-    for images in iproduct(cosets, repeat=len(gens)):
-        # order of each image coset must divide the order of the unit
-        ok = True
-        for u, x in zip(gens, images):
-            o = unit_order(u)
-            if coset_rep(x**o) != coset_rep(N.identity):
-                ok = False
-                break
-        if not ok:
-            continue
-        # build the full table by following products of generators
-        table = {1 % M if M > 1 else 1: N.identity}
-        frontier = [1 % M if M > 1 else 1]
-        consistent = True
-        while frontier and consistent:
-            next_frontier = []
-            for u in frontier:
-                for g, x in zip(gens, images):
-                    v = (u * g) % M if M > 1 else 1
-                    val = coset_rep(table[u] * x)
-                    if v in table:
-                        if coset_rep(table[v]) != val:
-                            consistent = False
-                            break
-                    else:
-                        table[v] = val
-                        next_frontier.append(v)
-                if not consistent:
-                    break
-            frontier = next_frontier
-        if not consistent or len(table) != len(units):
-            continue
-        if _phi_is_surjective(N, G, table):
-            out.append(table)
-    return out
+    tables = (phi(images) for images in product(range(len(reps)), repeat=len(gens)))
+    return [
+        {u: reps[c] for u, c in t.items()}
+        for t in tables
+        if t is not None and len(set(t.values())) == len(reps)
+    ]
 
 
 @dataclass(frozen=True)
@@ -382,7 +334,7 @@ class RevisedBRow:
     G_order: int
     a: Fraction
     quotient_order: int
-    status: str  # "ok", "skipped-nonsplit", "skipped-a", "no-surjective-phi"
+    status: str  # "ok", "skipped-a", "skipped-noncyclic", "skipped-nonsplit", "no-surjective-phi"
     b: int | None
 
 
@@ -416,10 +368,11 @@ def revised_b(N: FiniteGroup, fieldspec: FieldSpec) -> RevisedBReport:
             )
             continue
         if isinstance(fieldspec, FunctionField):
-            if not quotient_is_cyclic(N, G):
+            try:
+                ctx = find_cyclic_complement(N, G)
+            except NonCyclicQuotient:
                 rows.append(RevisedBRow(G.order, a_G, quotient_order, "skipped-noncyclic", None))
                 continue
-            ctx = find_cyclic_complement(N, G)
             if not ctx.split:
                 rows.append(RevisedBRow(G.order, a_G, quotient_order, "skipped-nonsplit", None))
                 warnings.append(NON_SPLIT_WARNING)

@@ -30,8 +30,15 @@ class Permutation:
         self.images = images
 
     @classmethod
+    def _unchecked(cls, images: tuple[int, ...]) -> "Permutation":
+        # products, inverses and the identity are bijections by construction
+        p = object.__new__(cls)
+        p.images = images
+        return p
+
+    @classmethod
     def identity(cls, degree: int) -> "Permutation":
-        return cls(range(1, degree + 1))
+        return cls._unchecked(tuple(range(1, degree + 1)))
 
     @classmethod
     def from_cycles(cls, cycles: Iterable[Sequence[int]], degree: int) -> "Permutation":
@@ -60,13 +67,13 @@ class Permutation:
         # apply self first, then other
         if self.degree != other.degree:
             raise DegreeMismatch(f"degree {self.degree} vs {other.degree}")
-        return Permutation(tuple(other.images[i - 1] for i in self.images))
+        return Permutation._unchecked(tuple(other.images[i - 1] for i in self.images))
 
     def inverse(self) -> "Permutation":
         images = [0] * self.degree
         for i, v in enumerate(self.images):
             images[v - 1] = i + 1
-        return Permutation(images)
+        return Permutation._unchecked(tuple(images))
 
     def __pow__(self, k: int) -> "Permutation":
         if k < 0:

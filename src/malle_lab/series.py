@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
+from . import braid
 from .braid import ClassVector, braid_orbits, frobenius_stable_orbits
 from .errors import (
     EnumerationCapExceeded,
@@ -205,8 +206,8 @@ def h2_desk_scale(
     N: FiniteGroup,
     spec: TwistSpec,
     R: int,
-    node_cap: int = 10**8,
-    visited_cap: int = 10**7,
+    node_cap: int = braid.DEFAULT_NODE_CAP,
+    visited_cap: int = braid.DEFAULT_VISITED_CAP,
 ) -> dict[int, int]:
     """Desk-scale h2: stable-orbit counts weighted by q^(vector length).
 
@@ -278,8 +279,8 @@ def prop_main_check(
     N: FiniteGroup,
     spec: TwistSpec,
     R: int,
-    node_cap: int = 10**8,
-    visited_cap: int = 10**7,
+    node_cap: int = braid.DEFAULT_NODE_CAP,
+    visited_cap: int = braid.DEFAULT_VISITED_CAP,
 ) -> SandwichReport:
     """Empirical sandwich between h2 and h3 partial sums at desk scale.
 

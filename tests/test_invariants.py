@@ -1,6 +1,8 @@
 """Twisted class orbits, b-constants, and the cyclotomic variant."""
 
 from fractions import Fraction
+from functools import lru_cache
+from itertools import product as iproduct
 
 import pytest
 
@@ -10,11 +12,18 @@ from malle_lab.errors import (
     NotAHomomorphism,
     NotSplit,
 )
-from malle_lab.groups import closure, find_cyclic_complement
+from malle_lab.groups import (
+    closure,
+    find_cyclic_complement,
+    normal_subgroups_with_abelian_quotient,
+    subgroup_generated,
+)
 from malle_lab.invariants import (
     FunctionField,
     RationalNumberField,
     TwistSpec,
+    _surjective_phis,
+    _units,
     asymptotic_prediction,
     b_constant,
     b_e,
@@ -27,6 +36,7 @@ from malle_lab.invariants import (
     twist_class,
 )
 from malle_lab.perms import parse_cycles
+from malle_lab.presets import abelian_suite, get_preset
 
 
 def klueners():
@@ -252,3 +262,168 @@ class TestRevisedB:
         statuses = {r.G_order: r.status for r in rep.rows}
         assert statuses[9] == "ok"
         assert statuses[18] == "ok"
+
+    def test_noncyclic_quotients_are_skipped(self):
+        # C2^3: the order-2 subgroups of index 1 have quotient C2 x C2
+        N = closure([parse_cycles(s, 6) for s in ("(1 2)", "(3 4)", "(5 6)")], 6)
+        rep = revised_b(N, FunctionField(3))
+        statuses = [(r.G_order, r.status) for r in rep.rows]
+        assert statuses.count((2, "skipped-noncyclic")) == 3
+        assert statuses.count((2, "skipped-a")) == 4
+        assert rep.value == 3
+
+
+# ---------------------------------------------------------------------------
+# Oracles: the earlier surjective-phi search and union-find b_phi, kept verbatim
+
+
+def oracle_phi_is_surjective(N, G, table):
+    image = subgroup_generated(N, set(G.generators) | set(table.values()))
+    return image.order == N.order
+
+
+def oracle_surjective_phis(N, G, M):
+    """Coset lifts as a min over G, a unit-order prefilter, and
+    surjectivity as a subgroup closure."""
+    units = _units(M)
+    gens = []
+    generated = {1 % M if M > 1 else 1}
+    for u in units:
+        if u in generated:
+            continue
+        gens.append(u)
+        new = set(generated)
+        frontier = list(generated)
+        while frontier:
+            x = frontier.pop()
+            y = (x * u) % M if M > 1 else 1
+            if y not in new:
+                new.add(y)
+                frontier.append(y)
+        generated = new
+    cosets = []
+    seen = set()
+    for x in N.elements:
+        if x in seen:
+            continue
+        coset = sorted(x * g for g in G.elements)
+        seen.update(coset)
+        cosets.append(coset[0])
+
+    def coset_rep(x):
+        return min(x * g for g in G.elements)
+
+    def unit_order(u):
+        k, y = 1, u
+        while y % M != 1 % M:
+            y = (y * u) % M
+            k += 1
+        return k
+
+    out = []
+    for images in iproduct(cosets, repeat=len(gens)):
+        ok = True
+        for u, x in zip(gens, images):
+            o = unit_order(u)
+            if coset_rep(x**o) != coset_rep(N.identity):
+                ok = False
+                break
+        if not ok:
+            continue
+        table = {1 % M if M > 1 else 1: N.identity}
+        frontier = [1 % M if M > 1 else 1]
+        consistent = True
+        while frontier and consistent:
+            next_frontier = []
+            for u in frontier:
+                for g, x in zip(gens, images):
+                    v = (u * g) % M if M > 1 else 1
+                    val = coset_rep(table[u] * x)
+                    if v in table:
+                        if coset_rep(table[v]) != val:
+                            consistent = False
+                            break
+                    else:
+                        table[v] = val
+                        next_frontier.append(v)
+                if not consistent:
+                    break
+            frontier = next_frontier
+        if not consistent or len(table) != len(units):
+            continue
+        if oracle_phi_is_surjective(N, G, table):
+            out.append(table)
+    return out
+
+
+def oracle_b_phi(N, G, M, table):
+    """Union-find over the unit maps, without using that they form a group action."""
+    ids = {c.class_id: c for c in minimal_index_classes(G)}
+    parent = {cid: cid for cid in ids}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for u, x in table.items():
+        for cid, c in ids.items():
+            image = G.class_of((c.representative**u).conjugate_by(x.inverse()))
+            parent[find(cid)] = find(image.class_id)
+    return len({find(cid) for cid in ids})
+
+
+@lru_cache(maxsize=None)
+def abelian_quotient_cases():
+    groups = [("klueners", klueners())]
+    groups += sorted((label, spec.group()) for label, spec in abelian_suite().items())
+    groups.append(("wreath-s18", get_preset("wreath-s18").spec.group()))
+    return tuple(
+        (label, N, G)
+        for label, N in groups
+        for G in normal_subgroups_with_abelian_quotient(N)
+    )
+
+
+# (Z/M)* runs through the trivial group, C2, C4, C2 x C2, C6 and C2 x C4
+ORACLE_LEVELS = (1, 2, 3, 4, 5, 6, 8, 12, 16)
+
+
+class TestSurjectivePhiOracle:
+    def test_same_tables_in_the_same_order(self):
+        cases = 0
+        for label, N, G in abelian_quotient_cases():
+            for M in ORACLE_LEVELS:
+                got = _surjective_phis(N, G, M)
+                want = oracle_surjective_phis(N, G, M)
+                assert [list(t.items()) for t in got] == [
+                    list(t.items()) for t in want
+                ], (label, G.order, M)
+                cases += 1
+        assert cases > 300
+
+    def test_some_levels_admit_no_phi_and_some_several(self):
+        # guards against an oracle comparison that only sees empty lists
+        counts = {
+            (label, G.order, M): len(_surjective_phis(N, G, M))
+            for label, N, G in abelian_quotient_cases()[:12]
+            for M in (1, 3, 12)
+        }
+        assert 0 in counts.values()
+        assert max(counts.values()) >= 2
+
+    def test_b_phi_matches_union_find_oracle(self):
+        checked = 0
+        for label, N, G in abelian_quotient_cases():
+            if G.order == 1 or label == "wreath-s18":
+                continue
+            for M in (3, 4, 12):
+                try:
+                    phis = _surjective_phis(N, G, M)
+                    values = [b_phi(N, G, RationalNumberField(M, t)) for t in phis]
+                except BadModulus:
+                    continue
+                assert values == [oracle_b_phi(N, G, M, t) for t in phis], (label, M)
+                checked += len(values)
+        assert checked > 0

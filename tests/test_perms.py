@@ -33,6 +33,22 @@ class TestBasics:
         assert p**-1 == p.inverse()
         assert p**0 == Permutation.identity(4)
 
+    def test_non_bijection_is_rejected(self):
+        with pytest.raises(ValueError):
+            Permutation((1, 1, 3))
+
+    def test_from_cycles_with_a_repeated_point_is_rejected(self):
+        with pytest.raises(ValueError):
+            Permutation.from_cycles([(1, 2, 1)], 3)
+
+    def test_products_and_inverses_are_permutations(self):
+        p = parse_cycles("(1 2 3)(4 5)", 5)
+        q = parse_cycles("(2 5)", 5)
+        for r in (p * q, p.inverse(), p**-3, Permutation.identity(5)):
+            assert type(r) is Permutation
+            assert sorted(r.images) == [1, 2, 3, 4, 5]
+            assert Permutation(r.images) == r
+
     def test_conjugation_relabels_cycles(self):
         # h^-1 g h relabels the points of g through h
         g = parse_cycles("(1 2 3)", 6)
