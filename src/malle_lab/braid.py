@@ -24,6 +24,28 @@ the least entry there drop out, and once one row is left (or the tuple
 ends) that row gives the image.  Generating tuples usually leave one row
 after the first or second entry, instead of the full scan of conj_rows.
 
+Only canonical tuples are generated (orderly generation: McKay,
+"Isomorph-free exhaustive generation", J. Algorithms 26 (1998)).  A tuple
+t is its own least image exactly when, for every position p, t[p] is the
+least image of t[p] under the rows that fix t[:p] pointwise: a row that
+moves t has a first position where it changes t, it fixes the prefix
+before it, and there it must make the entry larger.  So the enumeration
+carries the rows fixing its prefix and drops every entry that one of
+them lowers.  The canonical forms of the tuples with class multiset cv
+have class multiset x(cv) for some x in N, not always cv (N may fuse
+classes of G), and each canonical tuple of class multiset x(cv) is the
+canonical form of its x^{-1}-image; so the enumeration runs once for
+each distinct N-image of cv, and the union is exactly the set of
+canonical forms of cv's tuples.
+
+The orbit search canonicalises only where it has to.  For a canonical t
+let j(t) be the least prefix length after which only the identity row
+fixes t[:j] pointwise.  A move Q_i at positions i, i+1 >= j leaves t[:j]
+unchanged, and its image u is already canonical: a row that moves t[:j]
+first changes it at a position where, t being canonical, it makes the
+entry larger, and u agrees with t there; every other row is the
+identity.  u[:j] = t[:j] also gives j(u) = j(t).
+
 Frobenius stability of an orbit is a *model*: the entrywise map
 g -> (g^q) conjugated by tau^{-e}, followed by reduction modulo braid
 moves and N-conjugation.  Reports built on it carry a warning.
@@ -32,7 +54,7 @@ moves and N-conjugation.  Reports built on it carry a warning.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Collection, Mapping, Sequence
 
 from .errors import (
@@ -204,12 +226,27 @@ class _IndexedPair:
         self.N = N
         index = G.index
         # distinct conjugation rows of N on G (the action factors through
-        # N / Cen_N(G), so duplicates are common and worth dropping)
-        rows = {
+        # N / Cen_N(G), so duplicates are common and worth dropping): the
+        # closure of the generators' rows under composition
+        gen_rows = {
             tuple(index[g.conjugate_by(x)] for g in G.elements)
-            for x in N.elements
+            for x in N.generators or N.elements
         }
+        identity = tuple(range(G.order))
+        rows = {identity}
+        frontier = [identity]
+        while frontier:
+            new = []
+            for row in frontier:
+                for gen in gen_rows:
+                    composed = tuple(map(row.__getitem__, gen))
+                    if composed not in rows:
+                        rows.add(composed)
+                        new.append(composed)
+            frontier = new
         self.conj_rows = sorted(rows)
+        # the identity row is the least permutation of range(|G|)
+        self.identity_row = self.conj_rows[0]
         # min_rows[g]: the rows sending g to its least N-conjugate (shared
         # references into conj_rows, in conj_rows order)
         self.min_rows = []
@@ -217,8 +254,21 @@ class _IndexedPair:
             least = min(row[g] for row in self.conj_rows)
             self.min_rows.append([row for row in self.conj_rows if row[g] == least])
 
-    def canonical(self, t: tuple[int, ...]) -> tuple[int, ...]:
-        """The least image of t under the conjugation rows (a minimal image)."""
+    @cached_property
+    def conj(self) -> list[list[int]]:
+        """conj[a][b] = a b a^{-1}, over the index tables of G."""
+        mul, inv = self.G.mul, self.G.inv
+        return [[mul[ab][inv[a]] for ab in mul[a]] for a in range(self.G.order)]
+
+    def least_image(self, t: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+        """The least image u of t under the conjugation rows, and j(u).
+
+        j(u) is the least prefix length after which only the identity row
+        fixes u[:j] pointwise, or len(t) if other rows fix all of u; t
+        itself is returned when the identity row gives the image.
+        """
+        if len(self.conj_rows) == 1:
+            return t, 0
         rows = self.min_rows[t[0]]
         pos = 1
         while len(rows) > 1 and pos < len(t):
@@ -226,8 +276,16 @@ class _IndexedPair:
             least = min(row[g] for row in rows)
             rows = [row for row in rows if row[g] == least]
             pos += 1
+        # the rows left are the ones sending t[:pos] onto u[:pos], a coset
+        # of the stabiliser of u[:pos], so they number as many as it does
         row = rows[0]
-        return tuple(row[g] for g in t)
+        if row is self.identity_row:
+            return t, pos
+        return tuple(map(row.__getitem__, t)), pos
+
+    def canonical(self, t: tuple[int, ...]) -> tuple[int, ...]:
+        """The least image of t under the conjugation rows (a minimal image)."""
+        return self.least_image(t)[0]
 
     @lru_cache(maxsize=GENERATES_CACHE_SIZE)
     def generates(self, entries: frozenset[int]) -> bool:
@@ -259,26 +317,46 @@ def _indexed(G: FiniteGroup, N: FiniteGroup) -> _IndexedPair:
 
 
 def _enumerate_idx(
-    ctx: _IndexedPair, cv: ClassVector, node_cap: int
+    ctx: _IndexedPair,
+    cv: ClassVector,
+    node_cap: int,
+    canonical_only: bool = True,
 ) -> list[tuple[int, ...]]:
-    """All product-one tuples with class multiset cv that generate G."""
-    counts = cv.counts
+    """Product-one tuples that generate G, unsorted.
+
+    With canonical_only, exactly the canonical forms of the tuples with
+    class multiset cv (module docstring); otherwise every such tuple, by
+    the same search with the identity row as its only row.
+    """
+    if canonical_only:
+        rows, first = ctx.conj_rows, ctx.min_rows
+    else:
+        rows = [ctx.identity_row]
+        first = [rows] * ctx.G.order
     k = cv.length
     out: list[tuple[int, ...]] = []
-    if k == 0:
-        return out
+    if k < 2:
+        return out  # a product-one 1-tuple is the identity, in no class of cv
     G = ctx.G
     mul, inv, class_ids, index = G.mul, G.inv, G.class_ids, G.index
     identity = index[G.identity]
-    members = {
-        c.class_id: [index[m] for m in c.members]
-        for c in G.conjugacy_classes()
-        if c.class_id in counts
-    }
+    generates = ctx.generates
+    classes = G.conjugacy_classes()
+    members = [[index[m] for m in c.members] for c in classes]
+    # N permutes the classes of G: each row sends the class of a
+    # representative to the class of its image
+    reps = {cid: index[classes[cid].representative] for cid in cv.counts}
+    images = sorted({
+        tuple(sorted((class_ids[row[reps[cid]]], m) for cid, m in cv.multiplicities))
+        for row in rows
+    })
     nodes = 0
     entries: list[int] = []
 
-    def dfs(pos: int, prefix: int):
+    def dfs(pos: int, prefix: int, fixing: list[tuple[int, ...]]):
+        # fixing: the rows that fix entries[:pos] pointwise; counts and
+        # order: the classes left of the image being searched.  The entry at
+        # pos is placed here, and at pos = k - 2 the product fixes the last
         nonlocal nodes
         nodes += 1
         if nodes > node_cap:
@@ -286,27 +364,44 @@ def _enumerate_idx(
                 f"tuple enumeration exceeded {node_cap} prefix states",
                 partial=list(out),
             )
-        if pos == k - 1:
-            last = inv[prefix]
-            cid = class_ids[last]
-            if counts.get(cid, 0) > 0 and last != identity:
-                entries.append(last)
-                if ctx.generates(frozenset(entries)):
-                    out.append(tuple(entries))
-                entries.pop()
-            return
-        for cid in sorted(counts):
+        row = mul[prefix]
+        leaf = pos == k - 2
+        for cid in order:
             if counts[cid] == 0:
                 continue
             counts[cid] -= 1
-            row = mul[prefix]
             for g in members[cid]:
+                if pos == 0:
+                    stabiliser = first[g]
+                    if stabiliser[0][g] != g:
+                        continue
+                elif len(fixing) > 1:
+                    if any(r[g] < g for r in fixing):
+                        continue
+                    stabiliser = [r for r in fixing if r[g] == g]
+                else:
+                    stabiliser = fixing
                 entries.append(g)
-                dfs(pos + 1, row[g])
+                if not leaf:
+                    dfs(pos + 1, row[g], stabiliser)
+                else:
+                    last = inv[row[g]]
+                    if (
+                        counts.get(class_ids[last], 0) > 0
+                        and last != identity
+                        and (len(stabiliser) == 1 or all(r[last] >= last for r in stabiliser))
+                    ):
+                        entries.append(last)
+                        if generates(frozenset(entries)):
+                            out.append(tuple(entries))
+                        entries.pop()
                 entries.pop()
             counts[cid] += 1
 
-    dfs(0, identity)
+    for image in images:
+        counts = dict(image)
+        order = sorted(counts)
+        dfs(0, identity, rows)
     return out
 
 
@@ -315,7 +410,7 @@ def enumerate_nielsen(
 ) -> list[NielsenTuple]:
     """All Nielsen tuples of G whose entry class multiset equals cv."""
     ctx = _indexed(G, G)
-    tuples = _enumerate_idx(ctx, cv, node_cap)
+    tuples = _enumerate_idx(ctx, cv, node_cap, canonical_only=False)
     return [
         NielsenTuple(G, tuple(G.elements[i] for i in t)) for t in tuples
     ]
@@ -341,36 +436,44 @@ def _orbit_partition(
     canonical_tuples: Sequence[tuple[int, ...]],
     visited_cap: int,
     seeds_order: Sequence[tuple[int, ...]] | None = None,
-) -> list[list[tuple[int, ...]]]:
-    """BFS partition of canonical tuples under the forward braid moves; deterministic."""
-    mul, inv = ctx.G.mul, ctx.G.inv
+) -> list[set[tuple[int, ...]]]:
+    """BFS partition of canonical tuples under the forward braid moves, in seed order."""
+    conj = ctx.conj
+    least_image = ctx.least_image
     unseen = set(canonical_tuples)
     orbits = []
-    seeds = seeds_order if seeds_order is not None else sorted(unseen)
+    seeds = seeds_order if seeds_order is not None else canonical_tuples
     for seed in seeds:
         if seed not in unseen:
             continue
         unseen.discard(seed)
         members = {seed}
-        frontier = [seed]
+        frontier = [least_image(seed)]
         while frontier:
             new = []
-            for t in frontier:
+            for t, j in frontier:
                 k = len(t)
                 for i in range(k - 1):
-                    # Q_i only: its inverse is a power of it (module docstring)
-                    a = t[i]
-                    u = ctx.canonical(t[:i] + (mul[mul[a][t[i + 1]]][inv[a]], a) + t[i + 2 :])
+                    # Q_i only: its inverse is a power of it; a move past
+                    # the fixed prefix t[:j] keeps u canonical and j(u) = j
+                    # (module docstring)
+                    a, b = t[i], t[i + 1]
+                    if a == b:
+                        continue  # Q_i fixes t
+                    u = t[:i] + (conj[a][b], a) + t[i + 2 :]
+                    uj = j
+                    if i < j:
+                        u, uj = least_image(u)
                     if u not in members:
                         members.add(u)
-                        new.append(u)
+                        new.append((u, uj))
                         if len(members) > visited_cap:
                             raise EnumerationCapExceeded(
                                 f"orbit grew past {visited_cap} canonical tuples"
                             )
             frontier = new
         unseen.difference_update(members)
-        orbits.append(sorted(members))
+        orbits.append(members)
     return orbits
 
 
@@ -390,8 +493,7 @@ def braid_orbits(
     orbits) to start searches from, exists to let tests check exactly that.
     """
     ctx = _indexed(G, N)
-    tuples = _enumerate_idx(ctx, cv, node_cap)
-    canonical = sorted({ctx.canonical(t) for t in tuples})
+    canonical = _enumerate_idx(ctx, cv, node_cap)
     if _seed_order is not None and not set(_seed_order) <= set(canonical):
         raise UnknownSeed("every seed must be one of the canonical tuples")
     parts = _orbit_partition(ctx, canonical, visited_cap, _seed_order)
@@ -401,8 +503,7 @@ def braid_orbits(
             f"orbit sizes sum to {covered}, not to the {len(canonical)} canonical tuples"
         )
     orbits = []
-    for members in parts:
-        rep = members[0]
+    for rep, members in sorted((min(members), members) for members in parts):
         orbits.append(
             BraidOrbit(
                 group=G,
@@ -413,7 +514,6 @@ def braid_orbits(
                 members=frozenset(members),
             )
         )
-    orbits.sort(key=lambda o: o.members and min(o.members))
     return orbits
 
 

@@ -297,13 +297,16 @@ def _verify_abelian_suite(preset) -> tuple[dict, list[str]]:
     warnings = []
     for label, spec in sorted(abelian_suite().items()):
         N = spec.group()
+        # none of the pairs depends on q
+        ctx_N = find_cyclic_complement(N, N)
+        pairs = [
+            (G, find_cyclic_complement(N, G))
+            for G in normal_subgroups_with_cyclic_quotient(N)
+            if G.order != 1
+        ]
         for q in abelian_q(label):
-            ctx_N = find_cyclic_complement(N, N)
             b_N = inv.b_table(ctx_N, q).value
-            for G in normal_subgroups_with_cyclic_quotient(N):
-                if G.order == 1:
-                    continue
-                ctx = find_cyclic_complement(N, G)
+            for G, ctx in pairs:
                 if not ctx.split:
                     warnings.append(f"{label}: non-split subgroup of order {G.order}")
                 b_G = inv.b_table(ctx, q).value

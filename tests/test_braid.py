@@ -1,12 +1,15 @@
 """Nielsen tuples, braid moves, orbit enumeration, stability model."""
 
+from collections import Counter
+from functools import lru_cache
+from itertools import combinations_with_replacement
 from itertools import product as iproduct
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from malle_lab import braid
+from malle_lab import braid, series
 from malle_lab.braid import (
     ClassVector,
     NielsenTuple,
@@ -19,6 +22,7 @@ from malle_lab.braid import (
     frobenius_stable_orbits,
 )
 from malle_lab.errors import (
+    EnumerationCapExceeded,
     IndexOutOfRange,
     InvariantViolation,
     TrivialClassPresent,
@@ -288,8 +292,59 @@ class TestOrbits:
 
 
 # ---------------------------------------------------------------------------
-# the minimal-image canonical form and the forward-only orbit search against
-# the all-rows minimum and the two-way search they replaced
+# the orderly enumeration, the minimal-image canonical form and the
+# forward-only orbit search against the plain enumerator, the all-rows
+# minimum and the two-way search they replaced
+
+
+def oracle_enumerate_idx(ctx, cv, node_cap=braid.DEFAULT_NODE_CAP):
+    """All product-one tuples with class multiset cv that generate G."""
+    counts = cv.counts
+    k = cv.length
+    out = []
+    if k == 0:
+        return out
+    G = ctx.G
+    mul, inv, class_ids, index = G.mul, G.inv, G.class_ids, G.index
+    identity = index[G.identity]
+    members = {
+        c.class_id: [index[m] for m in c.members]
+        for c in G.conjugacy_classes()
+        if c.class_id in counts
+    }
+    nodes = 0
+    entries = []
+
+    def dfs(pos, prefix):
+        nonlocal nodes
+        nodes += 1
+        if nodes > node_cap:
+            raise EnumerationCapExceeded(
+                f"tuple enumeration exceeded {node_cap} prefix states",
+                partial=list(out),
+            )
+        if pos == k - 1:
+            last = inv[prefix]
+            cid = class_ids[last]
+            if counts.get(cid, 0) > 0 and last != identity:
+                entries.append(last)
+                if ctx.generates(frozenset(entries)):
+                    out.append(tuple(entries))
+                entries.pop()
+            return
+        for cid in sorted(counts):
+            if counts[cid] == 0:
+                continue
+            counts[cid] -= 1
+            row = mul[prefix]
+            for g in members[cid]:
+                entries.append(g)
+                dfs(pos + 1, row[g])
+                entries.pop()
+            counts[cid] += 1
+
+    dfs(0, identity)
+    return out
 
 
 def oracle_canonical(ctx, t):
@@ -323,15 +378,36 @@ def oracle_orbit_partition(ctx, canonical_tuples):
     return orbits
 
 
+def oracle_fixed_prefix(ctx, t):
+    """The least p such that only the identity row fixes t[:p] pointwise."""
+    for p in range(len(t) + 1):
+        if sum(all(row[g] == g for g in t[:p]) for row in ctx.conj_rows) == 1:
+            return p
+    return len(t)
+
+
+def class_vector_images(G, N, cv):
+    """The distinct x(cv), x in N, by conjugating class representatives."""
+    classes = G.conjugacy_classes()
+    return {
+        ClassVector.from_counts(G, {
+            G.class_of(classes[cid].representative.conjugate_by(x)).class_id: m
+            for cid, m in cv.multiplicities
+        })
+        for x in N
+    }
+
+
 def check_orbits_against_oracles(G, N, cv):
     """Canonical forms, partition, sizes and members agree with the oracles."""
     ctx = braid._indexed(G, N)
-    tuples = braid._enumerate_idx(ctx, cv, braid.DEFAULT_NODE_CAP)
+    tuples = oracle_enumerate_idx(ctx, cv)
     for t in tuples:
         assert ctx.canonical(t) == oracle_canonical(ctx, t)
     canonical = sorted({oracle_canonical(ctx, t) for t in tuples})
     expect = oracle_orbit_partition(ctx, canonical)
-    assert braid._orbit_partition(ctx, canonical, braid.DEFAULT_VISITED_CAP) == expect
+    got = braid._orbit_partition(ctx, canonical, braid.DEFAULT_VISITED_CAP)
+    assert sorted(sorted(members) for members in got) == expect
     orbits = braid_orbits(G, N, cv)
     assert [sorted(o.members) for o in orbits] == expect
     assert [o.size for o in orbits] == [len(members) for members in expect]
@@ -341,37 +417,118 @@ def check_orbits_against_oracles(G, N, cv):
     return orbits
 
 
+def check_orderly_enumeration(G, N, cv):
+    """_enumerate_idx gives each canonical form of cv's tuples exactly once.
+
+    The conjugation rows act freely on generating tuples (a row fixing one
+    fixes G pointwise), so each canonical tuple stands for len(conj_rows)
+    tuples, whose class vectors run over the N-images of cv, each image
+    carrying as many tuples as cv.
+    """
+    ctx = braid._indexed(G, N)
+    tuples = oracle_enumerate_idx(ctx, cv)
+    got = braid._enumerate_idx(ctx, cv, braid.DEFAULT_NODE_CAP)
+    assert len(set(got)) == len(got)
+    assert set(got) == {ctx.canonical(t) for t in tuples}
+    assert len(got) * len(ctx.conj_rows) == len(tuples) * len(class_vector_images(G, N, cv))
+    return got
+
+
+def check_fixed_prefix(G, N, cv):
+    """Past j(t) a move needs no canonicalisation, and j(t) is exact."""
+    ctx = braid._indexed(G, N)
+    mul, inv = G.mul, G.inv
+    checked = 0
+    for orbit in braid_orbits(G, N, cv):
+        for t in orbit.members:
+            u, j = ctx.least_image(t)
+            assert u == t
+            assert j == oracle_fixed_prefix(ctx, t)
+            for i in range(j, len(t) - 1):
+                a = t[i]
+                moved = t[:i] + (mul[mul[a][t[i + 1]]][inv[a]], a) + t[i + 2 :]
+                assert ctx.canonical(moved) == moved
+                checked += 1
+    return checked
+
+
 def klueners_g1():
     return closure([parse_cycles("(1 2 3)", 6), parse_cycles("(4 5 6)", 6)], 6)
+
+
+def s3_class_vectors(length):
+    """Every class vector of S3 with `length` entries."""
+    G = s3()
+    t = parse_cycles("(1 2)", 3)
+    c = parse_cycles("(1 2 3)", 3)
+    return [class_vector_of(G, [t] * n_t + [c] * (length - n_t)) for n_t in range(length + 1)]
+
+
+KLUENERS_G1_IN_N = [
+    # N swaps the blocks, so it does not fix this class vector
+    ("(1 2 3)", "(1 2 3)", "(1 2 3)", "(4 5 6)", "(4 6 5)"),
+    ("(1 2 3)", "(1 3 2)", "(4 5 6)", "(4 6 5)"),
+    ("(1 2 3)", "(1 2 3)", "(4 5 6)", "(1 2 3)(4 5 6)", "(4 5 6)"),
+    ("(1 2 3)(4 5 6)", "(1 2 3)(4 6 5)", "(1 2 3)", "(4 5 6)", "(4 5 6)", "(4 5 6)"),
+]
+# a length-8 vector of the benchmark's braid CLI pool; N does not fix it
+KLUENERS_G1_LENGTH_8 = (
+    "(4 5 6)", "(1 2 3)", "(1 2 3)(4 5 6)", "(1 2 3)(4 6 5)",
+    "(1 2 3)(4 6 5)", "(1 2 3)(4 6 5)", "(1 3 2)(4 6 5)", "(1 3 2)(4 6 5)",
+)
+WREATH_D_LENGTH_6 = (
+    "(4 6 5)(7 9 8)(13 15 14)(16 18 17)",
+    "(1 2 3)(4 5 6)(7 8 9)(10 11 12)(13 14 15)(16 17 18)",
+    "(1 2 3)(4 5 6)(7 8 9)(10 11 12)(13 14 15)(16 17 18)",
+    "(1 2 3)(4 5 6)(7 9 8)(10 11 12)(13 14 15)(16 18 17)",
+    "(1 2 3)(4 6 5)(10 11 12)(13 15 14)",
+    "(1 3 2)(4 6 5)(10 12 11)(13 15 14)",
+)
+
+
+def klueners_case(entries):
+    G1 = klueners_g1()
+    return G1, klueners(), class_vector_of(G1, [parse_cycles(e, 6) for e in entries])
+
+
+def wreath_d_case(entries):
+    spec = get_preset("wreath-s18").spec
+    N, D = spec.group(), spec.subgroup("D")
+    return D, N, class_vector_of(D, [parse_cycles(e, 18) for e in entries])
+
+
+def orderly_cases(name):
+    """(G, N, cv) triples: S3 vectors of one length, or one Klüners/wreath vector."""
+    family, _, arg = name.partition("-")
+    if family == "s3":
+        G = s3()
+        return [(G, G, cv) for cv in s3_class_vectors(int(arg))]
+    if family == "klueners":
+        entries = KLUENERS_G1_LENGTH_8 if arg == "pool8" else KLUENERS_G1_IN_N[int(arg)]
+        return [klueners_case(entries)]
+    return [wreath_d_case(WREATH_D_LENGTH_6)]
+
+
+ORDERLY_CASES = (
+    [f"s3-{length}" for length in range(1, 9)]
+    + [f"klueners-{i}" for i in range(len(KLUENERS_G1_IN_N))]
+    + ["klueners-pool8", "wreath-d6"]
+)
 
 
 class TestMinimalImageOracles:
     @pytest.mark.parametrize("length", range(1, 7))
     def test_s3_every_class_vector(self, length):
         G = s3()
-        t = parse_cycles("(1 2)", 3)
-        c = parse_cycles("(1 2 3)", 3)
         found = 0
-        for n_t in range(length + 1):
-            cv = class_vector_of(G, [t] * n_t + [c] * (length - n_t))
+        for cv in s3_class_vectors(length):
             found += len(check_orbits_against_oracles(G, G, cv))
         # a generating product-one tuple of S3 has at least three entries
         assert found or length <= 2
 
-    @pytest.mark.parametrize(
-        "entries",
-        [
-            # N swaps the blocks, so it does not fix this class vector
-            ("(1 2 3)", "(1 2 3)", "(1 2 3)", "(4 5 6)", "(4 6 5)"),
-            ("(1 2 3)", "(1 3 2)", "(4 5 6)", "(4 6 5)"),
-            ("(1 2 3)", "(1 2 3)", "(4 5 6)", "(1 2 3)(4 5 6)", "(4 5 6)"),
-            ("(1 2 3)(4 5 6)", "(1 2 3)(4 6 5)", "(1 2 3)", "(4 5 6)", "(4 5 6)", "(4 5 6)"),
-        ],
-    )
+    @pytest.mark.parametrize("entries", KLUENERS_G1_IN_N)
     def test_klueners_g1_in_n(self, entries):
-        G1 = klueners_g1()
-        assert check_orbits_against_oracles(G1, klueners(), class_vector_of(
-            G1, [parse_cycles(e, 6) for e in entries]))
+        assert check_orbits_against_oracles(*klueners_case(entries))
 
     def test_canonical_rep_may_carry_the_image_class_vector(self):
         # the least N-image of a tuple may start in a class N fuses with
@@ -386,18 +543,225 @@ class TestMinimalImageOracles:
         assert {class_vector_of(G1, o.canonical_rep.entries) for o in orbits} == {image}
 
     def test_wreath_d_in_n_length_6(self):
-        spec = get_preset("wreath-s18").spec
-        N, D = spec.group(), spec.subgroup("D")
-        entries = (
-            "(4 6 5)(7 9 8)(13 15 14)(16 18 17)",
-            "(1 2 3)(4 5 6)(7 8 9)(10 11 12)(13 14 15)(16 17 18)",
-            "(1 2 3)(4 5 6)(7 8 9)(10 11 12)(13 14 15)(16 17 18)",
-            "(1 2 3)(4 5 6)(7 9 8)(10 11 12)(13 14 15)(16 18 17)",
-            "(1 2 3)(4 6 5)(10 11 12)(13 15 14)",
-            "(1 3 2)(4 6 5)(10 12 11)(13 15 14)",
-        )
-        cv = class_vector_of(D, [parse_cycles(e, 18) for e in entries])
-        assert check_orbits_against_oracles(D, N, cv)
+        assert check_orbits_against_oracles(*wreath_d_case(WREATH_D_LENGTH_6))
+
+
+class TestOrderlyEnumeration:
+    @pytest.mark.parametrize("name", ORDERLY_CASES)
+    def test_canonical_forms_of_the_oracle_tuples_once_each(self, name):
+        found = 0
+        for G, N, cv in orderly_cases(name):
+            found += len(check_orderly_enumeration(G, N, cv))
+        assert found or name in ("s3-1", "s3-2")
+
+    @pytest.mark.parametrize("name", ORDERLY_CASES)
+    def test_moves_past_the_fixed_prefix_stay_canonical(self, name):
+        checked = sum(check_fixed_prefix(G, N, cv) for G, N, cv in orderly_cases(name))
+        assert checked or name in ("s3-1", "s3-2", "s3-3")
+
+    def test_fused_classes_seed_every_image(self):
+        # N swaps the blocks of Klüners G1, so the vector has two images
+        G, N, cv = klueners_case(KLUENERS_G1_LENGTH_8)
+        assert len(class_vector_images(G, N, cv)) == 2
+        assert len(braid._enumerate_idx(braid._indexed(G, N), cv, braid.DEFAULT_NODE_CAP)) == 3360
+
+    def test_identity_row_alone_gives_every_tuple(self):
+        for G, N, cv in orderly_cases("klueners-0") + orderly_cases("s3-6"):
+            ctx = braid._indexed(G, N)
+            got = braid._enumerate_idx(ctx, cv, braid.DEFAULT_NODE_CAP, canonical_only=False)
+            assert sorted(got) == sorted(oracle_enumerate_idx(ctx, cv))
+
+
+# ---------------------------------------------------------------------------
+# a counting oracle for Nielsen tuples: no tuple is built
+
+
+def subgroup_closure(G, gens):
+    """The subgroup of G generated by the element indices gens."""
+    mul = G.mul
+    identity = G.index[G.identity]
+    closed = {identity}
+    frontier = [identity]
+    while frontier:
+        new = []
+        for x in frontier:
+            for g in gens:
+                y = mul[x][g]
+                if y not in closed:
+                    closed.add(y)
+                    new.append(y)
+        frontier = new
+    return frozenset(closed)
+
+
+def subgroups_by_cyclic_joins(G):
+    """Every subgroup of G: each is the join of the cyclic subgroups of its elements."""
+    cyclic = {subgroup_closure(G, [g]) for g in range(G.order)}
+    subgroups = set(cyclic)
+    frontier = list(cyclic)
+    while frontier:
+        new = []
+        for H in frontier:
+            for C in cyclic:
+                J = H if C <= H else subgroup_closure(G, H | C)
+                if J not in subgroups:
+                    subgroups.add(J)
+                    new.append(J)
+        frontier = new
+    return subgroups
+
+
+def count_product_one(G, cv, allowed):
+    """Product-one tuples with class multiset cv and entries in `allowed`.
+
+    Dynamic programming over (classes still to place, partial product).
+    """
+    mul = G.mul
+    identity = G.index[G.identity]
+    classes = G.conjugacy_classes()
+    cids = sorted(cv.counts)
+    members = [[G.index[m] for m in classes[cid].members if G.index[m] in allowed] for cid in cids]
+
+    @lru_cache(maxsize=None)
+    def ways(remaining, prefix):
+        if not any(remaining):
+            return int(prefix == identity)
+        total = 0
+        row = mul[prefix]
+        for i, m in enumerate(remaining):
+            if m:
+                rest = remaining[:i] + (m - 1,) + remaining[i + 1 :]
+                total += sum(ways(rest, row[g]) for g in members[i])
+        return total
+
+    return ways(tuple(cv.counts[cid] for cid in cids), identity)
+
+
+def count_nielsen(G, cv, subgroups):
+    """Generating product-one tuples with class multiset cv.
+
+    Tuples with entries in H number the sum over K <= H of those that
+    generate K, so by Möbius inversion over the subgroup lattice the
+    generating ones number sum_H mu(H, G) N(H) (P. Hall, "The Eulerian
+    functions of a group", Quart. J. Math. 7 (1936)).
+    """
+    mu = {}
+    for H in sorted(subgroups, key=len, reverse=True):
+        mu[H] = 1 if len(H) == G.order else -sum(m for K, m in mu.items() if H < K)
+    return sum(m * count_product_one(G, cv, H) for H, m in mu.items() if m)
+
+
+def klueners_g1_class_vectors(length):
+    """Every class vector of Klüners G1 (eight nontrivial classes) of `length` entries."""
+    G1 = klueners_g1()
+    cids = [c.class_id for c in G1.conjugacy_classes() if not c.is_trivial]
+    return [ClassVector.from_counts(G1, Counter(combo))
+            for combo in combinations_with_replacement(cids, length)]
+
+
+class TestCountingOracle:
+    def test_subgroup_lattices(self):
+        # S3: 1, three of order 2, A3, S3; C3 x C3: 1, four of order 3, itself
+        assert sorted(map(len, subgroups_by_cyclic_joins(s3()))) == [1, 2, 2, 2, 3, 6]
+        assert sorted(map(len, subgroups_by_cyclic_joins(klueners_g1()))) == [1, 3, 3, 3, 3, 9]
+
+    @pytest.mark.parametrize("length", range(1, 11))
+    def test_s3_matches_the_plain_enumerator(self, length):
+        G = s3()
+        ctx = braid._indexed(G, G)
+        subgroups = subgroups_by_cyclic_joins(G)
+        counts = [count_nielsen(G, cv, subgroups) for cv in s3_class_vectors(length)]
+        assert counts == [len(oracle_enumerate_idx(ctx, cv)) for cv in s3_class_vectors(length)]
+        assert any(counts) or length <= 2
+
+    @pytest.mark.parametrize("length", range(1, 9))
+    def test_klueners_g1_matches_the_plain_enumerator(self, length):
+        G = klueners_g1()
+        ctx = braid._indexed(G, G)
+        subgroups = subgroups_by_cyclic_joins(G)
+        # every vector up to length 6; a fixed stride of the 1,716 and 6,435
+        # vectors of lengths 7 and 8 (all of them take 45 s)
+        vectors = klueners_g1_class_vectors(length)[:: 1 if length <= 6 else 41]
+        counts = [count_nielsen(G, cv, subgroups) for cv in vectors]
+        assert counts == [len(oracle_enumerate_idx(ctx, cv)) for cv in vectors]
+        assert any(counts) or length <= 2
+
+    @pytest.mark.parametrize("family", ["s3", "klueners"])
+    def test_orderly_count_on_every_short_vector(self, family):
+        # every S3 vector up to length 10 and every Klüners G1 vector up to
+        # length 5, with N = G and with N = Klüners' group
+        if family == "s3":
+            G = s3()
+            pairs = [(G, G)]
+            vectors = [cv for length in range(1, 11) for cv in s3_class_vectors(length)]
+        else:
+            G = klueners_g1()
+            pairs = [(G, G), (G, klueners())]
+            vectors = [cv for length in range(1, 6) for cv in klueners_g1_class_vectors(length)]
+        subgroups = subgroups_by_cyclic_joins(G)
+        found = 0
+        for cv in vectors:
+            expect = count_nielsen(G, cv, subgroups)
+            for G, N in pairs:
+                ctx = braid._indexed(G, N)
+                got = braid._enumerate_idx(ctx, cv, braid.DEFAULT_NODE_CAP)
+                assert len(got) * len(ctx.conj_rows) == expect * len(class_vector_images(G, N, cv))
+                found += len(got)
+        assert found
+
+    @pytest.mark.parametrize("pair,q,R", [("s3", 7, 12), ("klueners-g1", 5, 16)])
+    def test_orderly_count_on_every_h2_vector(self, pair, q, R, monkeypatch):
+        # every class vector h2_desk_scale visits for S3 at R = 12 and for
+        # Klüners G1 in N at R = 16; the orbit sizes must sum to the count
+        G, N = (s3(), s3()) if pair == "s3" else (klueners_g1(), klueners())
+        spec = TwistSpec(q=q, e=1, ctx=find_cyclic_complement(N, G))
+        seen = []
+
+        def recording(G, N, cv, *caps):
+            orbits = braid_orbits(G, N, cv, *caps)
+            seen.append((cv, sum(o.size for o in orbits)))
+            return orbits
+
+        monkeypatch.setattr(series, "braid_orbits", recording)
+        series.h2_desk_scale(G, N, spec, R)
+        subgroups = subgroups_by_cyclic_joins(G)
+        rows = len(braid._indexed(G, N).conj_rows)
+        for cv, covered in seen:
+            expect = count_nielsen(G, cv, subgroups) * len(class_vector_images(G, N, cv))
+            assert covered * rows == expect
+        assert sum(covered for _, covered in seen) == (216_999 if pair == "s3" else 5_200)
+
+    @pytest.mark.parametrize("name", ORDERLY_CASES)
+    def test_orderly_enumeration_matches_the_count(self, name):
+        # the rows act freely on generating tuples (check_orderly_enumeration)
+        for G, N, cv in orderly_cases(name):
+            ctx = braid._indexed(G, N)
+            got = braid._enumerate_idx(ctx, cv, braid.DEFAULT_NODE_CAP)
+            expect = count_nielsen(G, cv, subgroups_by_cyclic_joins(G))
+            assert len(got) * len(ctx.conj_rows) == expect * len(class_vector_images(G, N, cv))
+
+
+@pytest.mark.parametrize("pair", ["s4", "a4-in-s4", "a5-in-s5", "klueners-g1", "wreath-d"])
+def test_conjugation_rows_are_those_of_every_element(pair):
+    # the closure of the generators' rows against conjugating by all of N
+    if pair == "klueners-g1":
+        G, N = klueners_g1(), klueners()
+    elif pair == "wreath-d":
+        G, N, _ = wreath_d_case(WREATH_D_LENGTH_6)
+    else:
+        degree = int(pair[-1])
+        N = closure([parse_cycles("(1 2)", degree), parse_cycles(
+            "(" + " ".join(map(str, range(1, degree + 1))) + ")", degree)], degree)
+        G = N if pair == "s4" else derived_subgroup(N)
+    ctx = braid._IndexedPair(G, N)
+    index = G.index
+    rows = sorted({tuple(index[g.conjugate_by(x)] for g in G.elements) for x in N.elements})
+    assert ctx.conj_rows == rows
+    assert ctx.identity_row == tuple(range(G.order))
+    for g in range(G.order):
+        least = min(row[g] for row in rows)
+        assert ctx.min_rows[g] == [row for row in rows if row[g] == least]
+        assert all(any(row is r for r in ctx.conj_rows) for row in ctx.min_rows[g])
 
 
 S4 = ("(1 2)", "(1 2 3 4)")
@@ -411,8 +775,6 @@ def group_pairs(draw):
         N = closure([parse_cycles(g, 4) for g in S4], 4)
     else:
         N = closure(draw(st.lists(permutations_of(degree), min_size=1, max_size=3)), degree)
-    # the conjugation rows cost |N| |G| conjugations
-    assume(N.order <= 120)
     G = draw(st.sampled_from((N, derived_subgroup(N))))
     assume(G.order > 1)
     return G, N
