@@ -69,8 +69,10 @@ from .groups import FiniteGroup
 from .invariants import TwistSpec
 from .perms import Permutation, product
 
-DEFAULT_NODE_CAP = 10**8
-DEFAULT_VISITED_CAP = 10**7
+# Search caps: prefix states of one tuple enumeration, canonical tuples of
+# one orbit.  Each search reads its cap once per call.
+NODE_CAP = 10**8
+VISITED_CAP = 10**7
 # Cache bounds: more (G, N) pairs and generation tests than one braid
 # session touches, so a bound costs no recomputation in practice.
 PAIR_CACHE_SIZE = 16
@@ -319,7 +321,6 @@ def _indexed(G: FiniteGroup, N: FiniteGroup) -> _IndexedPair:
 def _enumerate_idx(
     ctx: _IndexedPair,
     cv: ClassVector,
-    node_cap: int,
     canonical_only: bool = True,
 ) -> list[tuple[int, ...]]:
     """Product-one tuples that generate G, unsorted.
@@ -350,7 +351,7 @@ def _enumerate_idx(
         tuple(sorted((class_ids[row[reps[cid]]], m) for cid, m in cv.multiplicities))
         for row in rows
     })
-    nodes = 0
+    nodes, node_cap = 0, NODE_CAP
     entries: list[int] = []
 
     def dfs(pos: int, prefix: int, fixing: list[tuple[int, ...]]):
@@ -405,12 +406,10 @@ def _enumerate_idx(
     return out
 
 
-def enumerate_nielsen(
-    G: FiniteGroup, cv: ClassVector, node_cap: int = DEFAULT_NODE_CAP
-) -> list[NielsenTuple]:
+def enumerate_nielsen(G: FiniteGroup, cv: ClassVector) -> list[NielsenTuple]:
     """All Nielsen tuples of G whose entry class multiset equals cv."""
     ctx = _indexed(G, G)
-    tuples = _enumerate_idx(ctx, cv, node_cap, canonical_only=False)
+    tuples = _enumerate_idx(ctx, cv, canonical_only=False)
     return [
         NielsenTuple(G, tuple(G.elements[i] for i in t)) for t in tuples
     ]
@@ -432,17 +431,14 @@ class BraidOrbit:
 
 
 def _orbit_partition(
-    ctx: _IndexedPair,
-    canonical_tuples: Sequence[tuple[int, ...]],
-    visited_cap: int,
-    seeds_order: Sequence[tuple[int, ...]] | None = None,
+    ctx: _IndexedPair, seeds: Sequence[tuple[int, ...]]
 ) -> list[set[tuple[int, ...]]]:
-    """BFS partition of canonical tuples under the forward braid moves, in seed order."""
+    """BFS partition of the canonical seeds under the forward braid moves, in seed order."""
     conj = ctx.conj
     least_image = ctx.least_image
-    unseen = set(canonical_tuples)
+    visited_cap = VISITED_CAP
+    unseen = set(seeds)
     orbits = []
-    seeds = seeds_order if seeds_order is not None else canonical_tuples
     for seed in seeds:
         if seed not in unseen:
             continue
@@ -481,8 +477,6 @@ def braid_orbits(
     G: FiniteGroup,
     N: FiniteGroup,
     cv: ClassVector,
-    node_cap: int = DEFAULT_NODE_CAP,
-    visited_cap: int = DEFAULT_VISITED_CAP,
     _seed_order: Sequence[tuple[int, ...]] | None = None,
 ) -> list[BraidOrbit]:
     """Partition Ni(cv) modulo N-conjugation into braid orbits.
@@ -493,10 +487,10 @@ def braid_orbits(
     orbits) to start searches from, exists to let tests check exactly that.
     """
     ctx = _indexed(G, N)
-    canonical = _enumerate_idx(ctx, cv, node_cap)
+    canonical = _enumerate_idx(ctx, cv)
     if _seed_order is not None and not set(_seed_order) <= set(canonical):
         raise UnknownSeed("every seed must be one of the canonical tuples")
-    parts = _orbit_partition(ctx, canonical, visited_cap, _seed_order)
+    parts = _orbit_partition(ctx, canonical if _seed_order is None else _seed_order)
     covered = sum(len(members) for members in parts)
     if covered != len(canonical):
         raise InvariantViolation(
@@ -566,15 +560,18 @@ def conway_parker_probe(
     base: ClassVector,
     pad: ClassVector,
     max_m: int,
-    node_cap: int = DEFAULT_NODE_CAP,
-    visited_cap: int = DEFAULT_VISITED_CAP,
 ) -> ProbeResult:
-    """Orbit counts as padding grows; observes stabilisation at desk scale."""
+    """Orbit counts as padding grows; observes stabilisation at desk scale.
+
+    A search that exceeds NODE_CAP or VISITED_CAP ends the probe: the
+    result then holds the counts of the m values that finished, with
+    truncated=True.
+    """
     counts = []
     for m in range(max_m + 1):
         cv = base + pad.scaled(m) if m else base
         try:
-            orbits = braid_orbits(G, N, cv, node_cap, visited_cap)
+            orbits = braid_orbits(G, N, cv)
         except EnumerationCapExceeded:
             return ProbeResult(counts=tuple(counts), truncated=True)
         counts.append((m, len(orbits)))

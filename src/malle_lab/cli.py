@@ -210,7 +210,7 @@ def cmd_series(args) -> dict:
         warnings.append(inv.NON_SPLIT_WARNING)
     blocks = inv.orbit_blocks(spec, restrict_minimal=False)
     gf = ser.euler_product(blocks, q)
-    table = ser.expand(gf, R, e=e)
+    table = ser.expand(gf, R)
     oracle = ser.brute_force_h3(blocks, q, R)
     oracle_ok = table.values == oracle.values
     pole = ser.dominant_pole(gf)

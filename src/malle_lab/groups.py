@@ -22,7 +22,8 @@ from .errors import (
 )
 from .perms import Permutation
 
-DEFAULT_ORDER_CAP = 10**6
+# closure raises OrderCapExceeded past this many elements
+ORDER_CAP = 10**6
 
 
 class FiniteGroup:
@@ -133,12 +134,9 @@ class ConjugacyClass:
         return f"ConjugacyClass(id={self.class_id}, size={self.size}, rep={self.representative!r})"
 
 
-def closure(
-    generators: Sequence[Permutation],
-    degree: int,
-    order_cap: int = DEFAULT_ORDER_CAP,
-) -> FiniteGroup:
+def closure(generators: Sequence[Permutation], degree: int) -> FiniteGroup:
     """Enumerate the group generated by `generators` inside S_degree."""
+    order_cap = ORDER_CAP
     for g in generators:
         if g.degree != degree:
             raise DegreeMismatch(f"generator degree {g.degree} != {degree}")
@@ -308,7 +306,6 @@ class GNContext:
     G: FiniteGroup
     d: int
     tau: Permutation
-    centralizer: FiniteGroup
     d_prime: int
     d_double_prime: int
     split: bool
@@ -347,7 +344,6 @@ def find_cyclic_complement(N: FiniteGroup, G: FiniteGroup) -> GNContext:
         G=G,
         d=d,
         tau=tau,
-        centralizer=cen,
         d_prime=d_prime,
         d_double_prime=d_double_prime,
         split=split,

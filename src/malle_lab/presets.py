@@ -8,13 +8,14 @@ files on disk.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
 
 from .errors import UnknownPreset
 from .groups import FiniteGroup, closure
-from .perms import Permutation, parse_cycles
+from .perms import Permutation, format_cycles, parse_cycles
 
 
 @dataclass(frozen=True)
@@ -51,8 +52,6 @@ def _regular_representation(orders: tuple[int, ...]) -> tuple[int, list[str]]:
     Points are 1-based indices of the mixed-radix tuples; one generator
     per cyclic factor.
     """
-    import itertools
-
     n = 1
     for o in orders:
         n *= o
@@ -65,13 +64,8 @@ def _regular_representation(orders: tuple[int, ...]) -> tuple[int, list[str]]:
             shifted = list(p)
             shifted[axis] = (shifted[axis] + 1) % o
             images[position[p] - 1] = position[tuple(shifted)]
-        perm = Permutation(tuple(images))
-        gens.append(" ".join(_cycle_str(c) for c in perm.cycles()) or "id")
+        gens.append(format_cycles(Permutation(tuple(images))))
     return n, gens
-
-
-def _cycle_str(cycle: tuple[int, ...]) -> str:
-    return "(" + " ".join(str(x) for x in cycle) + ")"
 
 
 # Klüners' example: N = (<(123)> + <(456)>) : <(14)(25)(36)> inside S6.

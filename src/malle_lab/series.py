@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from . import braid
 from .braid import ClassVector, braid_orbits, frobenius_stable_orbits
 from .errors import (
     EnumerationCapExceeded,
@@ -30,6 +29,9 @@ from .errors import (
 )
 from .groups import FiniteGroup
 from .invariants import OrbitBlock, TwistSpec, orbit_blocks
+
+# tauberian_fit flags failure when max_ratio / min_ratio exceeds this
+FIT_WINDOW = 10.0
 
 EQUAL_MODULUS_CAVEAT = (
     "pole analysis restricted to the positive real axis; each Euler factor "
@@ -55,7 +57,6 @@ class CoefficientTable:
     """values[r] = h3(q, r, e) for r <= R, exact."""
 
     q: int
-    e: int
     values: Mapping[int, int]
 
     @property
@@ -87,7 +88,7 @@ def euler_product(blocks: Sequence[OrbitBlock], q: int) -> RationalGF:
     return RationalGF(q=q, factors=tuple((b.size, b.weight) for b in blocks))
 
 
-def expand(gf: RationalGF, R: int, e: int = 1) -> CoefficientTable:
+def expand(gf: RationalGF, R: int) -> CoefficientTable:
     """Exact coefficients of u^r for r <= R, by iterated convolution."""
     if R < 0:
         raise ValueError("R must be nonnegative")
@@ -106,7 +107,7 @@ def expand(gf: RationalGF, R: int, e: int = 1) -> CoefficientTable:
                 m += 1
                 qpow *= gf.q**c
         coeffs = new
-    return CoefficientTable(q=gf.q, e=e, values={r: v for r, v in enumerate(coeffs)})
+    return CoefficientTable(q=gf.q, values={r: v for r, v in enumerate(coeffs)})
 
 
 def brute_force_h3(blocks: Sequence[OrbitBlock], q: int, R: int) -> CoefficientTable:
@@ -117,7 +118,6 @@ def brute_force_h3(blocks: Sequence[OrbitBlock], q: int, R: int) -> CoefficientT
     at r = weighted size.
     """
     gf = euler_product(blocks, q)  # validates block set
-    e = blocks[0].e
     values: dict[int, int] = {r: 0 for r in range(R + 1)}
 
     def descend(i: int, r: int, size: int):
@@ -131,7 +131,7 @@ def brute_force_h3(blocks: Sequence[OrbitBlock], q: int, R: int) -> CoefficientT
             m += 1
 
     descend(0, 0, 0)
-    return CoefficientTable(q=q, e=e, values=values)
+    return CoefficientTable(q=q, values=values)
 
 
 def dominant_pole(gf: RationalGF) -> PoleReport:
@@ -155,16 +155,14 @@ class FitSummary:
     checkpoints: tuple[tuple[int, float], ...]
 
 
-def tauberian_fit(
-    table: CoefficientTable, report: PoleReport, window: float = 10.0
-) -> FitSummary:
+def tauberian_fit(table: CoefficientTable, report: PoleReport) -> FitSummary:
     """Ratios at support-aligned checkpoints X = q^{r+1}.
 
     S(X) = sum of coefficients at q^r < X.  A checkpoint is placed just
     above each nonzero term; sampling between terms of a lacunary series
     would oscillate by a factor q^{a * gap} regardless of the true
     growth.  Reports the ratios over the upper half of the checkpoints
-    and flags failure when max_ratio / min_ratio exceeds the window.
+    and flags failure when max_ratio / min_ratio exceeds FIT_WINDOW.
     """
     R = table.R
     if R < 40:
@@ -195,8 +193,8 @@ def tauberian_fit(
         min_ratio=lo,
         max_ratio=hi,
         spread=spread,
-        window=window,
-        ok=spread <= window,
+        window=FIT_WINDOW,
+        ok=spread <= FIT_WINDOW,
         checkpoints=tuple(checkpoints),
     )
 
@@ -206,15 +204,14 @@ def h2_desk_scale(
     N: FiniteGroup,
     spec: TwistSpec,
     R: int,
-    node_cap: int = braid.DEFAULT_NODE_CAP,
-    visited_cap: int = braid.DEFAULT_VISITED_CAP,
 ) -> dict[int, int]:
     """Desk-scale h2: stable-orbit counts weighted by q^(vector length).
 
     For every rational type-e class vector of weight <= R (a block
     combination), count Frobenius-stable braid orbits (model) and
-    accumulate count * q^length at r = weight.  Raises
-    EnumerationCapExceeded with the partial table attached.
+    accumulate count * q^length at r = weight.  A search that exceeds
+    braid.NODE_CAP or braid.VISITED_CAP raises EnumerationCapExceeded; its
+    partial is the table of the block combinations searched before it.
     """
     blocks = orbit_blocks(spec, restrict_minimal=False)
     q = spec.q
@@ -242,7 +239,7 @@ def h2_desk_scale(
                     counts[cid] = counts.get(cid, 0) + m
         cv = ClassVector.from_counts(G, counts)
         try:
-            orbits = braid_orbits(G, N, cv, node_cap, visited_cap)
+            orbits = braid_orbits(G, N, cv)
         except EnumerationCapExceeded as err:
             raise EnumerationCapExceeded(
                 f"h2 enumeration capped at weight {r}", partial=dict(table)
@@ -279,8 +276,6 @@ def prop_main_check(
     N: FiniteGroup,
     spec: TwistSpec,
     R: int,
-    node_cap: int = braid.DEFAULT_NODE_CAP,
-    visited_cap: int = braid.DEFAULT_VISITED_CAP,
 ) -> SandwichReport:
     """Empirical sandwich between h2 and h3 partial sums at desk scale.
 
@@ -290,7 +285,7 @@ def prop_main_check(
     """
     blocks = orbit_blocks(spec, restrict_minimal=False)
     h3 = brute_force_h3(blocks, spec.q, R)
-    h2 = h2_desk_scale(G, N, spec, R, node_cap, visited_cap)
+    h2 = h2_desk_scale(G, N, spec, R)
 
     def h2_sum(below: int) -> int:
         return sum(v for r, v in h2.items() if 1 <= r < below)

@@ -297,7 +297,7 @@ class TestOrbits:
 # minimum and the two-way search they replaced
 
 
-def oracle_enumerate_idx(ctx, cv, node_cap=braid.DEFAULT_NODE_CAP):
+def oracle_enumerate_idx(ctx, cv, node_cap=braid.NODE_CAP):
     """All product-one tuples with class multiset cv that generate G."""
     counts = cv.counts
     k = cv.length
@@ -406,7 +406,7 @@ def check_orbits_against_oracles(G, N, cv):
         assert ctx.canonical(t) == oracle_canonical(ctx, t)
     canonical = sorted({oracle_canonical(ctx, t) for t in tuples})
     expect = oracle_orbit_partition(ctx, canonical)
-    got = braid._orbit_partition(ctx, canonical, braid.DEFAULT_VISITED_CAP)
+    got = braid._orbit_partition(ctx, canonical)
     assert sorted(sorted(members) for members in got) == expect
     orbits = braid_orbits(G, N, cv)
     assert [sorted(o.members) for o in orbits] == expect
@@ -427,7 +427,7 @@ def check_orderly_enumeration(G, N, cv):
     """
     ctx = braid._indexed(G, N)
     tuples = oracle_enumerate_idx(ctx, cv)
-    got = braid._enumerate_idx(ctx, cv, braid.DEFAULT_NODE_CAP)
+    got = braid._enumerate_idx(ctx, cv)
     assert len(set(got)) == len(got)
     assert set(got) == {ctx.canonical(t) for t in tuples}
     assert len(got) * len(ctx.conj_rows) == len(tuples) * len(class_vector_images(G, N, cv))
@@ -563,12 +563,12 @@ class TestOrderlyEnumeration:
         # N swaps the blocks of Klüners G1, so the vector has two images
         G, N, cv = klueners_case(KLUENERS_G1_LENGTH_8)
         assert len(class_vector_images(G, N, cv)) == 2
-        assert len(braid._enumerate_idx(braid._indexed(G, N), cv, braid.DEFAULT_NODE_CAP)) == 3360
+        assert len(braid._enumerate_idx(braid._indexed(G, N), cv)) == 3360
 
     def test_identity_row_alone_gives_every_tuple(self):
         for G, N, cv in orderly_cases("klueners-0") + orderly_cases("s3-6"):
             ctx = braid._indexed(G, N)
-            got = braid._enumerate_idx(ctx, cv, braid.DEFAULT_NODE_CAP, canonical_only=False)
+            got = braid._enumerate_idx(ctx, cv, canonical_only=False)
             assert sorted(got) == sorted(oracle_enumerate_idx(ctx, cv))
 
 
@@ -704,7 +704,7 @@ class TestCountingOracle:
             expect = count_nielsen(G, cv, subgroups)
             for G, N in pairs:
                 ctx = braid._indexed(G, N)
-                got = braid._enumerate_idx(ctx, cv, braid.DEFAULT_NODE_CAP)
+                got = braid._enumerate_idx(ctx, cv)
                 assert len(got) * len(ctx.conj_rows) == expect * len(class_vector_images(G, N, cv))
                 found += len(got)
         assert found
@@ -717,8 +717,8 @@ class TestCountingOracle:
         spec = TwistSpec(q=q, e=1, ctx=find_cyclic_complement(N, G))
         seen = []
 
-        def recording(G, N, cv, *caps):
-            orbits = braid_orbits(G, N, cv, *caps)
+        def recording(G, N, cv):
+            orbits = braid_orbits(G, N, cv)
             seen.append((cv, sum(o.size for o in orbits)))
             return orbits
 
@@ -736,7 +736,7 @@ class TestCountingOracle:
         # the rows act freely on generating tuples (check_orderly_enumeration)
         for G, N, cv in orderly_cases(name):
             ctx = braid._indexed(G, N)
-            got = braid._enumerate_idx(ctx, cv, braid.DEFAULT_NODE_CAP)
+            got = braid._enumerate_idx(ctx, cv)
             expect = count_nielsen(G, cv, subgroups_by_cyclic_joins(G))
             assert len(got) * len(ctx.conj_rows) == expect * len(class_vector_images(G, N, cv))
 
@@ -831,6 +831,54 @@ class TestConwayParker:
         assert not probe.truncated
         assert [m for m, _ in probe.counts] == [0, 1, 2]
         assert all(v == 1 for _, v in probe.counts)
+
+
+def s3_probe_input():
+    G = s3()
+    t = parse_cycles("(1 2)", 3)
+    c = parse_cycles("(1 2 3)", 3)
+    return G, class_vector_of(G, [t] * 4), class_vector_of(G, [t, t, c])
+
+
+class TestCaps:
+    def test_node_cap_raises_with_canonical_partial(self, monkeypatch):
+        G, base, pad = s3_probe_input()
+        cv = base + pad
+        ctx = braid._indexed(G, G)
+        full = set(braid._enumerate_idx(ctx, cv))
+        monkeypatch.setattr(braid, "NODE_CAP", 100)
+        with pytest.raises(EnumerationCapExceeded) as info:
+            braid_orbits(G, G, cv)
+        partial = info.value.partial
+        assert isinstance(partial, list) and partial
+        assert len(set(partial)) == len(partial)
+        assert set(partial) < full
+        assert all(ctx.canonical(t) == t for t in partial)
+
+    def test_visited_cap_bounds_one_orbit(self, monkeypatch):
+        # the 4-transposition vector of S3 has one orbit of 4 canonical tuples
+        G = s3()
+        cv = class_vector_of(G, [parse_cycles("(1 2)", 3)] * 4)
+        monkeypatch.setattr(braid, "VISITED_CAP", 4)
+        assert [o.size for o in braid_orbits(G, G, cv)] == [4]
+        monkeypatch.setattr(braid, "VISITED_CAP", 3)
+        with pytest.raises(EnumerationCapExceeded):
+            braid_orbits(G, G, cv)
+
+    @pytest.mark.parametrize("node_cap", [5, 60, 200])
+    def test_probe_truncates_at_the_node_cap(self, node_cap, monkeypatch):
+        G, base, pad = s3_probe_input()
+        monkeypatch.setattr(braid, "NODE_CAP", node_cap)
+        probe = conway_parker_probe(G, G, base, pad, max_m=2)
+        assert probe.truncated
+        assert probe.counts == ((0, 1),)
+
+    def test_probe_truncates_at_the_visited_cap(self, monkeypatch):
+        G, base, pad = s3_probe_input()
+        monkeypatch.setattr(braid, "VISITED_CAP", 4)
+        probe = conway_parker_probe(G, G, base, pad, max_m=2)
+        assert probe.truncated
+        assert probe.counts == ((0, 1),)
 
 
 def test_caches_are_bounded():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from malle_lab import groups
 from malle_lab.errors import (
     DegreeMismatch,
     NonCyclicQuotient,
@@ -64,10 +65,11 @@ class TestClosure:
         with pytest.raises(DegreeMismatch):
             closure([parse_cycles("(1 2)", 3), parse_cycles("(1 2)", 4)], 3)
 
-    def test_order_cap(self):
+    def test_order_cap(self, monkeypatch):
+        monkeypatch.setattr(groups, "ORDER_CAP", 100)
         gens = [parse_cycles("(1 2)", 8), parse_cycles("(1 2 3 4 5 6 7 8)", 8)]
         with pytest.raises(OrderCapExceeded):
-            closure(gens, 8, order_cap=100)
+            closure(gens, 8)
 
 
 class TestConjugacyClasses:

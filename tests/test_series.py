@@ -6,8 +6,9 @@ from itertools import product
 
 import pytest
 
+from malle_lab import braid
 from malle_lab.braid import ClassVector, enumerate_nielsen
-from malle_lab.errors import InsufficientRange, TrivialClassPresent
+from malle_lab.errors import EnumerationCapExceeded, InsufficientRange, TrivialClassPresent
 from malle_lab.groups import closure, find_cyclic_complement
 from malle_lab.invariants import TwistSpec, orbit_blocks
 from malle_lab.perms import parse_cycles
@@ -209,3 +210,29 @@ class TestPropMain:
         spec = TwistSpec(q=7, e=1, ctx=ctx)
         rep = prop_main_check(C3, C3, spec, R=10)
         assert not rep.violated
+
+
+class TestCaps:
+    # S3 at q = 7: h2 = {4: 2744, 6: 136857, 8: 6722800, 10: 329534849} to
+    # R = 10; with 60 prefix states per search the first weight-7 block
+    # combination hits the cap
+    def s3_spec(self):
+        G = closure([parse_cycles("(1 2)", 3), parse_cycles("(1 2 3)", 3)], 3)
+        return G, TwistSpec(q=7, e=1, ctx=find_cyclic_complement(G, G))
+
+    def test_h2_partial_is_the_table_so_far(self, monkeypatch):
+        G, spec = self.s3_spec()
+        full = h2_desk_scale(G, G, spec, R=10)
+        monkeypatch.setattr(braid, "NODE_CAP", 60)
+        with pytest.raises(EnumerationCapExceeded) as info:
+            h2_desk_scale(G, G, spec, R=10)
+        assert info.value.partial == {4: 2744, 6: 136857}
+        assert info.value.partial == {r: full[r] for r in (4, 6)}
+        assert isinstance(info.value.__cause__, EnumerationCapExceeded)
+
+    def test_prop_main_lets_the_cap_error_through(self, monkeypatch):
+        G, spec = self.s3_spec()
+        monkeypatch.setattr(braid, "NODE_CAP", 60)
+        with pytest.raises(EnumerationCapExceeded) as info:
+            prop_main_check(G, G, spec, R=10)
+        assert info.value.partial == {4: 2744, 6: 136857}
