@@ -96,6 +96,7 @@ def expand(gf: RationalGF, R: int) -> CoefficientTable:
     coeffs[0] = 1
     for c, r in gf.factors:
         # multiply by the geometric series sum_m q^{cm} u^{rm}
+        qc = gf.q**c
         new = [0] * (R + 1)
         for k in range(R + 1):
             if coeffs[k] == 0:
@@ -105,7 +106,7 @@ def expand(gf: RationalGF, R: int) -> CoefficientTable:
             while k + m * r <= R:
                 new[k + m * r] += coeffs[k] * qpow
                 m += 1
-                qpow *= gf.q**c
+                qpow *= qc
         coeffs = new
     return CoefficientTable(q=gf.q, values={r: v for r, v in enumerate(coeffs)})
 
@@ -115,22 +116,39 @@ def brute_force_h3(blocks: Sequence[OrbitBlock], q: int, R: int) -> CoefficientT
 
     Every rational class vector of the given type is a unique nonnegative
     combination sum a_O * O of blocks; it contributes q^(number of classes)
-    at r = weighted size.
+    at r = weighted size.  Each multiset adds 1 to counts[r * S + size],
+    where S = 1 + sum c * (R // w) exceeds every size of weight <= R, so
+    an index is below (R + 1) * S exactly when its weight is <= R; then
+    values[r] = sum over sizes of counts[r * S + size] * q^size.  The
+    lightest factor goes last: its multiplicities are a loop stepping the
+    index by w * S + c, and the recursion runs over the other factors only.
     """
     gf = euler_product(blocks, q)  # validates block set
-    values: dict[int, int] = {r: 0 for r in range(R + 1)}
+    factors = sorted(gf.factors, key=lambda f: f[1], reverse=True)
+    S = 1 + sum(c * (R // w) for c, w in factors)
+    limit = (R + 1) * S
+    counts = [0] * limit
+    steps = [w * S + c for c, w in factors]
+    last = len(steps) - 1
+    last_step = steps[last]
 
-    def descend(i: int, r: int, size: int):
-        if i == len(gf.factors):
-            values[r] = values.get(r, 0) + q**size
+    def descend(i: int, idx: int):
+        if i == last:
+            while idx < limit:
+                counts[idx] += 1
+                idx += last_step
             return
-        c, w = gf.factors[i]
-        m = 0
-        while r + m * w <= R:
-            descend(i + 1, r + m * w, size + m * c)
-            m += 1
+        step = steps[i]
+        while idx < limit:
+            descend(i + 1, idx)
+            idx += step
 
-    descend(0, 0, 0)
+    descend(0, 0)
+    qpow = [q**size for size in range(S)]
+    values = {
+        r: sum(n * p for n, p in zip(counts[r * S : (r + 1) * S], qpow) if n)
+        for r in range(R + 1)
+    }
     return CoefficientTable(q=q, values=values)
 
 
@@ -211,7 +229,8 @@ def h2_desk_scale(
     combination), count Frobenius-stable braid orbits (model) and
     accumulate count * q^length at r = weight.  A search that exceeds
     braid.NODE_CAP or braid.VISITED_CAP raises EnumerationCapExceeded; its
-    partial is the table of the block combinations searched before it.
+    partial is the table of the weights below the one whose search hit
+    the cap, each summed over all of its block combinations.
     """
     blocks = orbit_blocks(spec, restrict_minimal=False)
     q = spec.q
@@ -242,7 +261,8 @@ def h2_desk_scale(
             orbits = braid_orbits(G, N, cv)
         except EnumerationCapExceeded as err:
             raise EnumerationCapExceeded(
-                f"h2 enumeration capped at weight {r}", partial=dict(table)
+                f"h2 enumeration capped at weight {r}",
+                partial={k: v for k, v in table.items() if k < r},
             ) from err
         stable = frobenius_stable_orbits(orbits, spec)
         if stable:

@@ -1,7 +1,7 @@
 """Acceptance gate: the nine pinned criteria, one pass/fail line each.
 
-Each test prints exactly one line "[criterion N] PASS|FAIL: summary" and
-then asserts.  Criteria 1 and 8 check the program against oracles written
+Each test prints exactly one line "[criterion N] PASS|FAIL: summary (Ts)",
+T being the seconds since the test started, and then asserts.  Criteria 1 and 8 check the program against oracles written
 in this file that do not go through the code under test; the hand
 derivations of the values they expect are in docs/decisions.md.
 """
@@ -47,8 +47,9 @@ from malle_lab.series import (
 VERDICTS: list[str] = []
 
 
-def verdict(n, ok, summary):
-    line = f"[criterion {n}] {'PASS' if ok else 'FAIL'}: {summary}"
+def verdict(n, ok, summary, t0):
+    elapsed = time.monotonic() - t0
+    line = f"[criterion {n}] {'PASS' if ok else 'FAIL'}: {summary} ({elapsed:.1f}s)"
     VERDICTS.append(line)
     print(line)
     assert ok, summary
@@ -136,6 +137,7 @@ def test_criterion_1_klueners_counterexample():
         "Klueners pairs (G1,N), (N,N), (G2,N) at q in {5,11}, (G2,N) against "
         "the twisted-power oracle, prediction from revised_b"
         + (f" — failing clauses: {failures}" if failures else ""),
+        t0,
     )
 
 
@@ -157,7 +159,7 @@ def test_criterion_2_wreath_s18():
     elapsed = time.monotonic() - t0
     if elapsed >= 60:
         ok = False
-    verdict(2, ok, f"all four wreath cases give a=1/4, b=1 ({elapsed:.1f}s)")
+    verdict(2, ok, "all four wreath cases give a=1/4, b=1", t0)
 
 
 def direct_powering_orbits(N: FiniteGroup, q: int) -> int:
@@ -179,16 +181,18 @@ def direct_powering_orbits(N: FiniteGroup, q: int) -> int:
 
 
 def test_criterion_3_ellenberg_venkatesh_specialization():
+    t0 = time.monotonic()
     ok = True
     for N, qs in preset_groups():
         ctx = find_cyclic_complement(N, N)
         for q in qs:
             if b_constant(ctx, q) != direct_powering_orbits(N, q):
                 ok = False
-    verdict(3, ok, "b(N,N,q) equals the direct powering-orbit count on C(N)")
+    verdict(3, ok, "b(N,N,q) equals the direct powering-orbit count on C(N)", t0)
 
 
 def test_criterion_4_abelian_comparison():
+    t0 = time.monotonic()
     violations = []
     for label, spec in sorted(abelian_suite().items()):
         N = spec.group()
@@ -210,10 +214,12 @@ def test_criterion_4_abelian_comparison():
         not violations,
         "b(G,N,q) <= b(N,N,q) over the abelian suite, q < 50"
         + (f" — violations: {violations}" if violations else ""),
+        t0,
     )
 
 
 def test_criterion_5_euler_product_vs_oracle():
+    t0 = time.monotonic()
     checked = 0
     ok = True
     for N, _ in preset_groups():
@@ -233,7 +239,12 @@ def test_criterion_5_euler_product_vs_oracle():
                     if expand(gf, 40).values != brute_force_h3(blocks, q, 40).values:
                         ok = False
                     checked += 1
-    verdict(5, ok and checked > 0, f"expand == brute_force_h3 to R=40 ({checked} block systems)")
+    verdict(
+        5,
+        ok and checked > 0,
+        f"expand == brute_force_h3 to R=40 ({checked} block systems)",
+        t0,
+    )
 
 
 def test_criterion_6_tauberian_shape():
@@ -253,13 +264,15 @@ def test_criterion_6_tauberian_shape():
         6,
         ok,
         f"Klueners spread {fit.spread:.3f} <= 10, single-block spread "
-        f"{fit2.spread:.3f} <= 4 ({elapsed:.1f}s)",
+        f"{fit2.spread:.3f} <= 4",
+        t0,
     )
 
 
 def test_criterion_7_braid_machinery():
     from malle_lab.braid import braid_orbits
 
+    t0 = time.monotonic()
     G = closure([parse_cycles("(1 2)", 3), parse_cycles("(1 2 3)", 3)], 3)
     ts = [g for g in G if g.index() == 1]
     ok = True
@@ -300,7 +313,7 @@ def test_criterion_7_braid_machinery():
         (o.canonical_rep, o.size, o.members) for o in b_run
     ]:
         ok = False
-    verdict(7, ok, "braid relations, Clebsch connectivity, traversal independence")
+    verdict(7, ok, "braid relations, Clebsch connectivity, traversal independence", t0)
 
 
 def stable_generating_multisets(G: FiniteGroup, q: int, R: int) -> dict[int, int]:
@@ -342,6 +355,7 @@ ABELIAN_SANDWICH = {"C2xC2": (8, 4), "C4": (8, 5), "C6": (12, 7), "C3xC3": (24, 
 
 
 def test_criterion_8_prop_main_desk_scale():
+    t0 = time.monotonic()
     failures = []
     # abelian presets: h2 against the multiset oracle, then the sandwich
     for label, spec in sorted(abelian_suite().items()):
@@ -372,13 +386,15 @@ def test_criterion_8_prop_main_desk_scale():
         f"prop_main sandwich: abelian h2 equals the multiset oracle, c1=1, {shifts}; "
         "S3 consistency"
         + (f" — failing clauses: {failures}" if failures else ""),
+        t0,
     )
 
 
 def test_criterion_9_number_field_variant():
+    t0 = time.monotonic()
     pre = get_preset("klueners-q")
     N = pre.spec.group()
     nf = revised_b(N, RationalNumberField(M=3))
     ff = revised_b(N, FunctionField(5))
     ok = nf.value == 2 and nf.value == ff.value
-    verdict(9, ok, f"max b_phi at M=3 is {nf.value}, matching function field {ff.value}")
+    verdict(9, ok, f"max b_phi at M=3 is {nf.value}, matching function field {ff.value}", t0)

@@ -5,13 +5,20 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from malle_lab import braid
 from malle_lab.braid import ClassVector, enumerate_nielsen
 from malle_lab.errors import EnumerationCapExceeded, InsufficientRange, TrivialClassPresent
-from malle_lab.groups import closure, find_cyclic_complement
-from malle_lab.invariants import TwistSpec, orbit_blocks
+from malle_lab.groups import (
+    closure,
+    find_cyclic_complement,
+    normal_subgroups_with_cyclic_quotient,
+)
+from malle_lab.invariants import OrbitBlock, TwistSpec, orbit_blocks
 from malle_lab.perms import parse_cycles
+from malle_lab.presets import get_preset
 from malle_lab.series import (
     CoefficientTable,
     PoleReport,
@@ -37,6 +44,115 @@ def klueners_blocks(q=5):
     ctx = find_cyclic_complement(N, G1)
     spec = TwistSpec(q=q, e=1, ctx=ctx)
     return orbit_blocks(spec, restrict_minimal=False)
+
+
+def oracle_brute_force_h3(blocks, q, R):
+    """The recursive block-multiset enumeration that brute_force_h3 replaced.
+
+    Every rational class vector of the given type is a unique nonnegative
+    combination sum a_O * O of blocks; it contributes q^(number of classes)
+    at r = weighted size.
+    """
+    gf = euler_product(blocks, q)  # validates block set
+    values: dict[int, int] = {r: 0 for r in range(R + 1)}
+
+    def descend(i: int, r: int, size: int):
+        if i == len(gf.factors):
+            values[r] = values.get(r, 0) + q**size
+            return
+        c, w = gf.factors[i]
+        m = 0
+        while r + m * w <= R:
+            descend(i + 1, r + m * w, size + m * c)
+            m += 1
+
+    descend(0, 0, 0)
+    return CoefficientTable(q=q, values=values)
+
+
+def criterion_5_block_systems():
+    """(blocks, q) for every block system that acceptance criterion 5 expands."""
+    from test_acceptance import preset_groups
+
+    systems = []
+    for N, _ in preset_groups():
+        for G in normal_subgroups_with_cyclic_quotient(N):
+            if G.order == 1:
+                continue
+            ctx = find_cyclic_complement(N, G)
+            if not ctx.split:
+                continue
+            for q in (2, 3, 5):
+                if math.gcd(q, N.order) != 1:
+                    continue
+                for e in ctx.admissible_e():
+                    spec = TwistSpec(q=q, e=e, ctx=ctx)
+                    systems.append((orbit_blocks(spec, restrict_minimal=False), q))
+    return systems
+
+
+def wreath_a_blocks(q=5):
+    pre = get_preset("wreath-s18")
+    N = pre.spec.group()
+    ctx = find_cyclic_complement(N, pre.spec.subgroup("A"))
+    return orbit_blocks(TwistSpec(q=q, e=1, ctx=ctx), restrict_minimal=False)
+
+
+def block(size, index, first=1):
+    return OrbitBlock(e=1, classes=frozenset(range(first, first + size)), size=size, index=index)
+
+
+class TestBruteForceH3:
+    def assert_three_agree(self, blocks, q, R):
+        got = brute_force_h3(blocks, q, R).values
+        assert list(got) == list(range(R + 1))
+        assert got == oracle_brute_force_h3(blocks, q, R).values
+        assert got == expand(euler_product(blocks, q), R).values
+
+    def test_criterion_5_block_systems(self):
+        systems = criterion_5_block_systems()
+        assert len(systems) == 47
+        for blocks, q in systems:
+            self.assert_three_agree(blocks, q, 40)
+
+    def test_klueners_g1_r120(self):
+        self.assert_three_agree(klueners_blocks(), 5, 120)
+
+    def test_wreath_a_r80(self):
+        self.assert_three_agree(wreath_a_blocks(), 5, 80)
+
+    def test_single_block_closed_form(self):
+        # one block of size 2 and index 2: q^(2m) at r = 4m; m = R // 4
+        # reaches size 2 * (R // 4) = S - 1, the cell that a smaller S
+        # would share with the next weight
+        for R in (0, 3, 4, 9, 12):
+            got = brute_force_h3([block(2, 2)], 3, R).values
+            assert got == {r: (9 ** (r // 4) if r % 4 == 0 else 0) for r in range(R + 1)}
+            self.assert_three_agree([block(2, 2)], 3, R)
+
+    def test_validates_block_set(self):
+        with pytest.raises(ValueError):
+            brute_force_h3([], 2, 4)
+        with pytest.raises(TrivialClassPresent):
+            brute_force_h3([block(1, 0)], 2, 4)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        shapes=st.lists(
+            st.tuples(st.integers(1, 3), st.integers(1, 4)), min_size=1, max_size=6
+        ),
+        q=st.integers(2, 16),
+        data=st.data(),
+    )
+    def test_random_block_systems(self, shapes, q, data):
+        blocks = [block(size, index, 10 * i) for i, (size, index) in enumerate(shapes)]
+        # the oracle makes one call per multiset: keep the box of
+        # multiplicities prod (R // w + 1) at most 10^5
+        top = max(
+            R for R in range(41) if math.prod(R // b.weight + 1 for b in blocks) <= 10**5
+        )
+        R = data.draw(st.integers(0, top), label="R")
+        self.assert_three_agree(blocks, q, R)
 
 
 class TestExpand:
@@ -229,6 +345,15 @@ class TestCaps:
         assert info.value.partial == {4: 2744, 6: 136857}
         assert info.value.partial == {r: full[r] for r in (4, 6)}
         assert isinstance(info.value.__cause__, EnumerationCapExceeded)
+
+    def test_h2_partial_drops_the_weight_that_hit_the_cap(self, monkeypatch):
+        # with 20 prefix states a weight-6 combination hits the cap after
+        # another weight-6 combination was summed: weight 6 is incomplete
+        G, spec = self.s3_spec()
+        monkeypatch.setattr(braid, "NODE_CAP", 20)
+        with pytest.raises(EnumerationCapExceeded) as info:
+            h2_desk_scale(G, G, spec, R=10)
+        assert info.value.partial == {4: 2744}
 
     def test_prop_main_lets_the_cap_error_through(self, monkeypatch):
         G, spec = self.s3_spec()
