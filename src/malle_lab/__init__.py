@@ -25,24 +25,20 @@ from .groups import (
     a_invariant,
     centralizer,
     closure,
-    conjugacy_classes,
     derived_subgroup,
     find_cyclic_complement,
     group_index,
-    ind,
     normal_subgroups_with_abelian_quotient,
     normal_subgroups_with_cyclic_quotient,
 )
 from .invariants import (
     NON_SPLIT_WARNING,
-    AsymptoticReport,
     BReport,
     FunctionField,
     OrbitBlock,
     RationalNumberField,
     RevisedBReport,
     TwistSpec,
-    asymptotic_prediction,
     b_constant,
     b_e,
     b_phi,

@@ -516,7 +516,7 @@ def frobenius_stable_orbits(
 ) -> list[BraidOrbit]:
     """Orbits sent to themselves by the entrywise twisted-power model.
 
-    The model maps each entry g to (g^q) conjugated by tau^{-e}.  If the
+    The model maps each entry g to spec.image(g) = t_e(g).  If the
     image tuple is no longer product-one (powering is not a homomorphism),
     the orbit is reported unstable.
     """
@@ -529,7 +529,7 @@ def frobenius_stable_orbits(
         raise ValueError("orbits must share one class vector")
     ctx = _indexed(G, N)
     index = G.index
-    twist = [index[(g**spec.q).conjugate_by(spec.conjugator)] for g in G.elements]
+    twist = [index[spec.image(g)] for g in G.elements]
     identity = index[G.identity]
     stable = []
     for orbit in orbits:

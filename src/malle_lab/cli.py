@@ -18,7 +18,6 @@ import argparse
 import json
 import math
 import sys
-from fractions import Fraction
 
 from . import braid as braid_mod
 from . import errors as err

@@ -183,10 +183,6 @@ def _compute_classes(G: FiniteGroup) -> tuple[list[ConjugacyClass], list[int]]:
     return classes, class_ids
 
 
-def conjugacy_classes(G: FiniteGroup) -> list[ConjugacyClass]:
-    return G.conjugacy_classes()
-
-
 def centralizer(N: FiniteGroup, G: FiniteGroup) -> FiniteGroup:
     """Cen_N(G) = {x in N : xg = gx for all g in G}."""
     if not G.is_subgroup_of(N):
@@ -348,11 +344,6 @@ def find_cyclic_complement(N: FiniteGroup, G: FiniteGroup) -> GNContext:
         d_double_prime=d_double_prime,
         split=split,
     )
-
-
-def ind(g: Permutation) -> int:
-    """n minus the number of orbits of g on {1..n} (fixed points count)."""
-    return g.index()
 
 
 def a_invariant(G: FiniteGroup) -> Fraction:

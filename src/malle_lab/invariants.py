@@ -9,12 +9,12 @@ level M gives the number-field constant b_phi.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
 from math import gcd
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .errors import (
     BadModulus,
@@ -72,14 +72,17 @@ class TwistSpec:
         """tau^{-e}, the element t_e conjugates by; computed once per spec."""
         return self.ctx.tau ** (-self.e)
 
+    def image(self, g: Permutation) -> Permutation:
+        """t_e on elements: g^q conjugated by tau^{-e}."""
+        return (g**self.q).conjugate_by(self.conjugator)
+
 
 def twist_class(c: ConjugacyClass, spec: TwistSpec) -> ConjugacyClass:
-    """The class of (g^q) conjugated by tau^{-e}, for g a representative."""
+    """The class of t_e(g), for g a representative of c."""
     G = spec.ctx.G
-    t = spec.conjugator
-    image = G.class_of((c.representative ** spec.q).conjugate_by(t))
+    image = G.class_of(spec.image(c.representative))
     # well-definedness: any member must land in the same class
-    if G.class_of((c.members[-1] ** spec.q).conjugate_by(t)) is not image:
+    if G.class_of(spec.image(c.members[-1])) is not image:
         raise InvariantViolation("the twist is not well defined on classes")
     return image
 
@@ -173,15 +176,6 @@ def b_constant(ctx: GNContext, q: int) -> int:
     return b_report(ctx, q).value
 
 
-@dataclass(frozen=True)
-class AsymptoticReport:
-    a: Fraction
-    b: int
-    formula: str
-    argmax_e: tuple[int, ...]
-    warnings: tuple[str, ...] = ()
-
-
 def render_growth(a: Fraction, b: int) -> str:
     a_str = f"X^{{{a}}}" if a.denominator > 1 else f"X^{a}"
     if b == 1:
@@ -189,18 +183,6 @@ def render_growth(a: Fraction, b: int) -> str:
     if b == 2:
         return f"{a_str} log X"
     return f"{a_str} (log X)^{b - 1}"
-
-
-def asymptotic_prediction(ctx: GNContext, q: int) -> AsymptoticReport:
-    """The predicted growth X^{a(G)} (log X)^{b-1} for the pair (G, N)."""
-    report = b_report(ctx, q)
-    a = a_invariant(ctx.G)
-    return AsymptoticReport(
-        a=a,
-        b=report.value,
-        formula=render_growth(a, report.value),
-        argmax_e=report.argmax,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -216,14 +198,9 @@ class FunctionField:
 
 @dataclass(frozen=True)
 class RationalNumberField:
-    """k = Q, with the cyclotomic action truncated at level M.
-
-    phi_table maps each unit u of (Z/M)* to an element of N representing
-    the coset phi(u)G in N/G.  The table must be a homomorphism into N/G.
-    """
+    """k = Q, with the cyclotomic action truncated at level M."""
 
     M: int
-    phi_table: Mapping[int, Permutation] = field(default_factory=dict)
 
 
 FieldSpec = FunctionField | RationalNumberField
@@ -235,42 +212,41 @@ def _units(M: int) -> list[int]:
     return [u for u in range(1, M) if gcd(u, M) == 1]
 
 
-def _check_phi(N: FiniteGroup, G: FiniteGroup, fieldspec: RationalNumberField) -> dict[int, Permutation]:
-    M = fieldspec.M
+def _check_phi(N: FiniteGroup, G: FiniteGroup, M: int, phi: Mapping[int, Permutation]) -> None:
     units = _units(M)
-    table = dict(fieldspec.phi_table) or {u: N.identity for u in units}
-    if sorted(table) != sorted(units):
-        raise NotAHomomorphism(f"phi table keys {sorted(table)} != units of (Z/{M})*")
-    for u, x in table.items():
+    if sorted(phi) != sorted(units):
+        raise NotAHomomorphism(f"phi table keys {sorted(phi)} != units of (Z/{M})*")
+    for u, x in phi.items():
         if x not in N:
             raise NotAHomomorphism(f"phi({u}) is not an element of N")
     for u in units:
         for v in units:
             w = (u * v) % M if M > 1 else 1
-            if table[u] * table[v] * table[w].inverse() not in G:
+            if phi[u] * phi[v] * phi[w].inverse() not in G:
                 raise NotAHomomorphism(f"phi({u})*phi({v}) != phi({u}*{v}) mod G")
-    return table
 
 
-def b_phi(N: FiniteGroup, G: FiniteGroup, fieldspec: RationalNumberField) -> int:
-    """Orbit count of C(G) under the phi-twisted cyclotomic action.
+def b_phi(N: FiniteGroup, G: FiniteGroup, M: int, phi: Mapping[int, Permutation]) -> int:
+    """Orbit count of C(G) under the phi-twisted cyclotomic action at level M.
 
-    Each unit u acts by c -> class of (g^u) conjugated by phi(u)^{-1}.
-    Conjugating a G-class by a coset of N/G is well defined through any
-    lift, which is what the table stores.
+    phi maps each unit u of (Z/M)* to an element of N representing the
+    coset phi(u)G in N/G; it must be a homomorphism into N/G.  Each unit u
+    acts by c -> class of (g^u) conjugated by phi(u)^{-1}.  Conjugating a
+    G-class by a coset of N/G is well defined through any lift, which is
+    what the table stores.
     """
-    table = _check_phi(N, G, fieldspec)
+    _check_phi(N, G, M, phi)
     minimal = minimal_index_classes(G)
     for c in minimal:
-        if fieldspec.M % c.representative.order() != 0:
+        if M % c.representative.order() != 0:
             raise BadModulus(
-                f"level M = {fieldspec.M} not divisible by the order "
+                f"level M = {M} not divisible by the order "
                 f"{c.representative.order()} of a minimal-index element"
             )
     ids = {c.class_id for c in minimal}
     # phi is a homomorphism, so (Z/M)* acts on the classes and the orbit
     # of a class is its set of images
-    lifts = [(u, x.inverse()) for u, x in table.items()]
+    lifts = [(u, x.inverse()) for u, x in phi.items()]
     orbits = set()
     for c in minimal:
         orbit = frozenset(
@@ -383,9 +359,7 @@ def revised_b(N: FiniteGroup, fieldspec: FieldSpec) -> RevisedBReport:
             if not phis:
                 rows.append(RevisedBRow(G.order, a_G, quotient_order, "no-surjective-phi", None))
                 continue
-            value = max(
-                b_phi(N, G, RationalNumberField(M=fieldspec.M, phi_table=t)) for t in phis
-            )
+            value = max(b_phi(N, G, fieldspec.M, t) for t in phis)
         rows.append(RevisedBRow(G.order, a_G, quotient_order, "ok", value))
         best = value if best is None else max(best, value)
     if best is None:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Mapping, Sequence
 
 from .braid import ClassVector, braid_orbits, frobenius_stable_orbits
@@ -62,10 +63,6 @@ class CoefficientTable:
     @property
     def R(self) -> int:
         return max(self.values)
-
-    def partial_sum(self, below: int) -> int:
-        """sum of values at 1 <= r < below (the r = 0 empty tuple excluded)."""
-        return sum(v for r, v in self.values.items() if 1 <= r < below)
 
 
 @dataclass(frozen=True)
@@ -306,17 +303,15 @@ def prop_main_check(
     blocks = orbit_blocks(spec, restrict_minimal=False)
     h3 = brute_force_h3(blocks, spec.q, R)
     h2 = h2_desk_scale(G, N, spec, R)
-
-    def h2_sum(below: int) -> int:
-        return sum(v for r, v in h2.items() if 1 <= r < below)
+    # s3[k], s2[k]: the sums over 1 <= r < k (r = 0 excluded), k = 0 .. R+1
+    s3 = list(accumulate([0, 0] + [h3.values[r] for r in range(1, R + 1)]))
+    s2 = list(accumulate([0, 0] + [h2.get(r, 0) for r in range(1, R + 1)]))
 
     # right side: smallest rational c1 with h2 partial sums <= c1 * h3 sums
     c1 = Fraction(1)
     for Rp in range(1, R + 2):
-        s3 = h3.partial_sum(Rp)
-        s2 = h2_sum(Rp)
-        if s3 == 0:
-            if s2 > 0:
+        if s3[Rp] == 0:
+            if s2[Rp] > 0:
                 return SandwichReport(
                     m=0,
                     c1=Fraction(0),
@@ -325,20 +320,12 @@ def prop_main_check(
                     detail=f"h2 positive but h3 zero below R'={Rp}",
                 )
             continue
-        c1 = max(c1, Fraction(s2, s3))
-    # left side: smallest m such that the shifted h3 sum never exceeds h2
-    for m in range(0, R + 1):
-        ok = True
-        for Rp in range(1, R + 2):
-            if h3.partial_sum(Rp - m) > h2_sum(Rp):
-                ok = False
-                break
-        if ok:
-            return SandwichReport(m=m, c1=c1, R=R, violated=False)
-    return SandwichReport(
-        m=R,
-        c1=c1,
-        R=R,
-        violated=True,
-        detail="no shift m <= R validates the lower bound",
+        c1 = max(c1, Fraction(s2[Rp], s3[Rp]))
+    # left side: smallest m such that the shifted h3 sum never exceeds h2;
+    # m = R always qualifies: each index Rp - m is then <= 1, where s3 is 0 <= s2
+    m = next(
+        m
+        for m in range(R + 1)
+        if all(s3[max(Rp - m, 0)] <= s2[Rp] for Rp in range(1, R + 2))
     )
+    return SandwichReport(m=m, c1=c1, R=R, violated=False)

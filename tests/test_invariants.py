@@ -5,7 +5,10 @@ from functools import lru_cache
 from itertools import product as iproduct
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
+from malle_lab.braid import braid_orbits, class_vector_of
 from malle_lab.errors import (
     BadModulus,
     InvariantViolation,
@@ -13,6 +16,7 @@ from malle_lab.errors import (
     NotSplit,
 )
 from malle_lab.groups import (
+    a_invariant,
     closure,
     find_cyclic_complement,
     normal_subgroups_with_abelian_quotient,
@@ -24,19 +28,20 @@ from malle_lab.invariants import (
     TwistSpec,
     _surjective_phis,
     _units,
-    asymptotic_prediction,
     b_constant,
     b_e,
     b_phi,
     b_report,
+    b_table,
     minimal_index_classes,
     orbit_blocks,
     render_growth,
     revised_b,
     twist_class,
 )
-from malle_lab.perms import parse_cycles
+from malle_lab.perms import Permutation, parse_cycles
 from malle_lab.presets import abelian_suite, get_preset
+from test_groups import permutations_of
 
 
 def klueners():
@@ -185,14 +190,6 @@ class TestAsymptotics:
         assert render_growth(Fraction(1, 4), 3) == "X^{1/4} (log X)^2"
         assert render_growth(Fraction(1), 1) == "X^1"
 
-    def test_klueners_prediction(self):
-        N = klueners()
-        ctx = find_cyclic_complement(N, klueners_g1(N))
-        rep = asymptotic_prediction(ctx, 5)
-        assert rep.a == Fraction(1, 2)
-        assert rep.b == 2
-        assert rep.formula == "X^{1/2} log X"
-
 
 class TestNumberField:
     def test_b_phi_klueners_m3(self):
@@ -201,23 +198,20 @@ class TestNumberField:
         N = klueners()
         G1 = klueners_g1(N)
         tau = parse_cycles("(14)(25)(36)", 6)
-        field = RationalNumberField(M=3, phi_table={1: tau**0, 2: tau})
-        assert b_phi(N, G1, field) == 2
+        assert b_phi(N, G1, 3, {1: tau**0, 2: tau}) == 2
 
     def test_b_phi_trivial_phi(self):
         # trivial phi: orbits of powering by units of (Z/3)*
         N = klueners()
         G1 = klueners_g1(N)
         e = parse_cycles("id", 6)
-        field = RationalNumberField(M=3, phi_table={1: e, 2: e})
         # powering by 2 = inversion pairs each 3-cycle with its inverse
-        assert b_phi(N, G1, field) == 2
+        assert b_phi(N, G1, 3, {1: e, 2: e}) == 2
 
     def test_b_phi_full_group(self):
         N = klueners()
         e = parse_cycles("id", 6)
-        field = RationalNumberField(M=3, phi_table={1: e, 2: e})
-        assert b_phi(N, N, field) == 1
+        assert b_phi(N, N, 3, {1: e, 2: e}) == 1
 
     def test_non_homomorphism_rejected(self):
         N = klueners()
@@ -226,17 +220,24 @@ class TestNumberField:
         e = parse_cycles("id", 6)
         # phi(1) must be the identity coset; mapping 1 to the tau-coset
         # cannot respect the unit-group multiplication
-        field = RationalNumberField(M=3, phi_table={1: tau, 2: e})
         with pytest.raises(NotAHomomorphism):
-            b_phi(N, G1, field)
+            b_phi(N, G1, 3, {1: tau, 2: e})
+
+    def test_incomplete_table_rejected(self):
+        # the table must name phi(u) for every unit u of (Z/3)* = {1, 2}
+        N = klueners()
+        G1 = klueners_g1(N)
+        e = parse_cycles("id", 6)
+        for table in ({}, {1: e}):
+            with pytest.raises(NotAHomomorphism):
+                b_phi(N, G1, 3, table)
 
     def test_bad_modulus(self):
         N = klueners()
         G1 = klueners_g1(N)
         e = parse_cycles("id", 6)
-        field = RationalNumberField(M=2, phi_table={1: e})
         with pytest.raises(BadModulus):
-            b_phi(N, G1, field)
+            b_phi(N, G1, 2, {1: e})
 
 
 class TestRevisedB:
@@ -421,9 +422,41 @@ class TestSurjectivePhiOracle:
             for M in (3, 4, 12):
                 try:
                     phis = _surjective_phis(N, G, M)
-                    values = [b_phi(N, G, RationalNumberField(M, t)) for t in phis]
+                    values = [b_phi(N, G, M, t) for t in phis]
                 except BadModulus:
                     continue
                 assert values == [oracle_b_phi(N, G, M, t) for t in phis], (label, M)
                 checked += len(values)
         assert checked > 0
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(degree=st.sampled_from((5, 6)), data=st.data())
+def test_point_relabelling_changes_no_invariant(degree, data):
+    N = closure(data.draw(st.lists(permutations_of(degree), min_size=1, max_size=3)), degree)
+    assume(1 < N.order <= 72)
+    sigma = Permutation(data.draw(st.permutations(range(1, degree + 1)), label="sigma"))
+    M = closure([g.conjugate_by(sigma) for g in N.generators], degree)
+    assert M.order == N.order
+    # 7 divides no order of a subgroup of S6, so q = 7 is admissible
+    b_N, b_M = (b_table(find_cyclic_complement(H, H), 7) for H in (N, M))
+    assert a_invariant(M) == a_invariant(N)
+    assert sorted(b_M.by_e.values()) == sorted(b_N.by_e.values())
+    assert sorted(H.order for H in normal_subgroups_with_abelian_quotient(M)) == sorted(
+        H.order for H in normal_subgroups_with_abelian_quotient(N)
+    )
+    # a product-one class vector of length 3-4: k-1 drawn entries and the
+    # inverse of their product
+    nontrivial = [g for g in N.elements if not g.is_identity]
+    entries = data.draw(st.lists(st.sampled_from(nontrivial), min_size=2, max_size=3))
+    last = N.identity
+    for g in entries:
+        last = last * g
+    assume(not last.is_identity)
+    entries.append(last.inverse())
+    orbits_N = braid_orbits(N, N, class_vector_of(N, entries))
+    orbits_M = braid_orbits(M, M, class_vector_of(M, [g.conjugate_by(sigma) for g in entries]))
+    assert sorted(o.size for o in orbits_M) == sorted(o.size for o in orbits_N)
+    # b_e counts orbits on C(G), and class sizes are orbit sizes of |G|
+    assert b_N.value <= len(minimal_index_classes(N))
+    assert all(N.order % c.size == 0 for c in N.conjugacy_classes())

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from malle_lab import braid
+from malle_lab import braid, series
 from malle_lab.braid import ClassVector, enumerate_nielsen
 from malle_lab.errors import EnumerationCapExceeded, InsufficientRange, TrivialClassPresent
 from malle_lab.groups import (
@@ -18,11 +18,12 @@ from malle_lab.groups import (
 )
 from malle_lab.invariants import OrbitBlock, TwistSpec, orbit_blocks
 from malle_lab.perms import parse_cycles
-from malle_lab.presets import get_preset
+from malle_lab.presets import abelian_q, abelian_suite, get_preset
 from malle_lab.series import (
     CoefficientTable,
     PoleReport,
     RationalGF,
+    SandwichReport,
     brute_force_h3,
     dominant_pole,
     euler_product,
@@ -182,14 +183,8 @@ class TestExpand:
         blocks = klueners_blocks()
         table = expand(euler_product(blocks, 5), 30)
         assert all(v >= 0 for v in table.values.values())
-        sums = [table.partial_sum(j) for j in range(1, 31)]
+        sums = [sum(table.values[r] for r in range(1, j)) for j in range(1, 31)]
         assert sums == sorted(sums)
-
-    def test_partial_sum_excludes_r0(self):
-        gf = RationalGF(q=2, factors=((1, 2),))
-        table = expand(gf, 6)
-        assert table.partial_sum(1) == 0
-        assert table.partial_sum(3) == 2
 
     def test_invalid_factor_rejected(self):
         with pytest.raises(ValueError):
@@ -310,7 +305,106 @@ class TestH2DeskScale:
         assert all(r % 2 == 0 for r in h2)
 
 
+NO_SHIFT = "no shift m <= R validates the lower bound"
+
+
+def oracle_sandwich(h3, h2, R):
+    """The sandwich loops prop_main_check ran before its prefix sums.
+
+    Both partial sums are recomputed for every checkpoint and every shift;
+    h3_sum is the CoefficientTable.partial_sum it called.
+    """
+
+    def h3_sum(below: int) -> int:
+        return sum(v for r, v in h3.values.items() if 1 <= r < below)
+
+    def h2_sum(below: int) -> int:
+        return sum(v for r, v in h2.items() if 1 <= r < below)
+
+    # right side: smallest rational c1 with h2 partial sums <= c1 * h3 sums
+    c1 = Fraction(1)
+    for Rp in range(1, R + 2):
+        s3 = h3_sum(Rp)
+        s2 = h2_sum(Rp)
+        if s3 == 0:
+            if s2 > 0:
+                return SandwichReport(
+                    m=0,
+                    c1=Fraction(0),
+                    R=R,
+                    violated=True,
+                    detail=f"h2 positive but h3 zero below R'={Rp}",
+                )
+            continue
+        c1 = max(c1, Fraction(s2, s3))
+    # left side: smallest m such that the shifted h3 sum never exceeds h2
+    for m in range(0, R + 1):
+        ok = True
+        for Rp in range(1, R + 2):
+            if h3_sum(Rp - m) > h2_sum(Rp):
+                ok = False
+                break
+        if ok:
+            return SandwichReport(m=m, c1=c1, R=R, violated=False)
+    return SandwichReport(m=R, c1=c1, R=R, violated=True, detail=NO_SHIFT)
+
+
+def sandwich_on(h3_values, h2):
+    """prop_main_check with the two coefficient tables given, not computed."""
+    C3 = closure([parse_cycles("(1 2 3)", 3)], 3)
+    spec = TwistSpec(q=7, e=1, ctx=find_cyclic_complement(C3, C3))
+    R = len(h3_values) - 1
+    h3 = CoefficientTable(q=spec.q, values=dict(enumerate(h3_values)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(series, "brute_force_h3", lambda blocks, q, R: h3)
+        mp.setattr(series, "h2_desk_scale", lambda G, N, spec, R: h2)
+        return prop_main_check(C3, C3, spec, R), oracle_sandwich(h3, h2, R)
+
+
 class TestPropMain:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_prefix_sums_match_the_oracle(self, data):
+        R = data.draw(st.integers(0, 30), label="R")
+        # many zeros, as in a lacunary h3, and none below a drawn start, so
+        # that h2 can come first; r = 0 is drawn too and must be left out of
+        # every sum
+        term = st.one_of(st.just(0), st.integers(1, 10), st.integers(1, 10**6))
+        values = data.draw(st.lists(term, min_size=R + 1, max_size=R + 1), label="h3")
+        start = data.draw(st.one_of(st.just(1), st.integers(1, R + 1)), label="start")
+        h3_values = [v if r == 0 or r >= start else 0 for r, v in enumerate(values)]
+        h2 = data.draw(
+            st.dictionaries(st.integers(1, max(R, 1)), st.integers(0, 10**6), max_size=6),
+            label="h2",
+        )
+        got, want = sandwich_on(h3_values, h2)
+        assert want.detail != NO_SHIFT
+        assert got == want
+
+    def test_h2_positive_where_h3_is_zero_is_violated(self):
+        got, want = sandwich_on([1, 0, 0, 4, 9], {2: 7})
+        assert got == want
+        assert got == SandwichReport(
+            m=0, c1=Fraction(0), R=4, violated=True, detail="h2 positive but h3 zero below R'=3"
+        )
+
+    def test_matches_the_oracle_on_criterion_8(self):
+        from test_acceptance import ABELIAN_SANDWICH
+
+        S3 = closure([parse_cycles("(1 2)", 3), parse_cycles("(1 2 3)", 3)], 3)
+        cases = [(S3, 7, 12)] + [
+            (spec.group(), abelian_q(label)[0], ABELIAN_SANDWICH[label][0])
+            for label, spec in sorted(abelian_suite().items())
+        ]
+        for N, q, R in cases:
+            spec = TwistSpec(q=q, e=1, ctx=find_cyclic_complement(N, N))
+            h2 = h2_desk_scale(N, N, spec, R)
+            h3 = brute_force_h3(orbit_blocks(spec, restrict_minimal=False), q, R)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(series, "h2_desk_scale", lambda G, N, spec, R: h2)
+                got = prop_main_check(N, N, spec, R)
+            assert got == oracle_sandwich(h3, h2, R)
+
     def test_s3_desk_scale(self):
         G = closure([parse_cycles("(1 2)", 3), parse_cycles("(1 2 3)", 3)], 3)
         ctx = find_cyclic_complement(G, G)
