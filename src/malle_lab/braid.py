@@ -73,10 +73,9 @@ from .perms import Permutation, product
 # one orbit.  Each search reads its cap once per call.
 NODE_CAP = 10**8
 VISITED_CAP = 10**7
-# Cache bounds: more (G, N) pairs and generation tests than one braid
-# session touches, so a bound costs no recomputation in practice.
+# Pair cache bound: h2_desk_scale calls braid_orbits once per class vector
+# on the same (G, N), so the tables of recent pairs are reused.
 PAIR_CACHE_SIZE = 16
-GENERATES_CACHE_SIZE = 2**16
 
 FROBENIUS_MODEL_WARNING = (
     "orbit-level Frobenius stability uses the entrywise twisted-power "
@@ -289,10 +288,6 @@ class _IndexedPair:
         """The least image of t under the conjugation rows (a minimal image)."""
         return self.least_image(t)[0]
 
-    @lru_cache(maxsize=GENERATES_CACHE_SIZE)
-    def generates(self, entries: frozenset[int]) -> bool:
-        return _closure_order(self.G, entries) == self.G.order
-
 
 def _closure_order(G: FiniteGroup, entries: Collection[int]) -> int:
     """Order of the subgroup of G generated by the elements indexed by entries."""
@@ -341,7 +336,8 @@ def _enumerate_idx(
     G = ctx.G
     mul, inv, class_ids, index = G.mul, G.inv, G.class_ids, G.index
     identity = index[G.identity]
-    generates = ctx.generates
+    # entry set -> does it generate G; lives for this call only
+    generates: dict[frozenset[int], bool] = {}
     classes = G.conjugacy_classes()
     members = [[index[m] for m in c.members] for c in classes]
     # N permutes the classes of G: each row sends the class of a
@@ -393,7 +389,10 @@ def _enumerate_idx(
                         and (len(stabiliser) == 1 or all(r[last] >= last for r in stabiliser))
                     ):
                         entries.append(last)
-                        if generates(frozenset(entries)):
+                        key = frozenset(entries)
+                        if key not in generates:
+                            generates[key] = _closure_order(G, key) == G.order
+                        if generates[key]:
                             out.append(tuple(entries))
                         entries.pop()
                 entries.pop()

@@ -190,8 +190,7 @@ def cmd_braid(args) -> dict:
     }
     if args.q is not None:
         q = require_q(args, N)
-        e = args.e if args.e is not None else 1
-        spec = inv.TwistSpec(q=q, e=e, ctx=ctx)
+        spec = inv.TwistSpec(q=q, e=args.e, ctx=ctx)
         stable = braid_mod.frobenius_stable_orbits(orbits, spec)
         outputs["stable_orbit_count"] = len(stable)
         warnings.append(braid_mod.FROBENIUS_MODEL_WARNING)
@@ -201,9 +200,8 @@ def cmd_braid(args) -> dict:
 def cmd_series(args) -> dict:
     N, G, ctx = resolve_pair(args)
     q = require_q(args, N)
-    e = args.e if args.e is not None else 1
-    R = args.terms if args.terms is not None else 40
-    spec = inv.TwistSpec(q=q, e=e, ctx=ctx)
+    R = args.terms
+    spec = inv.TwistSpec(q=q, e=args.e, ctx=ctx)
     warnings = []
     if not ctx.split:
         warnings.append(inv.NON_SPLIT_WARNING)
@@ -258,10 +256,10 @@ def _check(expected, got, ok: bool | None = None) -> dict:
 def _verify_klueners_s6(preset) -> tuple[dict, list[str]]:
     spec = preset.spec
     N = spec.group()
-    G1 = spec.subgroup("G1")
+    exp = preset.expected
+    G1 = spec.subgroup(exp["subgroup"])
     ctx = find_cyclic_complement(N, G1)
     checks = {}
-    exp = preset.expected
     a = a_invariant(G1)
     checks["a"] = _check(exp["a"], a)
     formulas = {}  # distinct growth formulas over q, in q order
@@ -377,11 +375,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--group", help="path to a JSON group-spec file")
     parser.add_argument("--normal", help="name of a named subgroup to use as G")
     parser.add_argument("--q", type=int, help="field size, coprime to |N|")
-    parser.add_argument("--e", type=int, help="twist type (default 1)")
+    parser.add_argument("--e", type=int, default=1, help="twist type (default %(default)s)")
     parser.add_argument(
         "--classes", help="comma-separated cycle-notation class-vector entries"
     )
-    parser.add_argument("--terms", type=int, help="series truncation order R")
+    parser.add_argument("--terms", type=int, default=40, help="series order R (default %(default)s)")
     parser.add_argument("--preset", help="named preset scenario")
     parser.add_argument("--out", help="write the JSON report to this file")
     return parser

@@ -37,10 +37,6 @@ class BadModulus(MalleLabError):
     """The cyclotomic level is too small for the classes acted on."""
 
 
-class NoAdmissibleSubgroup(MalleLabError):
-    """No normal subgroup satisfies the constraints of the search."""
-
-
 class EnumerationCapExceeded(MalleLabError):
     """Tuple enumeration grew past the configured cap."""
 

@@ -19,7 +19,6 @@ from typing import Mapping
 from .errors import (
     BadModulus,
     InvariantViolation,
-    NoAdmissibleSubgroup,
     NonCyclicQuotient,
     NotAHomomorphism,
     NotSplit,
@@ -334,7 +333,6 @@ def revised_b(N: FiniteGroup, fieldspec: FieldSpec) -> RevisedBReport:
     a_N = a_invariant(N)
     rows: list[RevisedBRow] = []
     warnings: list[str] = []
-    best: int | None = None
     for G in candidates:
         quotient_order = N.order // G.order
         a_G = a_invariant(G) if G.order > 1 else None
@@ -353,18 +351,15 @@ def revised_b(N: FiniteGroup, fieldspec: FieldSpec) -> RevisedBReport:
                 rows.append(RevisedBRow(G.order, a_G, quotient_order, "skipped-nonsplit", None))
                 warnings.append(NON_SPLIT_WARNING)
                 continue
-            value = b_constant(ctx, fieldspec.q)
+            b = b_constant(ctx, fieldspec.q)
         else:
             phis = _surjective_phis(N, G, fieldspec.M)
             if not phis:
                 rows.append(RevisedBRow(G.order, a_G, quotient_order, "no-surjective-phi", None))
                 continue
-            value = max(b_phi(N, G, fieldspec.M, t) for t in phis)
-        rows.append(RevisedBRow(G.order, a_G, quotient_order, "ok", value))
-        best = value if best is None else max(best, value)
-    if best is None:
-        raise NoAdmissibleSubgroup(
-            "no normal subgroup with the required quotient and a(G) = a(N) "
-            "was admissible"
-        )
-    return RevisedBReport(value=best, rows=tuple(rows), warnings=tuple(sorted(set(warnings))))
+            b = max(b_phi(N, G, fieldspec.M, t) for t in phis)
+        rows.append(RevisedBRow(G.order, a_G, quotient_order, "ok", b))
+    # never empty: the G = N row is "ok" (N/N is cyclic and split, and the
+    # one phi table onto N/N is surjective)
+    value = max(r.b for r in rows if r.status == "ok")
+    return RevisedBReport(value=value, rows=tuple(rows), warnings=tuple(sorted(set(warnings))))

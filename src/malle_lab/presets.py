@@ -188,10 +188,7 @@ def _build_presets() -> dict[str, Preset]:
         name="abelian-suite",
         spec=_ABELIAN["C2xC2"],
         q_values=_ABELIAN_Q["C2xC2"],
-        expected={
-            "groups": tuple(sorted(_ABELIAN)),
-            "check": "b(G,N,q) <= b(N,N,q) for all cyclic-quotient G",
-        },
+        expected={},
         description="C2xC2, C4, C6, C3xC3 in regular representation",
     )
     presets["s3-clebsch"] = Preset(
@@ -207,7 +204,7 @@ def _build_presets() -> dict[str, Preset]:
         name="klueners-q",
         spec=_KLUENERS,
         q_values=(),
-        expected={"M": 3, "b_phi_max": 2, "subgroup": "G1"},
+        expected={"M": 3, "b_phi_max": 2},
         description="number-field variant of klueners-s6 at modulus M = 3",
     )
     return presets

@@ -28,11 +28,8 @@ def canonical(value: Any) -> Any:
         return value
     if isinstance(value, dict):
         return {str(k): canonical(v) for k, v in sorted(value.items(), key=lambda kv: str(kv[0]))}
-    if isinstance(value, (list, tuple, set, frozenset)):
-        items = [canonical(v) for v in value]
-        if isinstance(value, (set, frozenset)):
-            items.sort(key=json.dumps)
-        return items
+    if isinstance(value, (list, tuple)):
+        return [canonical(v) for v in value]
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 

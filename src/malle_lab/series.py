@@ -167,7 +167,6 @@ class FitSummary:
     spread: float
     window: float
     ok: bool
-    checkpoints: tuple[tuple[int, float], ...]
 
 
 def tauberian_fit(table: CoefficientTable, report: PoleReport) -> FitSummary:
@@ -188,20 +187,16 @@ def tauberian_fit(table: CoefficientTable, report: PoleReport) -> FitSummary:
     support = sorted(r for r, v in table.values.items() if r >= 1 and v > 0)
     if len(support) < 2:
         raise InsufficientRange("fewer than two nonzero coefficients")
-    checkpoints = []
+    ratios = []
     running = 0
     upper = support[len(support) // 2 :]
     for r in support:
         running += table.values[r]
         if r not in upper:
             continue
-        j = r + 1
-        X = float(q) ** j
+        X = float(q) ** (r + 1)
         denom = X**a * (math.log(X)) ** (b - 1)
-        checkpoints.append((j, running / denom))
-    ratios = [r for _, r in checkpoints if r > 0]
-    if not ratios:
-        raise InsufficientRange("no positive partial sums in the upper half")
+        ratios.append(running / denom)
     lo, hi = min(ratios), max(ratios)
     spread = hi / lo
     return FitSummary(
@@ -210,7 +205,6 @@ def tauberian_fit(table: CoefficientTable, report: PoleReport) -> FitSummary:
         spread=spread,
         window=FIT_WINDOW,
         ok=spread <= FIT_WINDOW,
-        checkpoints=tuple(checkpoints),
     )
 
 

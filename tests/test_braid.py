@@ -1,8 +1,10 @@
 """Nielsen tuples, braid moves, orbit enumeration, stability model."""
 
+import gc
+import weakref
 from collections import Counter
 from functools import lru_cache
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, islice
 from itertools import product as iproduct
 
 import pytest
@@ -315,6 +317,10 @@ def oracle_enumerate_idx(ctx, cv, node_cap=braid.NODE_CAP):
     nodes = 0
     entries = []
 
+    @lru_cache(maxsize=None)  # one call's entry sets, as in _enumerate_idx
+    def generates(key):
+        return braid._closure_order(G, key) == G.order
+
     def dfs(pos, prefix):
         nonlocal nodes
         nodes += 1
@@ -328,7 +334,7 @@ def oracle_enumerate_idx(ctx, cv, node_cap=braid.NODE_CAP):
             cid = class_ids[last]
             if counts.get(cid, 0) > 0 and last != identity:
                 entries.append(last)
-                if ctx.generates(frozenset(entries)):
+                if generates(frozenset(entries)):
                     out.append(tuple(entries))
                 entries.pop()
             return
@@ -883,4 +889,18 @@ class TestCaps:
 
 def test_caches_are_bounded():
     assert braid._indexed.cache_info().maxsize == braid.PAIR_CACHE_SIZE == 16
-    assert braid._IndexedPair.generates.cache_info().maxsize == braid.GENERATES_CACHE_SIZE == 2**16
+
+
+def test_evicted_pairs_are_freed():
+    # a cache that held a pair past its eviction from _indexed (one keyed on
+    # the pair, say) would keep its conjugation tables alive
+    braid._indexed.cache_clear()
+    G = s3()
+    braid_orbits(G, G, class_vector_of(G, [parse_cycles("(1 2)", 3)] * 4))
+    pair = weakref.ref(braid._indexed(G, G))
+    # distinct <(a b c)> in S6, one per 3-subset of the points
+    for a, b, c in islice(combinations(range(1, 7), 3), braid.PAIR_CACHE_SIZE):
+        H = closure([parse_cycles(f"({a} {b} {c})", 6)], 6)
+        braid._indexed(H, H)
+    gc.collect()
+    assert pair() is None

@@ -193,6 +193,21 @@ class TestSeriesCommand:
         assert any("skipped" in w for w in report["warnings"])
 
 
+class TestDefaults:
+    SERIES = ("series", "--preset", "klueners-s6", "--normal", "G1", "--q", "5")
+    BRAID = ("braid", "--preset", "klueners-s6", "--normal", "G1", "--q", "5",
+             "--classes", "(1 2 3),(1 3 2),(4 5 6),(4 6 5)")
+
+    @pytest.mark.parametrize(
+        "argv, option",
+        [(SERIES, ("--terms", "40")), (SERIES, ("--e", "1")), (BRAID, ("--e", "1"))],
+    )
+    def test_omitted_option_reads_its_default(self, capsys, argv, option):
+        code, implicit, _ = run(capsys, *argv)
+        assert code == 0
+        assert run(capsys, *argv, *option) == (0, implicit, "")
+
+
 class TestConjectureCommand:
     def test_klueners(self, capsys):
         code, out, _ = run(capsys, "conjecture", "--preset", "klueners-s6", "--q", "5")
@@ -242,6 +257,24 @@ class TestVerifyCommand:
         assert code == 3
         assert asymptotic["got"] == "X^{1/2} log X; X^{1/2} (log X)^2"
         assert asymptotic["ok"] is False
+
+    def test_klueners_checks_the_expected_subgroup(self, capsys, monkeypatch):
+        import malle_lab.cli as cli
+        from malle_lab.presets import get_preset
+
+        real = get_preset("klueners-s6")
+        # G2 = <(1 2 3)(4 6 5)> has a = 1/4, not the expected 1/2
+        moved = type(real)(
+            name=real.name,
+            spec=real.spec,
+            q_values=real.q_values,
+            expected={**real.expected, "subgroup": "G2"},
+            description=real.description,
+        )
+        monkeypatch.setattr(cli, "get_preset", lambda name: moved)
+        code, out, _ = run(capsys, "verify", "--preset", "klueners-s6")
+        assert code == 3
+        assert json.loads(out)["outputs"]["checks"]["a"] == {"expected": "1/2", "got": "1/4", "ok": False}
 
 
 class TestPresetsCommand:

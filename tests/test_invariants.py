@@ -1,8 +1,10 @@
 """Twisted class orbits, b-constants, and the cyclotomic variant."""
 
+from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iproduct
+from math import lcm
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -20,6 +22,7 @@ from malle_lab.groups import (
     closure,
     find_cyclic_complement,
     normal_subgroups_with_abelian_quotient,
+    normal_subgroups_with_cyclic_quotient,
     subgroup_generated,
 )
 from malle_lab.invariants import (
@@ -41,6 +44,7 @@ from malle_lab.invariants import (
 )
 from malle_lab.perms import Permutation, parse_cycles
 from malle_lab.presets import abelian_suite, get_preset
+from malle_lab.series import h2_desk_scale
 from test_groups import permutations_of
 
 
@@ -273,6 +277,19 @@ class TestRevisedB:
         assert statuses.count((2, "skipped-a")) == 4
         assert rep.value == 3
 
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+    @given(degree=st.sampled_from((5, 6)), data=st.data())
+    def test_the_g_equals_n_row_is_always_ok(self, degree, data):
+        # revised_b's value is a max over the "ok" rows, never empty
+        N = closure(data.draw(st.lists(permutations_of(degree), min_size=1, max_size=3)), degree)
+        assume(1 < N.order <= 72)
+        q = next(p for p in (2, 3, 5, 7, 11) if N.order % p)
+        exponent = lcm(*(g.order() for g in N.elements))
+        for fieldspec in (FunctionField(q), RationalNumberField(M=exponent)):
+            rep = revised_b(N, fieldspec)
+            assert [r.status for r in rep.rows if r.G_order == N.order] == ["ok"]
+            assert rep.value == max(r.b for r in rep.rows if r.status == "ok")
+
 
 # ---------------------------------------------------------------------------
 # Oracles: the earlier surjective-phi search and union-find b_phi, kept verbatim
@@ -460,3 +477,32 @@ def test_point_relabelling_changes_no_invariant(degree, data):
     # b_e counts orbits on C(G), and class sizes are orbit sizes of |G|
     assert b_N.value <= len(minimal_index_classes(N))
     assert all(N.order % c.size == 0 for c in N.conjugacy_classes())
+
+
+TWISTED = (("(1 2 3 4 5)", "(2 3 5 4)"), ("(1 2 3)", "(1 2)(3 4)"))
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(degree=st.sampled_from((5, 6)), data=st.data())
+def test_point_relabelling_keeps_the_twisted_tables(degree, data):
+    # a proper normal G with cyclic quotient, so tau is not the identity;
+    # C5 in F20 (d' = 4) and V4 in A4 (d' = 3) give b_table several e
+    twisted = st.sampled_from(TWISTED).map(lambda cs: [parse_cycles(c, degree) for c in cs])
+    drawn = st.lists(permutations_of(degree), min_size=1, max_size=3)
+    N = closure(data.draw(st.one_of(twisted, drawn)), degree)
+    assume(1 < N.order <= 72)
+    proper = [G for G in normal_subgroups_with_cyclic_quotient(N) if 1 < G.order < N.order]
+    assume(proper)
+    G = data.draw(st.sampled_from(proper), label="G")
+    sigma = Permutation(data.draw(st.permutations(range(1, degree + 1)), label="sigma"))
+    M, H = (closure([g.conjugate_by(sigma) for g in K.generators], degree) for K in (N, G))
+    ctx, image = find_cyclic_complement(N, G), find_cyclic_complement(M, H)
+    assert not ctx.tau.is_identity
+    assert (image.split, image.d_prime) == (ctx.split, ctx.d_prime)
+    # each side picks its own tau; another generator of N/G only permutes e
+    assert sorted(b_table(image, 7).by_e.values()) == sorted(b_table(ctx, 7).by_e.values())
+    # h2 with tau carried along by sigma
+    moved = replace(ctx, N=M, G=H, tau=ctx.tau.conjugate_by(sigma))
+    assert h2_desk_scale(H, M, TwistSpec(q=7, e=1, ctx=moved), 8) == h2_desk_scale(
+        G, N, TwistSpec(q=7, e=1, ctx=ctx), 8
+    )

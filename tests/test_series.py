@@ -259,6 +259,12 @@ class TestTauberianFit:
         with pytest.raises(InsufficientRange):
             tauberian_fit(expand(gf, 20), dominant_pole(gf))
 
+    def test_one_nonzero_coefficient(self):
+        # R >= 40, but the only term past r = 0 sits at r = 30
+        gf = RationalGF(q=2, factors=((1, 30),))
+        with pytest.raises(InsufficientRange, match="fewer than two"):
+            tauberian_fit(expand(gf, 40), dominant_pole(gf))
+
 
 class TestH2DeskScale:
     def test_abelian_single_orbit_per_rational_vector(self):
