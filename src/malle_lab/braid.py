@@ -63,7 +63,6 @@ from .errors import (
     InvariantViolation,
     NotASubgroup,
     TrivialClassPresent,
-    UnknownSeed,
 )
 from .groups import FiniteGroup
 from .invariants import TwistSpec
@@ -472,24 +471,15 @@ def _orbit_partition(
     return orbits
 
 
-def braid_orbits(
-    G: FiniteGroup,
-    N: FiniteGroup,
-    cv: ClassVector,
-    _seed_order: Sequence[tuple[int, ...]] | None = None,
-) -> list[BraidOrbit]:
+def braid_orbits(G: FiniteGroup, N: FiniteGroup, cv: ClassVector) -> list[BraidOrbit]:
     """Partition Ni(cv) modulo N-conjugation into braid orbits.
 
     The result is canonically ordered (orbits sorted by their least
-    canonical representative) and independent of traversal order;
-    _seed_order, a sequence of canonical tuples (the `members` of the
-    orbits) to start searches from, exists to let tests check exactly that.
+    canonical representative) and so independent of traversal order.
     """
     ctx = _indexed(G, N)
     canonical = _enumerate_idx(ctx, cv)
-    if _seed_order is not None and not set(_seed_order) <= set(canonical):
-        raise UnknownSeed("every seed must be one of the canonical tuples")
-    parts = _orbit_partition(ctx, canonical if _seed_order is None else _seed_order)
+    parts = _orbit_partition(ctx, canonical)
     covered = sum(len(members) for members in parts)
     if covered != len(canonical):
         raise InvariantViolation(

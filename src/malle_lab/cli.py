@@ -1,6 +1,7 @@
 """Command-line entry point: malle-lab.
 
-Commands
+Commands; each takes only the flags its handler reads, after the command
+name (`malle-lab COMMAND --help` lists them):
   invariants  a, d, d', per-e twist-orbit counts, b, growth formula
   conjecture  revised constant: max b over admissible normal subgroups
   braid       orbit decomposition of the braid action for a class vector
@@ -8,8 +9,8 @@ Commands
   verify      run a named golden scenario and diff against expected values
   presets     list shipped scenarios
 
-Exit codes: 0 success, 1 computation error, 2 parse/validation error,
-3 golden mismatch.
+Exit codes: 0 success, 1 computation error, 2 usage error (argparse prints
+its usage line) or parse/validation error, 3 golden mismatch.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import argparse
 import json
 import math
 import sys
+from functools import cache
 
 from . import braid as braid_mod
 from . import errors as err
@@ -48,6 +50,12 @@ VALIDATION_ERRORS = (
 )
 
 
+def _cycle_strings(value, what: str) -> tuple[str, ...]:
+    if not isinstance(value, list) or not all(isinstance(s, str) for s in value):
+        raise err.ParseError(f"{what} must be a list of cycle-notation strings", position=0)
+    return tuple(value)
+
+
 def load_group_spec(path: str) -> GroupSpecFile:
     try:
         with open(path) as fh:
@@ -56,24 +64,23 @@ def load_group_spec(path: str) -> GroupSpecFile:
         raise err.ParseError(f"cannot read group file: {exc}", position=0)
     except json.JSONDecodeError as exc:
         raise err.ParseError(f"invalid JSON in group file: {exc}", position=exc.pos)
+    if not isinstance(data, dict) or not isinstance(data.get("named_subgroups", {}), dict):
+        raise err.ParseError("group file and its named_subgroups must be JSON objects", position=0)
     try:
         degree = int(data["degree"])
-        generators = tuple(str(s) for s in data["generators"])
-        named = {
-            str(k): tuple(str(s) for s in v)
-            for k, v in data.get("named_subgroups", {}).items()
-        }
     except (KeyError, TypeError) as exc:
         raise err.ParseError(f"malformed group file: {exc}", position=0)
+    named = {
+        name: _cycle_strings(gens, f"named subgroup {name!r}")
+        for name, gens in data.get("named_subgroups", {}).items()
+    }
+    generators = _cycle_strings(data.get("generators"), "generators")
     return GroupSpecFile(degree=degree, generators=generators, named_subgroups=named)
 
 
 def resolve_spec(args) -> GroupSpecFile:
-    if args.preset:
-        return get_preset(args.preset).spec
-    if not args.group:
-        raise err.ParseError("one of --group or --preset is required", position=0)
-    return load_group_spec(args.group)
+    # argparse admits exactly one of --group and --preset
+    return get_preset(args.preset).spec if args.group is None else load_group_spec(args.group)
 
 
 def resolve_pair(args) -> tuple[FiniteGroup, FiniteGroup, GNContext]:
@@ -87,8 +94,6 @@ def resolve_pair(args) -> tuple[FiniteGroup, FiniteGroup, GNContext]:
 
 
 def require_q(args, N: FiniteGroup) -> int:
-    if args.q is None:
-        raise err.ParseError("--q is required for this command", position=0)
     if math.gcd(args.q, N.order) != 1:
         raise err.ParseError(
             f"q = {args.q} shares a factor with |N| = {N.order}; "
@@ -177,8 +182,6 @@ def parse_class_vector(text: str, G: FiniteGroup) -> braid_mod.ClassVector:
 
 def cmd_braid(args) -> dict:
     N, G, ctx = resolve_pair(args)
-    if not args.classes:
-        raise err.ParseError("--classes is required for braid", position=0)
     cv = parse_class_vector(args.classes, G)
     orbits = braid_mod.braid_orbits(G, N, cv)
     warnings = []
@@ -345,8 +348,6 @@ _VERIFIERS = {
 
 
 def cmd_verify(args) -> dict:
-    if not args.preset:
-        raise err.ParseError("--preset is required for verify", position=0)
     preset = get_preset(args.preset)
     checks, warnings = _VERIFIERS[preset.name](preset)
     ok = all(c["ok"] for c in checks.values())
@@ -366,22 +367,33 @@ COMMANDS = {
 }
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """One sub-parser per command, declaring only the flags its handler reads."""
     parser = argparse.ArgumentParser(
         prog="malle-lab",
         description="permutation-group counting constants and braid orbits",
     )
-    parser.add_argument("command", choices=sorted(COMMANDS))
-    parser.add_argument("--group", help="path to a JSON group-spec file")
-    parser.add_argument("--normal", help="name of a named subgroup to use as G")
-    parser.add_argument("--q", type=int, help="field size, coprime to |N|")
-    parser.add_argument("--e", type=int, default=1, help="twist type (default %(default)s)")
-    parser.add_argument(
-        "--classes", help="comma-separated cycle-notation class-vector entries"
+    commands = parser.add_subparsers(dest="command", required=True)
+    sub = {name: commands.add_parser(name) for name in COMMANDS}
+    for name in ("invariants", "conjecture", "braid", "series"):
+        source = sub[name].add_mutually_exclusive_group(required=True)
+        source.add_argument("--group", help="path to a JSON group-spec file")
+        source.add_argument("--preset", help="named preset scenario")
+        if name != "conjecture":
+            sub[name].add_argument("--normal", help="name of a named subgroup to use as G")
+        sub[name].add_argument(
+            "--q", type=int, required=name != "braid", help="field size, coprime to |N|"
+        )
+    sub["braid"].add_argument(
+        "--classes", required=True, help="comma-separated cycle-notation class-vector entries"
     )
-    parser.add_argument("--terms", type=int, default=40, help="series order R (default %(default)s)")
-    parser.add_argument("--preset", help="named preset scenario")
-    parser.add_argument("--out", help="write the JSON report to this file")
+    for name in ("braid", "series"):
+        sub[name].add_argument("--e", type=int, default=1, help="twist type (default %(default)s)")
+    sub["series"].add_argument("--terms", type=int, default=40, help="series order R (default %(default)s)")
+    sub["verify"].add_argument("--preset", required=True, help="named preset scenario")
+    for p in sub.values():
+        p.add_argument("--out", help="write the JSON report to this file")
     return parser
 
 

@@ -49,10 +49,6 @@ class InvariantViolation(MalleLabError):
     """A computed result broke an invariant that the algorithm guarantees."""
 
 
-class UnknownSeed(MalleLabError):
-    """A braid-orbit seed is not one of the canonical tuples."""
-
-
 class IndexOutOfRange(MalleLabError, IndexError):
     """A braid generator index is outside 1..k-1."""
 

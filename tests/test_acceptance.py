@@ -270,6 +270,7 @@ def test_criterion_6_tauberian_shape():
 
 
 def test_criterion_7_braid_machinery():
+    from malle_lab import braid
     from malle_lab.braid import braid_orbits
 
     t0 = time.monotonic()
@@ -306,12 +307,11 @@ def test_criterion_7_braid_machinery():
     # traversal-order independence
     c = parse_cycles("(1 2 3)", 3)
     cv2 = class_vector_of(G, [t, t, c])
-    canonical = sorted(m for o in braid_orbits(G, G, cv2) for m in o.members)
-    a_run = braid_orbits(G, G, cv2, _seed_order=canonical)
-    b_run = braid_orbits(G, G, cv2, _seed_order=canonical[::-1])
-    if not a_run or [(o.canonical_rep, o.size, o.members) for o in a_run] != [
-        (o.canonical_rep, o.size, o.members) for o in b_run
-    ]:
+    ctx = braid._indexed(G, G)
+    seeds = braid._enumerate_idx(ctx, cv2)
+    a_run = sorted(sorted(part) for part in braid._orbit_partition(ctx, seeds))
+    b_run = sorted(sorted(part) for part in braid._orbit_partition(ctx, seeds[::-1]))
+    if not a_run or a_run != b_run:
         ok = False
     verdict(7, ok, "braid relations, Clebsch connectivity, traversal independence", t0)
 

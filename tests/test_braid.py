@@ -28,7 +28,6 @@ from malle_lab.errors import (
     IndexOutOfRange,
     InvariantViolation,
     TrivialClassPresent,
-    UnknownSeed,
 )
 from malle_lab.groups import closure, derived_subgroup, find_cyclic_complement
 from malle_lab.invariants import TwistSpec
@@ -259,24 +258,23 @@ class TestOrbits:
         t = parse_cycles("(1 2)", 3)
         c = parse_cycles("(1 2 3)", 3)
         cv = class_vector_of(G, [t, t, c])
-        canonical = sorted(m for o in braid_orbits(G, G, cv) for m in o.members)
-        a = braid_orbits(G, G, cv, _seed_order=canonical)
-        b = braid_orbits(G, G, cv, _seed_order=canonical[::-1])
-        assert a and b
-        assert [(o.canonical_rep, o.size, o.members) for o in a] == [
-            (o.canonical_rep, o.size, o.members) for o in b
-        ]
+        ctx = braid._indexed(G, G)
+        seeds = braid._enumerate_idx(ctx, cv)
+        a = sorted(sorted(part) for part in braid._orbit_partition(ctx, seeds))
+        b = sorted(sorted(part) for part in braid._orbit_partition(ctx, seeds[::-1]))
+        assert a and a == b
+        # braid_orbits is this partition, sorted by least member
+        assert [sorted(o.members) for o in braid_orbits(G, G, cv)] == a
 
-    # a string is a sequence of characters, none of them a tuple; an empty
-    # seed list leaves every canonical tuple outside the partition
-    @pytest.mark.parametrize("seeds,error", [("sorted", UnknownSeed), ([], InvariantViolation)])
-    def test_seed_order_must_be_canonical_and_cover_every_tuple(self, seeds, error):
+    def test_orbit_sizes_must_cover_every_canonical_tuple(self, monkeypatch):
         G = s3()
         t = parse_cycles("(1 2)", 3)
         c = parse_cycles("(1 2 3)", 3)
         cv = class_vector_of(G, [t, t, c])
-        with pytest.raises(error):
-            braid_orbits(G, G, cv, _seed_order=seeds)
+        partition = braid._orbit_partition
+        monkeypatch.setattr(braid, "_orbit_partition", lambda ctx, seeds: partition(ctx, seeds)[1:])
+        with pytest.raises(InvariantViolation, match="orbit sizes sum to"):
+            braid_orbits(G, G, cv)
 
     def test_klueners_g1_orbit(self):
         N = klueners()

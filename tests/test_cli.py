@@ -1,11 +1,19 @@
 """CLI dispatch, exit codes, report determinism."""
 
 import json
+import os
+import shlex
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from malle_lab.cli import main
+from malle_lab.cli import build_parser, main
 from malle_lab.presets import preset_names
+
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def run(capsys, *argv):
@@ -114,6 +122,94 @@ class TestValidationErrors:
     def test_unknown_command(self, capsys):
         code, _, _ = run(capsys, "frobnicate")
         assert code == 2
+
+    def test_group_and_preset_together(self, capsys, klueners_file):
+        code, out, err = run(
+            capsys, "conjecture", "--group", klueners_file, "--preset", "klueners-s6", "--q", "5"
+        )
+        assert (code, out) == (2, "")
+        assert "not allowed with" in err
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            [6, ["(1 2 3)"]],
+            {"degree": 6, "generators": "(1 2 3)"},
+            {"degree": 6, "generators": ["(1 2 3)"], "named_subgroups": []},
+            {"degree": 6, "generators": ["(1 2 3)"], "named_subgroups": {"H": "(1 2 3)"}},
+            {"degree": 6, "generators": ["(1 2 3)"], "named_subgroups": {"H": [123]}},
+        ],
+    )
+    def test_malformed_group_file(self, capsys, tmp_path, data):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(
+            capsys, "invariants", "--group", str(path), "--normal", "H", "--q", "5"
+        )
+        assert (code, out) == (2, "")
+        assert json.loads(err)["code"] == "ParseError"
+        assert "list of cycle-notation strings" in err or "JSON objects" in err
+
+
+# The only flags each command takes; every other (command, flag) pair exits 2.
+COMMAND_FLAGS = {
+    "invariants": ["--group", "--preset", "--normal", "--q", "--out"],
+    "conjecture": ["--group", "--preset", "--q", "--out"],
+    "braid": ["--group", "--preset", "--normal", "--classes", "--q", "--e", "--out"],
+    "series": ["--group", "--preset", "--normal", "--q", "--e", "--terms", "--out"],
+    "verify": ["--preset", "--out"],
+    "presets": ["--out"],
+}
+ALL_FLAGS = ["--group", "--preset", "--normal", "--q", "--e", "--classes", "--terms", "--out"]
+VALID = {
+    "invariants": ["--preset", "klueners-s6", "--normal", "G1", "--q", "5"],
+    "conjecture": ["--preset", "klueners-s6", "--q", "5"],
+    "braid": ["--preset", "klueners-s6", "--normal", "G1", "--classes", "(1 2 3),(1 3 2)"],
+    "series": ["--preset", "klueners-s6", "--normal", "G1", "--q", "5", "--terms", "12"],
+    "verify": ["--preset", "s3-clebsch"],
+    "presets": [],
+}
+UNREAD = [(c, f) for c in COMMAND_FLAGS for f in ALL_FLAGS if f not in COMMAND_FLAGS[c]]
+
+
+class TestFlagsPerCommand:
+    def test_pair_counts(self):
+        assert sum(map(len, COMMAND_FLAGS.values())) == 26
+        assert len(UNREAD) == 48 - 26
+
+    @pytest.mark.parametrize("command", sorted(COMMAND_FLAGS))
+    def test_each_command_declares_exactly_its_flags(self, command):
+        args = build_parser().parse_args([command, *VALID[command]])
+        declared = {f"--{dest}" for dest in vars(args)} - {"--command"}
+        assert declared == set(COMMAND_FLAGS[command])
+
+    @pytest.mark.parametrize("command, flag", UNREAD)
+    def test_unread_flag_exits_2(self, capsys, command, flag):
+        code, out, err = run(capsys, command, *VALID[command], flag, "1")
+        assert (code, out) == (2, "")
+        assert f"unrecognized arguments: {flag} 1" in err
+
+    def test_flags_must_follow_the_command(self, capsys):
+        code, out, err = run(capsys, "--q", "5", "conjecture", "--preset", "klueners-s6")
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: malle-lab")
+
+    def test_parser_is_built_once_and_not_at_import(self):
+        assert build_parser() is build_parser()
+        probe = "import malle_lab.cli as c; print(c.build_parser.cache_info().currsize)"
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        built = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env
+        )
+        assert built.stdout.strip() == "0"
+
+    def test_readme_examples_parse(self):
+        block = README.read_text().split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+        lines = block.replace("\\\n", " ").splitlines()
+        examples = [shlex.split(line)[1:] for line in lines if line.startswith("malle-lab ")]
+        assert len(examples) >= len(COMMAND_FLAGS)
+        for argv in examples:
+            build_parser().parse_args(argv)
 
 
 class TestBraidCommand:
