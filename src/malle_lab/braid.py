@@ -125,11 +125,6 @@ class ClassVector:
     def length(self) -> int:
         return sum(m for _, m in self.multiplicities)
 
-    @property
-    def weight(self) -> int:
-        classes = {c.class_id: c for c in self.group.conjugacy_classes()}
-        return sum(m * classes[cid].index for cid, m in self.multiplicities)
-
     def __add__(self, other: "ClassVector") -> "ClassVector":
         if other.group != self.group:
             raise ValueError("class vectors of different groups")
@@ -160,7 +155,11 @@ def class_vector_of(group: FiniteGroup, entries: Sequence[Permutation]) -> Class
 
 @dataclass(frozen=True)
 class NielsenTuple:
-    """A product-one generating tuple of nontrivial elements of a group."""
+    """A product-one tuple of nontrivial elements of a group.
+
+    Generation is not checked here (a check would slow every enumerated
+    tuple); the enumerators build only generating tuples.
+    """
 
     group: FiniteGroup = field(compare=False)
     entries: tuple[Permutation, ...]
@@ -413,16 +412,18 @@ def enumerate_nielsen(G: FiniteGroup, cv: ClassVector) -> list[NielsenTuple]:
     ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BraidOrbit:
-    """One orbit of the braid moves on N-conjugation classes of tuples."""
+    """One orbit of the braid moves on N-conjugation classes of tuples.
 
-    group: FiniteGroup = field(compare=False)
-    ambient: FiniteGroup = field(compare=False)
-    canonical_rep: NielsenTuple = field(compare=False)
+    The tuples lie in canonical_rep.group (G) and ambient is N.  An orbit
+    equals only itself.
+    """
+
+    ambient: FiniteGroup
+    canonical_rep: NielsenTuple
     size: int
-    class_vector: ClassVector
-    members: frozenset = field(compare=False, repr=False)
+    members: frozenset
 
     def __repr__(self) -> str:
         return f"BraidOrbit(size={self.size}, rep={self.canonical_rep.entries!r})"
@@ -489,11 +490,9 @@ def braid_orbits(G: FiniteGroup, N: FiniteGroup, cv: ClassVector) -> list[BraidO
     for rep, members in sorted((min(members), members) for members in parts):
         orbits.append(
             BraidOrbit(
-                group=G,
                 ambient=N,
                 canonical_rep=NielsenTuple(G, tuple(G.elements[i] for i in rep)),
                 size=len(members),
-                class_vector=cv,
                 members=frozenset(members),
             )
         )
@@ -507,15 +506,15 @@ def frobenius_stable_orbits(
 
     The model maps each entry g to spec.image(g) = t_e(g).  If the
     image tuple is no longer product-one (powering is not a homomorphism),
-    the orbit is reported unstable.
+    the orbit is reported unstable.  Each orbit is decided on its own, so
+    the orbits may come from several class vectors; they must all be
+    orbits of the pair (spec.ctx.G, spec.ctx.N).
     """
     if not orbits:
         return []
-    G = orbits[0].group
-    N = orbits[0].ambient
-    cv = orbits[0].class_vector
-    if any(o.class_vector != cv for o in orbits):
-        raise ValueError("orbits must share one class vector")
+    G, N = spec.ctx.G, spec.ctx.N
+    if any((o.canonical_rep.group, o.ambient) != (G, N) for o in orbits):
+        raise ValueError("an orbit of another (G, N) than spec.ctx")
     ctx = _indexed(G, N)
     index = G.index
     twist = [index[spec.image(g)] for g in G.elements]

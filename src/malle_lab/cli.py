@@ -19,6 +19,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict
 from functools import cache
 
 from . import braid as braid_mod
@@ -43,7 +44,6 @@ VALIDATION_ERRORS = (
     err.UnknownPreset,
     err.BadModulus,
     err.NotASubgroup,
-    err.IndexOutOfRange,
     err.TrivialClassPresent,
     ValueError,
     KeyError,
@@ -66,10 +66,9 @@ def load_group_spec(path: str) -> GroupSpecFile:
         raise err.ParseError(f"invalid JSON in group file: {exc}", position=exc.pos)
     if not isinstance(data, dict) or not isinstance(data.get("named_subgroups", {}), dict):
         raise err.ParseError("group file and its named_subgroups must be JSON objects", position=0)
-    try:
-        degree = int(data["degree"])
-    except (KeyError, TypeError) as exc:
-        raise err.ParseError(f"malformed group file: {exc}", position=0)
+    degree = data.get("degree")
+    if type(degree) is not int or degree < 1:
+        raise err.ParseError(f"degree must be a JSON integer >= 1, got {degree!r}", position=0)
     named = {
         name: _cycle_strings(gens, f"named subgroup {name!r}")
         for name, gens in data.get("named_subgroups", {}).items()
@@ -83,14 +82,13 @@ def resolve_spec(args) -> GroupSpecFile:
     return get_preset(args.preset).spec if args.group is None else load_group_spec(args.group)
 
 
-def resolve_pair(args) -> tuple[FiniteGroup, FiniteGroup, GNContext]:
+def resolve_pair(args) -> GNContext:
     spec = resolve_spec(args)
     N = spec.group()
     G = spec.subgroup(args.normal) if args.normal else N
     if not G.is_normal_in(N):
         raise err.NotASubgroup(f"{args.normal!r} is not normal in the main group")
-    ctx = find_cyclic_complement(N, G)
-    return N, G, ctx
+    return find_cyclic_complement(N, G)
 
 
 def require_q(args, N: FiniteGroup) -> int:
@@ -103,11 +101,11 @@ def require_q(args, N: FiniteGroup) -> int:
     return args.q
 
 
-def ctx_inputs(N: FiniteGroup, G: FiniteGroup, ctx: GNContext, q=None) -> dict:
+def ctx_inputs(ctx: GNContext, q=None) -> dict:
     out = {
-        "n": N.degree,
-        "order_N": N.order,
-        "order_G": G.order,
+        "n": ctx.N.degree,
+        "order_N": ctx.N.order,
+        "order_G": ctx.G.order,
         "d": ctx.d,
         "d_prime": ctx.d_prime,
         "split": ctx.split,
@@ -118,13 +116,13 @@ def ctx_inputs(N: FiniteGroup, G: FiniteGroup, ctx: GNContext, q=None) -> dict:
 
 
 def cmd_invariants(args) -> dict:
-    N, G, ctx = resolve_pair(args)
-    q = require_q(args, N)
+    ctx = resolve_pair(args)
+    q = require_q(args, ctx.N)
     warnings = []
     if not ctx.split:
         warnings.append(inv.NON_SPLIT_WARNING)
     report = inv.b_table(ctx, q)
-    a = a_invariant(G)
+    a = a_invariant(ctx.G)
     outputs = {
         "a": a,
         "b": report.value,
@@ -133,10 +131,10 @@ def cmd_invariants(args) -> dict:
         "asymptotic": inv.render_growth(a, report.value),
         "minimal_index": int(1 / a),
         "minimal_classes": sorted(
-            format_cycles(c.representative) for c in inv.minimal_index_classes(G)
+            format_cycles(c.representative) for c in inv.minimal_index_classes(ctx.G)
         ),
     }
-    return build_report("invariants", ctx_inputs(N, G, ctx, q), outputs, warnings)
+    return build_report("invariants", ctx_inputs(ctx, q), outputs, warnings)
 
 
 def cmd_conjecture(args) -> dict:
@@ -181,9 +179,9 @@ def parse_class_vector(text: str, G: FiniteGroup) -> braid_mod.ClassVector:
 
 
 def cmd_braid(args) -> dict:
-    N, G, ctx = resolve_pair(args)
-    cv = parse_class_vector(args.classes, G)
-    orbits = braid_mod.braid_orbits(G, N, cv)
+    ctx = resolve_pair(args)
+    cv = parse_class_vector(args.classes, ctx.G)
+    orbits = braid_mod.braid_orbits(ctx.G, ctx.N, cv)
     warnings = []
     outputs: dict = {
         "class_vector": repr(cv),
@@ -192,17 +190,17 @@ def cmd_braid(args) -> dict:
         "tuple_count": sum(o.size for o in orbits),
     }
     if args.q is not None:
-        q = require_q(args, N)
+        q = require_q(args, ctx.N)
         spec = inv.TwistSpec(q=q, e=args.e, ctx=ctx)
         stable = braid_mod.frobenius_stable_orbits(orbits, spec)
         outputs["stable_orbit_count"] = len(stable)
         warnings.append(braid_mod.FROBENIUS_MODEL_WARNING)
-    return build_report("braid", ctx_inputs(N, G, ctx, args.q), outputs, warnings)
+    return build_report("braid", ctx_inputs(ctx, args.q), outputs, warnings)
 
 
 def cmd_series(args) -> dict:
-    N, G, ctx = resolve_pair(args)
-    q = require_q(args, N)
+    ctx = resolve_pair(args)
+    q = require_q(args, ctx.N)
     R = args.terms
     spec = inv.TwistSpec(q=q, e=args.e, ctx=ctx)
     warnings = []
@@ -223,17 +221,10 @@ def cmd_series(args) -> dict:
         "coefficients": {str(r): v for r, v in sorted(table.values.items())},
     }
     if R >= 40:
-        fit = ser.tauberian_fit(table, pole)
-        outputs["fit"] = {
-            "min_ratio": fit.min_ratio,
-            "max_ratio": fit.max_ratio,
-            "spread": fit.spread,
-            "window": fit.window,
-            "ok": fit.ok,
-        }
+        outputs["fit"] = asdict(ser.tauberian_fit(table, pole))
     else:
         warnings.append("tauberian fit skipped: fewer than 40 terms")
-    return build_report("series", ctx_inputs(N, G, ctx, q), outputs, warnings)
+    return build_report("series", ctx_inputs(ctx, q), outputs, warnings)
 
 
 def cmd_presets(args) -> dict:
@@ -405,12 +396,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2 if exc.code else 0
     try:
         report = COMMANDS[args.command](args)
-    except VALIDATION_ERRORS as exc:
+    except (*VALIDATION_ERRORS, err.MalleLabError) as exc:
         print(json.dumps({"error": str(exc), "code": type(exc).__name__}), file=sys.stderr)
-        return 2
-    except err.MalleLabError as exc:
-        print(json.dumps({"error": str(exc), "code": type(exc).__name__}), file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, VALIDATION_ERRORS) else 1
     exit_code = report.pop("exit_hint", 0)
     text = dump_report(report)
     if args.out:

@@ -7,7 +7,7 @@ subgroups, complements — is deterministic across runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from math import gcd
@@ -111,9 +111,8 @@ class FiniteGroup:
 
 @dataclass(frozen=True)
 class ConjugacyClass:
-    """A conjugacy class of `ambient`, with a stable class_id."""
+    """A conjugacy class of a group, with a stable class_id."""
 
-    ambient: FiniteGroup = field(compare=False)
     representative: Permutation
     members: tuple[Permutation, ...]
     class_id: int
@@ -179,7 +178,7 @@ def _compute_classes(G: FiniteGroup) -> tuple[list[ConjugacyClass], list[int]]:
                 if class_ids[G.index[z]] < 0:
                     class_ids[G.index[z]] = cid
                     orbit.append(z)
-        classes.append(ConjugacyClass(G, g, tuple(sorted(orbit)), cid))
+        classes.append(ConjugacyClass(g, tuple(sorted(orbit)), cid))
     return classes, class_ids
 
 

@@ -127,9 +127,6 @@ class Permutation:
         """Degree minus the number of orbits on points (fixed points count)."""
         return self.degree - len(self.cycles(include_fixed=True))
 
-    def cycle_type(self) -> tuple[int, ...]:
-        return tuple(sorted(len(c) for c in self.cycles(include_fixed=True)))
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Permutation) and self.images == other.images
 

@@ -176,7 +176,6 @@ def _build_presets() -> dict[str, Preset]:
         expected={
             "a": Fraction(1, 4),
             "b": 1,
-            "asymptotic": "X^{1/4}",
             "subgroups": ("A", "B", "C", "D"),
         },
         description=(

@@ -69,7 +69,6 @@ class CoefficientTable:
 class PoleReport:
     a: Fraction
     b: int
-    dominant_radius: float
     caveat: str = EQUAL_MODULUS_CAVEAT
 
 
@@ -155,7 +154,7 @@ def dominant_pole(gf: RationalGF) -> PoleReport:
         raise ValueError("empty generating function")
     a = max(Fraction(c, r) for c, r in gf.factors)
     b = sum(1 for c, r in gf.factors if Fraction(c, r) == a)
-    return PoleReport(a=a, b=b, dominant_radius=float(gf.q) ** (-float(a)))
+    return PoleReport(a=a, b=b)
 
 
 @dataclass(frozen=True)
@@ -221,8 +220,11 @@ def h2_desk_scale(
     accumulate count * q^length at r = weight.  A search that exceeds
     braid.NODE_CAP or braid.VISITED_CAP raises EnumerationCapExceeded; its
     partial is the table of the weights below the one whose search hit
-    the cap, each summed over all of its block combinations.
+    the cap, each summed over all of its block combinations.  (G, N) must
+    be the pair of spec.ctx.
     """
+    if (G, N) != (spec.ctx.G, spec.ctx.N):
+        raise ValueError("(G, N) is not the pair of spec.ctx")
     blocks = orbit_blocks(spec, restrict_minimal=False)
     q = spec.q
     table: dict[int, int] = {}
@@ -293,6 +295,7 @@ def prop_main_check(
     Returns the least m and the least c1 >= 1 for this R (see
     SandwichReport); neither is a limit in R.  If h2 has no nonzero term
     up to R the report is not violated, but the sandwich is vacuous.
+    h2_desk_scale raises ValueError unless (G, N) is the pair of spec.ctx.
     """
     blocks = orbit_blocks(spec, restrict_minimal=False)
     h3 = brute_force_h3(blocks, spec.q, R)

@@ -150,6 +150,20 @@ class TestValidationErrors:
         assert json.loads(err)["code"] == "ParseError"
         assert "list of cycle-notation strings" in err or "JSON objects" in err
 
+    @pytest.mark.parametrize("degree", [6.7, True, "x", "6", 0, -3, None])
+    def test_degree_must_be_a_json_integer_of_at_least_one(self, capsys, tmp_path, degree):
+        # 6.7 and true used to pass as degrees 6 and 1; "x" exited as a
+        # ValueError, and 0 or -3 failed later with unrelated messages
+        path = tmp_path / "bad.json"
+        data = {"degree": degree, "generators": ["(1 2 3)"], "named_subgroups": {"H": ["(1 2 3)"]}}
+        path.write_text(json.dumps(data))
+        code, out, err = run(
+            capsys, "invariants", "--group", str(path), "--normal", "H", "--q", "5"
+        )
+        assert (code, out) == (2, "")
+        assert json.loads(err)["code"] == "ParseError"
+        assert "degree must be a JSON integer >= 1" in err
+
 
 # The only flags each command takes; every other (command, flag) pair exits 2.
 COMMAND_FLAGS = {

@@ -1,5 +1,7 @@
 """Group closure, conjugacy classes, normal-subgroup search, invariants."""
 
+import gc
+import weakref
 from fractions import Fraction
 from itertools import product as iproduct
 
@@ -92,6 +94,19 @@ class TestConjugacyClasses:
         G = s3()
         t = parse_cycles("(1 2)", 3)
         assert t in G.class_of(t).members
+
+    def test_a_group_with_classes_is_freed_without_a_gc_pass(self):
+        # no class refers back to its group, so the classes make no
+        # reference cycle and the group dies with its last reference
+        G = closure([parse_cycles("(1 2 3)", 4), parse_cycles("(2 3 4)", 4)], 4)
+        assert G.order == 12 and len(G.conjugacy_classes()) == 4
+        group = weakref.ref(G)
+        gc.disable()
+        try:
+            del G
+            assert group() is None
+        finally:
+            gc.enable()
 
 
 class TestInvariants:

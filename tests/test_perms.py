@@ -55,11 +55,10 @@ class TestBasics:
         h = parse_cycles("(14)(25)(36)", 6)
         assert g.conjugate_by(h) == parse_cycles("(4 5 6)", 6)
 
-    def test_order_index_cycle_type(self):
+    def test_order_and_index(self):
         p = parse_cycles("(1 2)(3 4 5)", 6)
         assert p.order() == 6
         assert p.index() == 3  # 6 points, 3 orbits: {1,2},{3,4,5},{6}
-        assert p.cycle_type() == (1, 2, 3)
 
     def test_index_of_identity_is_zero(self):
         assert Permutation.identity(7).index() == 0

@@ -250,7 +250,7 @@ class TestTauberianFit:
     def test_wrong_a_flags_failure(self):
         gf = RationalGF(q=2, factors=((1, 2),))
         table = expand(gf, 60)
-        wrong = PoleReport(a=Fraction(1, 4), b=1, dominant_radius=2 ** -0.25)
+        wrong = PoleReport(a=Fraction(1, 4), b=1)
         fit = tauberian_fit(table, wrong)
         assert not fit.ok
 
@@ -309,6 +309,20 @@ class TestH2DeskScale:
         h2 = h2_desk_scale(C3, C3, spec, R=7)
         # every class has index 2, so odd weights are unreachable
         assert all(r % 2 == 0 for r in h2)
+
+    def test_a_pair_other_than_spec_ctx_is_refused(self):
+        # (G, N) must be the pair spec.ctx holds; a mismatch used to give
+        # an empty table, and a vacuous sandwich from prop_main_check
+        N = klueners()
+        G1 = closure([parse_cycles("(1 2 3)", 6), parse_cycles("(4 5 6)", 6)], 6)
+        ctx = find_cyclic_complement(N, G1)
+        assert h2_desk_scale(G1, N, TwistSpec(q=5, e=1, ctx=ctx), 8) == {8: 875}
+        for G, other in ((N, ctx), (G1, find_cyclic_complement(N, N))):
+            spec = TwistSpec(q=5, e=1, ctx=other)
+            with pytest.raises(ValueError, match="spec.ctx"):
+                h2_desk_scale(G, N, spec, 8)
+            with pytest.raises(ValueError, match="spec.ctx"):
+                prop_main_check(G, N, spec, 8)
 
 
 NO_SHIFT = "no shift m <= R validates the lower bound"
