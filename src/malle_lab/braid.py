@@ -53,7 +53,7 @@ moves and N-conjugation.  Reports built on it carry a warning.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Collection, Mapping, Sequence
 
@@ -64,7 +64,7 @@ from .errors import (
     NotASubgroup,
     TrivialClassPresent,
 )
-from .groups import FiniteGroup
+from .groups import FiniteGroup, closure
 from .invariants import TwistSpec
 from .perms import Permutation, product
 
@@ -91,7 +91,7 @@ class ClassVector:
     equality, so two vectors differing by reordering are equal.
     """
 
-    group: FiniteGroup = field(compare=False)
+    group: FiniteGroup
     multiplicities: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
@@ -157,14 +157,17 @@ def class_vector_of(group: FiniteGroup, entries: Sequence[Permutation]) -> Class
 class NielsenTuple:
     """A product-one tuple of nontrivial elements of a group.
 
-    Generation is not checked here (a check would slow every enumerated
-    tuple); the enumerators build only generating tuples.
+    Every entry must lie in group.  Generation is not checked here (a
+    check would slow every enumerated tuple); the enumerators build only
+    generating tuples.
     """
 
-    group: FiniteGroup = field(compare=False)
+    group: FiniteGroup
     entries: tuple[Permutation, ...]
 
     def __post_init__(self):
+        if any(g not in self.group for g in self.entries):
+            raise NotASubgroup("a tuple entry is not an element of its group")
         if any(g.is_identity for g in self.entries):
             raise ValueError("Nielsen tuples contain no identity entries")
         if not product(self.entries, self.group.degree).is_identity:
@@ -173,10 +176,6 @@ class NielsenTuple:
     @property
     def length(self) -> int:
         return len(self.entries)
-
-    @property
-    def class_vector(self) -> ClassVector:
-        return class_vector_of(self.group, self.entries)
 
 
 def braid_generator(t: NielsenTuple, i: int) -> NielsenTuple:
@@ -195,8 +194,6 @@ def braid_generator(t: NielsenTuple, i: int) -> NielsenTuple:
 
 def _indices(t: NielsenTuple) -> set[int]:
     index = t.group.index
-    if any(g not in index for g in t.entries):
-        raise NotASubgroup("a tuple entry is not an element of its group")
     return {index[g] for g in t.entries}
 
 
@@ -226,24 +223,14 @@ class _IndexedPair:
         index = G.index
         # distinct conjugation rows of N on G (the action factors through
         # N / Cen_N(G), so duplicates are common and worth dropping): the
-        # closure of the generators' rows under composition
-        gen_rows = {
-            tuple(index[g.conjugate_by(x)] for g in G.elements)
+        # group the generators' rows generate, as permutations of 1..|G|;
+        # closure sorts by images, so the 0-based rows come out sorted
+        gen_rows = [
+            Permutation([index[g.conjugate_by(x)] + 1 for g in G.elements])
             for x in N.generators or N.elements
-        }
-        identity = tuple(range(G.order))
-        rows = {identity}
-        frontier = [identity]
-        while frontier:
-            new = []
-            for row in frontier:
-                for gen in gen_rows:
-                    composed = tuple(map(row.__getitem__, gen))
-                    if composed not in rows:
-                        rows.add(composed)
-                        new.append(composed)
-            frontier = new
-        self.conj_rows = sorted(rows)
+        ]
+        rows = closure(gen_rows, G.order)
+        self.conj_rows = [tuple(i - 1 for i in p.images) for p in rows.elements]
         # the identity row is the least permutation of range(|G|)
         self.identity_row = self.conj_rows[0]
         # min_rows[g]: the rows sending g to its least N-conjugate (shared
@@ -403,8 +390,15 @@ def _enumerate_idx(
     return out
 
 
+def _check_group(G: FiniteGroup, cv: ClassVector) -> None:
+    # class ids number the classes of cv.group; read in G they name others
+    if cv.group is not G and cv.group != G:
+        raise ValueError("the class vector is one of another group than G")
+
+
 def enumerate_nielsen(G: FiniteGroup, cv: ClassVector) -> list[NielsenTuple]:
     """All Nielsen tuples of G whose entry class multiset equals cv."""
+    _check_group(G, cv)
     ctx = _indexed(G, G)
     tuples = _enumerate_idx(ctx, cv, canonical_only=False)
     return [
@@ -477,7 +471,9 @@ def braid_orbits(G: FiniteGroup, N: FiniteGroup, cv: ClassVector) -> list[BraidO
 
     The result is canonically ordered (orbits sorted by their least
     canonical representative) and so independent of traversal order.
+    cv must be a class vector of G.
     """
+    _check_group(G, cv)
     ctx = _indexed(G, N)
     canonical = _enumerate_idx(ctx, cv)
     parts = _orbit_partition(ctx, canonical)
@@ -555,6 +551,8 @@ def conway_parker_probe(
     result then holds the counts of the m values that finished, with
     truncated=True.
     """
+    if max_m < 0:
+        raise ValueError("max_m must be nonnegative")
     counts = []
     for m in range(max_m + 1):
         cv = base + pad.scaled(m) if m else base

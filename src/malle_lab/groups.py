@@ -213,7 +213,7 @@ def derived_subgroup(N: FiniteGroup) -> FiniteGroup:
         seed |= new
 
 
-def coset_order(N: FiniteGroup, G: FiniteGroup, x: Permutation) -> int:
+def coset_order(G: FiniteGroup, x: Permutation) -> int:
     """Order of xG in N/G."""
     k = 1
     y = x
@@ -225,7 +225,7 @@ def coset_order(N: FiniteGroup, G: FiniteGroup, x: Permutation) -> int:
 
 def quotient_is_cyclic(N: FiniteGroup, G: FiniteGroup) -> bool:
     d = N.order // G.order
-    return any(coset_order(N, G, x) == d for x in N.elements)
+    return any(coset_order(G, x) == d for x in N.elements)
 
 
 def _subgroups_between(N: FiniteGroup, D: FiniteGroup) -> list[FiniteGroup]:
@@ -302,7 +302,6 @@ class GNContext:
     d: int
     tau: Permutation
     d_prime: int
-    d_double_prime: int
     split: bool
 
     def admissible_e(self) -> list[int]:
@@ -310,7 +309,7 @@ class GNContext:
 
 
 def find_cyclic_complement(N: FiniteGroup, G: FiniteGroup) -> GNContext:
-    """Search for a cyclic complement of G in N; always compute d' and d''.
+    """Search for a cyclic complement of G in N; always compute d'.
 
     tau is the least element (in the canonical element order) of order d
     generating a complement; if none exists, split=False and tau is the
@@ -319,7 +318,7 @@ def find_cyclic_complement(N: FiniteGroup, G: FiniteGroup) -> GNContext:
     if not G.is_normal_in(N):
         raise NotASubgroup("G is not a normal subgroup of N")
     d = N.order // G.order
-    coset_gens = [x for x in N.elements if coset_order(N, G, x) == d]
+    coset_gens = [x for x in N.elements if coset_order(G, x) == d]
     if not coset_gens:
         raise NonCyclicQuotient(f"N/G of order {d} is not cyclic")
 
@@ -333,16 +332,7 @@ def find_cyclic_complement(N: FiniteGroup, G: FiniteGroup) -> GNContext:
     # G is normal in N, so G C is a subgroup of order |G||C| / |G ∩ C|
     meet = sum(1 for x in cen.elements if x in G)
     d_prime = N.order * meet // (G.order * cen.order)
-    d_double_prime = d // d_prime
-    return GNContext(
-        N=N,
-        G=G,
-        d=d,
-        tau=tau,
-        d_prime=d_prime,
-        d_double_prime=d_double_prime,
-        split=split,
-    )
+    return GNContext(N=N, G=G, d=d, tau=tau, d_prime=d_prime, split=split)
 
 
 def a_invariant(G: FiniteGroup) -> Fraction:

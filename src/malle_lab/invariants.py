@@ -206,6 +206,8 @@ FieldSpec = FunctionField | RationalNumberField
 
 
 def _units(M: int) -> list[int]:
+    if M < 1:
+        raise BadModulus(f"level M = {M} is not a positive integer")
     if M == 1:
         return [1]
     return [u for u in range(1, M) if gcd(u, M) == 1]

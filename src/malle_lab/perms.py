@@ -133,9 +133,6 @@ class Permutation:
     def __lt__(self, other: "Permutation") -> bool:
         return self.images < other.images
 
-    def __le__(self, other: "Permutation") -> bool:
-        return self.images <= other.images
-
     def __hash__(self) -> int:
         return hash(self.images)
 

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import Mapping, Sequence
+from typing import ClassVar, Mapping, Sequence
 
 from .braid import ClassVector, braid_orbits, frobenius_stable_orbits
 from .errors import (
@@ -69,7 +69,7 @@ class CoefficientTable:
 class PoleReport:
     a: Fraction
     b: int
-    caveat: str = EQUAL_MODULUS_CAVEAT
+    caveat: ClassVar[str] = EQUAL_MODULUS_CAVEAT
 
 
 def euler_product(blocks: Sequence[OrbitBlock], q: int) -> RationalGF:
@@ -119,6 +119,8 @@ def brute_force_h3(blocks: Sequence[OrbitBlock], q: int, R: int) -> CoefficientT
     lightest factor goes last: its multiplicities are a loop stepping the
     index by w * S + c, and the recursion runs over the other factors only.
     """
+    if R < 0:
+        raise ValueError("R must be nonnegative")
     gf = euler_product(blocks, q)  # validates block set
     factors = sorted(gf.factors, key=lambda f: f[1], reverse=True)
     S = 1 + sum(c * (R // w) for c, w in factors)
@@ -225,6 +227,8 @@ def h2_desk_scale(
     """
     if (G, N) != (spec.ctx.G, spec.ctx.N):
         raise ValueError("(G, N) is not the pair of spec.ctx")
+    if R < 0:
+        raise ValueError("R must be nonnegative")
     blocks = orbit_blocks(spec, restrict_minimal=False)
     q = spec.q
     table: dict[int, int] = {}

@@ -27,6 +27,7 @@ from malle_lab.errors import (
     EnumerationCapExceeded,
     IndexOutOfRange,
     InvariantViolation,
+    NotASubgroup,
     TrivialClassPresent,
 )
 from malle_lab.groups import closure, derived_subgroup, find_cyclic_complement
@@ -38,6 +39,10 @@ from test_groups import permutations_of
 
 def s3():
     return closure([parse_cycles("(1 2)", 3), parse_cycles("(1 2 3)", 3)], 3)
+
+
+def a3():
+    return closure([parse_cycles("(1 2 3)", 3)], 3)
 
 
 def klueners():
@@ -77,6 +82,37 @@ class TestClassVector:
         assert (cv + cv).counts == cv.scaled(2).counts
         assert (cv + cv).length == 2 * cv.length
 
+    def test_equality_tells_the_groups_apart(self):
+        # class 1 of S3 is the transpositions, class 1 of A3 is {(1 2 3)}
+        G, A3 = s3(), a3()
+        t, c = parse_cycles("(1 2)", 3), parse_cycles("(1 2 3)", 3)
+        assert class_vector_of(G, [t, t]) != class_vector_of(A3, [c, c])
+        assert class_vector_of(G, [t, t]) == class_vector_of(s3(), [t, t])
+        assert NielsenTuple(G, (c, c, c)) != NielsenTuple(A3, (c, c, c))
+
+    def test_a_class_vector_of_another_group_is_refused(self):
+        # the class ids of cv.group, read as classes of G, name other classes
+        N, G1 = klueners(), klueners_g1()
+        entries = [parse_cycles(s, 6) for s in ("(1 2 3)", "(1 3 2)", "(4 5 6)", "(4 6 5)")]
+        assert [o.size for o in braid_orbits(G1, N, class_vector_of(G1, entries))] == [12]
+        with pytest.raises(ValueError, match="another group"):
+            braid_orbits(G1, N, class_vector_of(N, entries))
+        G = s3()
+        cv = class_vector_of(a3(), [parse_cycles("(1 2 3)", 3)] * 3)
+        with pytest.raises(ValueError, match="another group"):
+            braid_orbits(G, G, cv)
+        with pytest.raises(ValueError, match="another group"):
+            enumerate_nielsen(G, cv)
+
+
+class TestNielsenTuple:
+    def test_an_entry_outside_the_group_is_refused(self):
+        # checked once, when the tuple is made, and not first by a move
+        t = parse_cycles("(1 2)", 3)
+        with pytest.raises(NotASubgroup):
+            NielsenTuple(a3(), (t, t))
+        assert NielsenTuple(s3(), (t, t)).length == 2
+
 
 class TestBraidMoves:
     def test_braid_move_formula(self):
@@ -95,7 +131,7 @@ class TestBraidMoves:
             for i in (1, 2, 3):
                 m = braid_generator(t, i)
                 assert product(m.entries, 3).is_identity
-                assert m.class_vector == t.class_vector
+                assert class_vector_of(G, m.entries) == class_vector_of(G, t.entries)
 
     def test_inverse_move(self):
         G = s3()
@@ -743,11 +779,14 @@ class TestCountingOracle:
             assert len(got) * len(ctx.conj_rows) == expect * len(class_vector_images(G, N, cv))
 
 
-@pytest.mark.parametrize("pair", ["s4", "a4-in-s4", "a5-in-s5", "klueners-g1", "wreath-d"])
+@pytest.mark.parametrize("pair", ["s4", "a4-in-s4", "a5-in-s5", "klueners-g1", "wreath-d", "c3"])
 def test_conjugation_rows_are_those_of_every_element(pair):
-    # the closure of the generators' rows against conjugating by all of N
+    # the closure of the generators' rows against conjugating by all of N;
+    # C3 is abelian, so its one row is the identity
     if pair == "klueners-g1":
         G, N = klueners_g1(), klueners()
+    elif pair == "c3":
+        G = N = a3()
     elif pair == "wreath-d":
         G, N, _ = wreath_d_case(WREATH_D_LENGTH_6)
     else:
@@ -869,6 +908,12 @@ class TestConwayParker:
         assert not probe.truncated
         assert [m for m, _ in probe.counts] == [0, 1, 2]
         assert all(v == 1 for _, v in probe.counts)
+
+    def test_a_negative_max_m_is_refused(self):
+        # it used to return an empty, untruncated result
+        G, base, pad = s3_probe_input()
+        with pytest.raises(ValueError, match="max_m"):
+            conway_parker_probe(G, G, base, pad, max_m=-1)
 
 
 def s3_probe_input():

@@ -180,7 +180,6 @@ class TestGNContext:
         ctx = find_cyclic_complement(N, G1)
         assert ctx.d == 2
         assert ctx.d_prime == 2
-        assert ctx.d_double_prime == 1
         assert ctx.split
         assert ctx.tau.order() == 2
         assert ctx.admissible_e() == [1]
@@ -219,7 +218,6 @@ class TestGNContext:
                 continue
             ctx = find_cyclic_complement(N, G)
             assert ctx.d % ctx.d_prime == 0
-            assert ctx.d_prime * ctx.d_double_prime == ctx.d
 
 
 # ---------------------------------------------------------------------------

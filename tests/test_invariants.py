@@ -243,6 +243,16 @@ class TestNumberField:
         with pytest.raises(BadModulus):
             b_phi(N, G1, 2, {1: e})
 
+    @pytest.mark.parametrize("M", [0, -3])
+    def test_a_level_below_one_is_a_bad_modulus(self, M):
+        # both paths reach _units, which used to read M = 0 as (Z/0)* = {1}
+        # and fail later with a phi-table message
+        S3 = closure([parse_cycles("(1 2)", 3), parse_cycles("(1 2 3)", 3)], 3)
+        with pytest.raises(BadModulus, match="positive"):
+            b_phi(S3, S3, M, {1: S3.identity})
+        with pytest.raises(BadModulus, match="positive"):
+            revised_b(S3, RationalNumberField(M=M))
+
 
 class TestRevisedB:
     def test_klueners_function_field(self):

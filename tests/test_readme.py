@@ -2,10 +2,13 @@
 
 Every `expr  # value` line of the `## Library tour` block whose comment
 starts with an integer or a `Fraction(p, q)` is checked: after the whole
-block has run, `expr` must evaluate to that value.
+block has run, `expr` must evaluate to that value.  Every
+`module.NAME = value` that the `## Limits` section states must be the
+value of that module constant.
 """
 
 import ast
+import importlib
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -42,3 +45,15 @@ def test_library_tour_runs_and_its_values_hold():
     assert checked
     for expr, value in checked:
         assert eval(expr, namespace) == eval(value, {"Fraction": Fraction}), expr
+
+
+def limits_section() -> str:
+    return README.read_text().split("## Limits", 1)[1].split("\n## ", 1)[0]
+
+
+def test_limits_state_the_module_constants():
+    stated = re.findall(r"`(\w+)\.([A-Z_]+) = ([^`]+)`", limits_section())
+    assert {name for _, name, _ in stated} == {"ORDER_CAP", "NODE_CAP", "VISITED_CAP", "PAIR_CACHE_SIZE"}
+    for module, name, value in stated:
+        actual = getattr(importlib.import_module(f"malle_lab.{module}"), name)
+        assert actual == eval(value, {}), f"{module}.{name}"

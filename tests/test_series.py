@@ -324,6 +324,21 @@ class TestH2DeskScale:
             with pytest.raises(ValueError, match="spec.ctx"):
                 prop_main_check(G, N, spec, 8)
 
+    @pytest.mark.parametrize("R", [-1, -3])
+    def test_a_negative_R_is_refused(self, R):
+        # as in expand; these used to return an empty table or raise a bare
+        # StopIteration or IndexError
+        C3 = closure([parse_cycles("(1 2 3)", 3)], 3)
+        spec = TwistSpec(q=7, e=1, ctx=find_cyclic_complement(C3, C3))
+        blocks = orbit_blocks(spec, restrict_minimal=False)
+        for call in (
+            lambda: brute_force_h3(blocks, 7, R),
+            lambda: h2_desk_scale(C3, C3, spec, R),
+            lambda: prop_main_check(C3, C3, spec, R),
+        ):
+            with pytest.raises(ValueError, match="R must be nonnegative"):
+                call()
+
 
 NO_SHIFT = "no shift m <= R validates the lower bound"
 
