@@ -46,6 +46,17 @@ first changes it at a position where, t being canonical, it makes the
 entry larger, and u agrees with t there; every other row is the
 identity.  u[:j] = t[:j] also gives j(u) = j(t).
 
+An abelian G needs no orbit search: the canonical tuples of cv form one
+orbit, or none if there are none.  In abelian G, Q_i maps (..., a, b, ...)
+to (..., b, a, ...), since a b a^{-1} = b, and adjacent swaps generate
+S_k, so any two arrangements of one multiset of elements lie in one braid
+orbit.  Each class of an abelian G is one element, so every tuple with
+class multiset cv is an arrangement of the same multiset; product one
+and generation depend only on that multiset, so either every
+arrangement qualifies or none does.  N-conjugation commutes with every
+move, so the canonical forms of those tuples also form one orbit, and
+_enumerate_idx returns exactly those canonical forms.
+
 Frobenius stability of an orbit is a *model*: the entrywise map
 g -> (g^q) conjugated by tau^{-e}, followed by reduction modulo braid
 moves and N-conjugation.  Reports built on it carry a warning.
@@ -219,7 +230,6 @@ class _IndexedPair:
         if not G.is_normal_in(N):
             raise NotASubgroup("braid orbits need G normal in N")
         self.G = G
-        self.N = N
         index = G.index
         # distinct conjugation rows of N on G (the action factors through
         # N / Cen_N(G), so duplicates are common and worth dropping): the
@@ -476,7 +486,14 @@ def braid_orbits(G: FiniteGroup, N: FiniteGroup, cv: ClassVector) -> list[BraidO
     _check_group(G, cv)
     ctx = _indexed(G, N)
     canonical = _enumerate_idx(ctx, cv)
-    parts = _orbit_partition(ctx, canonical)
+    if len(G.conjugacy_classes()) == G.order:
+        # abelian G: one orbit of every canonical tuple (module docstring)
+        visited_cap = VISITED_CAP
+        if len(canonical) > visited_cap:
+            raise EnumerationCapExceeded(f"orbit grew past {visited_cap} canonical tuples")
+        parts = [set(canonical)] if canonical else []
+    else:
+        parts = _orbit_partition(ctx, canonical)
     covered = sum(len(members) for members in parts)
     if covered != len(canonical):
         raise InvariantViolation(

@@ -44,17 +44,19 @@ class Permutation:
     def from_cycles(cls, cycles: Iterable[Sequence[int]], degree: int) -> "Permutation":
         """Build a permutation from cycles of 1-based points.
 
-        Cycles need not be disjoint; they are composed left to right.
+        Cycles need not be disjoint; they are composed left to right into
+        one image list, checked once at the end: maps of a finite set to
+        itself compose to a bijection only if each of them is one.
         """
-        result = cls.identity(degree)
+        images = list(range(1, degree + 1))
         for cycle in cycles:
-            images = list(range(1, degree + 1))
+            step = {}
             for i, point in enumerate(cycle):
                 if not 1 <= point <= degree:
                     raise PointOutOfRange(f"point {point} outside 1..{degree}")
-                images[point - 1] = cycle[(i + 1) % len(cycle)]
-            result = result * cls(images)
-        return result
+                step[point] = cycle[(i + 1) % len(cycle)]
+            images = [step.get(v, v) for v in images]
+        return cls(images)
 
     @property
     def degree(self) -> int:

@@ -33,7 +33,7 @@ from malle_lab.errors import (
 from malle_lab.groups import closure, derived_subgroup, find_cyclic_complement
 from malle_lab.invariants import TwistSpec
 from malle_lab.perms import Permutation, parse_cycles, product
-from malle_lab.presets import get_preset
+from malle_lab.presets import abelian_suite, get_preset
 from test_groups import permutations_of
 
 
@@ -583,6 +583,44 @@ class TestMinimalImageOracles:
     def test_wreath_d_in_n_length_6(self):
         assert check_orbits_against_oracles(*wreath_d_case(WREATH_D_LENGTH_6))
 
+    @pytest.mark.parametrize("label,max_length", [("C2xC2", 8), ("C4", 8), ("C6", 7), ("C3xC3", 5)])
+    def test_abelian_g_equals_n_every_class_vector(self, label, max_length):
+        # braid_orbits answers abelian G without a search; the BFS and the
+        # one-orbit answer are both checked against the oracle here
+        G = abelian_suite()[label].group()
+        found = 0
+        for length in range(1, max_length + 1):
+            for cv in class_vectors(G, length):
+                orbits = check_orbits_against_oracles(G, G, cv)
+                assert len(orbits) <= 1
+                found += len(orbits)
+        assert found
+
+
+class SearchRan(Exception):
+    pass
+
+
+class TestAbelianOneOrbit:
+    @pytest.fixture
+    def no_search(self, monkeypatch):
+        def refuse(ctx, seeds):
+            raise SearchRan
+        monkeypatch.setattr(braid, "_orbit_partition", refuse)
+
+    @pytest.mark.parametrize("case", ["wreath-d6", "klueners-pool8"])
+    def test_abelian_g_needs_no_search(self, case, no_search):
+        [(G, N, cv)] = orderly_cases(case)
+        canonical = braid._enumerate_idx(braid._indexed(G, N), cv)
+        orbits = braid_orbits(G, N, cv)
+        assert [o.members for o in orbits] == [frozenset(canonical)]
+        assert [o.size for o in orbits] == [len(canonical)]
+
+    def test_non_abelian_g_still_searches(self, no_search):
+        G = s3()
+        with pytest.raises(SearchRan):
+            braid_orbits(G, G, class_vector_of(G, [parse_cycles("(1 2)", 3)] * 4))
+
 
 class TestOrderlyEnumeration:
     @pytest.mark.parametrize("name", ORDERLY_CASES)
@@ -689,11 +727,10 @@ def count_nielsen(G, cv, subgroups):
     return sum(m * count_product_one(G, cv, H) for H, m in mu.items() if m)
 
 
-def klueners_g1_class_vectors(length):
-    """Every class vector of Klüners G1 (eight nontrivial classes) of `length` entries."""
-    G1 = klueners_g1()
-    cids = [c.class_id for c in G1.conjugacy_classes() if not c.is_trivial]
-    return [ClassVector.from_counts(G1, Counter(combo))
+def class_vectors(G, length):
+    """Every class vector of G with `length` entries."""
+    cids = [c.class_id for c in G.conjugacy_classes() if not c.is_trivial]
+    return [ClassVector.from_counts(G, Counter(combo))
             for combo in combinations_with_replacement(cids, length)]
 
 
@@ -719,7 +756,7 @@ class TestCountingOracle:
         subgroups = subgroups_by_cyclic_joins(G)
         # every vector up to length 6; a fixed stride of the 1,716 and 6,435
         # vectors of lengths 7 and 8 (all of them take 45 s)
-        vectors = klueners_g1_class_vectors(length)[:: 1 if length <= 6 else 41]
+        vectors = class_vectors(G, length)[:: 1 if length <= 6 else 41]
         counts = [count_nielsen(G, cv, subgroups) for cv in vectors]
         assert counts == [len(oracle_enumerate_idx(ctx, cv)) for cv in vectors]
         assert any(counts) or length <= 2
@@ -735,7 +772,7 @@ class TestCountingOracle:
         else:
             G = klueners_g1()
             pairs = [(G, G), (G, klueners())]
-            vectors = [cv for length in range(1, 6) for cv in klueners_g1_class_vectors(length)]
+            vectors = [cv for length in range(1, 6) for cv in class_vectors(G, length)]
         subgroups = subgroups_by_cyclic_joins(G)
         found = 0
         for cv in vectors:
@@ -947,6 +984,15 @@ class TestCaps:
         monkeypatch.setattr(braid, "VISITED_CAP", 3)
         with pytest.raises(EnumerationCapExceeded):
             braid_orbits(G, G, cv)
+
+    def test_visited_cap_bounds_the_abelian_orbit(self, monkeypatch):
+        # Klüners G1 is abelian: its one orbit of 12 is not searched, but capped
+        G, N, cv = klueners_case(KLUENERS_G1_IN_N[1])
+        monkeypatch.setattr(braid, "VISITED_CAP", 12)
+        assert [o.size for o in braid_orbits(G, N, cv)] == [12]
+        monkeypatch.setattr(braid, "VISITED_CAP", 11)
+        with pytest.raises(EnumerationCapExceeded, match="orbit grew past 11 canonical tuples"):
+            braid_orbits(G, N, cv)
 
     @pytest.mark.parametrize("node_cap", [5, 60, 200])
     def test_probe_truncates_at_the_node_cap(self, node_cap, monkeypatch):

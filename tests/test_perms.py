@@ -40,6 +40,24 @@ class TestBasics:
     def test_from_cycles_with_a_repeated_point_is_rejected(self):
         with pytest.raises(ValueError):
             Permutation.from_cycles([(1, 2, 1)], 3)
+        # the bijection check runs once, after the last cycle
+        with pytest.raises(ValueError):
+            Permutation.from_cycles([(1, 2), (3, 4, 3)], 4)
+
+    def test_from_cycles_checks_the_range_of_every_point(self):
+        with pytest.raises(PointOutOfRange):
+            Permutation.from_cycles([(1, 2), (3, 5)], 4)
+
+    @given(st.lists(st.lists(st.integers(1, 8), min_size=1, max_size=8, unique=True), max_size=6))
+    def test_from_cycles_is_the_product_of_its_cycles(self, cycles):
+        # cycles may overlap; each one is built here without from_cycles
+        singles = []
+        for cycle in cycles:
+            images = list(range(1, 9))
+            for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+                images[a - 1] = b
+            singles.append(Permutation(images))
+        assert Permutation.from_cycles(cycles, 8) == product(singles, 8)
 
     def test_products_and_inverses_are_permutations(self):
         p = parse_cycles("(1 2 3)(4 5)", 5)
