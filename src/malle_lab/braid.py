@@ -9,11 +9,34 @@ All heavy loops run on integer element indices, over the group's own
 index, multiplication and inversion tables plus the conjugation rows of
 N; the public API speaks Permutations.
 
-The orbit search applies the forward moves Q_i only.  N-conjugation
-commutes with every Q_i, so each Q_i permutes the finite set of canonical
-tuples, and a permutation of a finite set has finite order: Q_i^{-1} is a
-positive power of Q_i.  The forward closure of a seed is therefore already
-its whole orbit.
+The orbit search runs on the slice (Magaard, Shpectorov, Völklein,
+Experiment. Math. 12 (2003)).  Key each element by its N-class, not its
+G-class: N may fuse classes of G, and only the N-class sequence is
+defined on N-conjugation classes of tuples.  Q_i swaps the keys at
+positions i and i+1, so B_k acts on key sequences through S_k,
+transitively on the arrangements of the key multiset.  So every orbit
+meets the slice, the tuples whose key sequence is sorted, and the orbits
+correspond one to one to the orbits on the slice of H, the preimage in
+B_k of the Young subgroup fixing the sorted sequence.  An orbit O has
+k!/prod(k_b!) times as many members as it has in the slice, k_b being
+the key multiplicities.  H is generated by the Q_i inside one block of
+equal keys and, for each pair of blocks a < b, the pure braid
+
+    A_ij = Q_{j-1} ... Q_{i+1} Q_i^2 Q_{i+1}^{-1} ... Q_{j-1}^{-1},
+
+with i the last position of block a and j the first of block b
+(docs/decisions.md, "Braid orbits on the slice").  Composed from the
+moves, rightmost first, A_ij conjugates x_i and x_j by c = x_i x_j and
+each entry between them by d = x_i x_j x_i^{-1} x_j^{-1}.
+
+The search applies these moves forward only.  N-conjugation commutes with
+every move, so each move permutes the finite set of canonical tuples, and
+a permutation of a finite set has finite order: its inverse is a positive
+power of it.  The forward closure of a slice seed is therefore already its
+whole orbit on the slice.  If the slice is one orbit, so are all the
+seeds.  Otherwise each seed is sorted into the slice by Q_i moves,
+canonicalised once at the end (the moves commute with N-conjugation), and
+joins the orbit of that slice tuple.
 
 The canonical form of a tuple is its least image under simultaneous
 N-conjugation, found as a minimal image (Jefferson, Jonauskyte, Pfeiffer,
@@ -40,11 +63,11 @@ canonical forms of cv's tuples.
 
 The orbit search canonicalises only where it has to.  For a canonical t
 let j(t) be the least prefix length after which only the identity row
-fixes t[:j] pointwise.  A move Q_i at positions i, i+1 >= j leaves t[:j]
-unchanged, and its image u is already canonical: a row that moves t[:j]
-first changes it at a position where, t being canonical, it makes the
-entry larger, and u agrees with t there; every other row is the
-identity.  u[:j] = t[:j] also gives j(u) = j(t).
+fixes t[:j] pointwise.  A move whose lowest changed position (i, for Q_i
+and for A_ij) is >= j leaves t[:j] unchanged, and its image u is already
+canonical: a row that moves t[:j] first changes it at a position where,
+t being canonical, it makes the entry larger, and u agrees with t there;
+every other row is the identity.  u[:j] = t[:j] also gives j(u) = j(t).
 
 An abelian G needs no orbit search: the canonical tuples of cv form one
 orbit, or none if there are none.  In abelian G, Q_i maps (..., a, b, ...)
@@ -244,11 +267,15 @@ class _IndexedPair:
         # the identity row is the least permutation of range(|G|)
         self.identity_row = self.conj_rows[0]
         # min_rows[g]: the rows sending g to its least N-conjugate (shared
-        # references into conj_rows, in conj_rows order)
+        # references into conj_rows, in conj_rows order); nclass[g]: the
+        # N-class of g, named by the G-class of that least N-conjugate
         self.min_rows = []
+        self.nclass = []
+        class_ids = G.class_ids
         for g in range(G.order):
             least = min(row[g] for row in self.conj_rows)
             self.min_rows.append([row for row in self.conj_rows if row[g] == least])
+            self.nclass.append(class_ids[least])
 
     @cached_property
     def conj(self) -> list[list[int]]:
@@ -436,30 +463,52 @@ class BraidOrbit:
 def _orbit_partition(
     ctx: _IndexedPair, seeds: Sequence[tuple[int, ...]]
 ) -> list[set[tuple[int, ...]]]:
-    """BFS partition of the canonical seeds under the forward braid moves, in seed order."""
-    conj = ctx.conj
-    least_image = ctx.least_image
+    """Partition of the canonical seeds into braid orbits, searched on the slice.
+
+    seeds must be every canonical form of one class vector's tuples.  The
+    search runs on the seeds whose N-class sequence is sorted, under the
+    moves of the module docstring; each other seed joins the orbit of its
+    image sorted by Q_i moves.
+    """
+    if not seeds:
+        return []
+    conj, mul, inv = ctx.conj, ctx.G.mul, ctx.G.inv
+    least_image, key = ctx.least_image, ctx.nclass
     visited_cap = VISITED_CAP
-    unseen = set(seeds)
-    orbits = []
+    keys = sorted(key[g] for g in seeds[0])
+    k = len(keys)
+    inner = [i for i in range(k - 1) if keys[i] == keys[i + 1]]
+    starts = [i for i in range(1, k) if keys[i - 1] != keys[i]]
+    # (e(a), s(b)) for each pair of blocks a < b
+    cross = [(starts[a] - 1, starts[b]) for a in range(len(starts)) for b in range(a, len(starts))]
+    orbit_of: dict[tuple[int, ...], int] = {}
+    slices: list[set[tuple[int, ...]]] = []
     for seed in seeds:
-        if seed not in unseen:
+        if seed in orbit_of or list(map(key.__getitem__, seed)) != keys:
             continue
-        unseen.discard(seed)
         members = {seed}
         frontier = [least_image(seed)]
         while frontier:
             new = []
             for t, j in frontier:
-                k = len(t)
-                for i in range(k - 1):
-                    # Q_i only: its inverse is a power of it; a move past
-                    # the fixed prefix t[:j] keeps u canonical and j(u) = j
-                    # (module docstring)
+                moved = []
+                for i in inner:
                     a, b = t[i], t[i + 1]
-                    if a == b:
-                        continue  # Q_i fixes t
-                    u = t[:i] + (conj[a][b], a) + t[i + 2 :]
+                    if a != b:  # Q_i fixes t if a == b
+                        moved.append((i, t[:i] + (conj[a][b], a) + t[i + 2 :]))
+                for i, l in cross:
+                    a, b = t[i], t[l]
+                    c = mul[a][b]
+                    if c == mul[b][a]:
+                        continue  # A_il fixes t if a and b commute
+                    d = mul[conj[a][b]][inv[b]]  # the commutator a b a^-1 b^-1
+                    moved.append((i, (
+                        t[:i] + (conj[c][a],) + tuple(map(conj[d].__getitem__, t[i + 1 : l]))
+                        + (conj[c][b],) + t[l + 1 :]
+                    )))
+                for i, u in moved:
+                    # a word whose lowest position is past the fixed prefix
+                    # t[:j] keeps u canonical and j(u) = j
                     uj = j
                     if i < j:
                         u, uj = least_image(u)
@@ -471,8 +520,30 @@ def _orbit_partition(
                                 f"orbit grew past {visited_cap} canonical tuples"
                             )
             frontier = new
-        unseen.difference_update(members)
-        orbits.append(members)
+        for t in members:
+            orbit_of[t] = len(slices)
+        slices.append(members)
+    if len(slices) == 1:
+        orbits = [set(seeds)]
+    else:
+        orbits = [set() for _ in slices]
+        for seed in seeds:
+            n = orbit_of.get(seed)
+            if n is None:
+                t = list(seed)
+                swapped = True
+                while swapped:
+                    swapped = False
+                    for i in range(k - 1):
+                        a, b = t[i], t[i + 1]
+                        if key[a] > key[b]:
+                            t[i], t[i + 1] = conj[a][b], a  # Q_i swaps the N-classes
+                            swapped = True
+                n = orbit_of[ctx.canonical(tuple(t))]
+            orbits[n].add(seed)
+    for members in orbits:
+        if len(members) > visited_cap:
+            raise EnumerationCapExceeded(f"orbit grew past {visited_cap} canonical tuples")
     return orbits
 
 

@@ -50,6 +50,18 @@ def klueners():
     return closure(gens, 6)
 
 
+def s4():
+    return closure([parse_cycles("(1 2)", 4), parse_cycles("(1 2 3 4)", 4)], 4)
+
+
+def a4():
+    return closure([parse_cycles("(1 2 3)", 4), parse_cycles("(2 3 4)", 4)], 4)
+
+
+def a5():
+    return closure([parse_cycles("(1 2 3)", 5), parse_cycles("(1 2 3 4 5)", 5)], 5)
+
+
 def transposition_tuples(G, k):
     """Oracle: all generating product-one k-tuples of transpositions."""
     ts = [g for g in G if g.index() == 1]
@@ -391,8 +403,22 @@ def oracle_canonical(ctx, t):
     return min(tuple(row[g] for g in t) for row in ctx.conj_rows)
 
 
-def oracle_orbit_partition(ctx, canonical_tuples):
-    """BFS partition under Q_i and Q_i^{-1}, canonicalising with the oracle."""
+def oracle_forms(ctx, tuples):
+    """oracle_canonical of every tuple N-conjugate to one of tuples.
+
+    The least image is found once per N-orbit of tuples: the rows' images
+    of t are its whole orbit, and they share its least image.
+    """
+    forms = {}
+    for t in tuples:
+        if t not in forms:
+            images = [tuple(map(row.__getitem__, t)) for row in ctx.conj_rows]
+            forms.update(dict.fromkeys(images, min(images)))
+    return forms
+
+
+def oracle_orbit_partition(ctx, canonical_tuples, forms):
+    """BFS partition under Q_i and Q_i^{-1}, canonicalising with oracle_forms."""
     mul, inv = ctx.G.mul, ctx.G.inv
     unseen = set(canonical_tuples)
     orbits = []
@@ -407,7 +433,7 @@ def oracle_orbit_partition(ctx, canonical_tuples):
                 for i in range(len(t) - 1):
                     a, b = t[i], t[i + 1]
                     for pair in ((mul[mul[a][b]][inv[a]], a), (b, mul[mul[inv[b]][a]][b])):
-                        u = oracle_canonical(ctx, t[:i] + pair + t[i + 2 :])
+                        u = forms[t[:i] + pair + t[i + 2 :]]
                         if u not in members:
                             members.add(u)
                             new.append(u)
@@ -441,10 +467,11 @@ def check_orbits_against_oracles(G, N, cv):
     """Canonical forms, partition, sizes and members agree with the oracles."""
     ctx = braid._indexed(G, N)
     tuples = oracle_enumerate_idx(ctx, cv)
+    forms = oracle_forms(ctx, tuples)
     for t in tuples:
-        assert ctx.canonical(t) == oracle_canonical(ctx, t)
-    canonical = sorted({oracle_canonical(ctx, t) for t in tuples})
-    expect = oracle_orbit_partition(ctx, canonical)
+        assert ctx.canonical(t) == forms[t]
+    canonical = sorted(set(forms.values()))
+    expect = oracle_orbit_partition(ctx, canonical, forms)
     got = braid._orbit_partition(ctx, canonical)
     assert sorted(sorted(members) for members in got) == expect
     orbits = braid_orbits(G, N, cv)
@@ -556,7 +583,7 @@ ORDERLY_CASES = (
 
 
 class TestMinimalImageOracles:
-    @pytest.mark.parametrize("length", range(1, 7))
+    @pytest.mark.parametrize("length", range(1, 8))
     def test_s3_every_class_vector(self, length):
         G = s3()
         found = 0
@@ -595,6 +622,57 @@ class TestMinimalImageOracles:
                 assert len(orbits) <= 1
                 found += len(orbits)
         assert found
+
+
+# (G, N) of the slice tests; S4 fuses the two classes of 3-cycles of A4
+SLICE_PAIRS = {"S3": (s3, s3), "S4": (s4, s4), "A4-in-S4": (a4, s4), "A5": (a5, a5)}
+
+
+def slice_case(pair, counts):
+    G, N = (make() for make in SLICE_PAIRS[pair])
+    return G, N, ClassVector.from_counts(G, counts)
+
+
+class TestSliceSearch:
+    """The slice search against the all-tuples BFS of the oracle.
+
+    Class ids as groups numbers them: S3 1 = (2 3), 2 = (1 2 3); S4 1 =
+    (3 4), 2 = (2 3 4), 3 = (1 2)(3 4), 4 = (1 2 3 4); A5 1 = (3 4 5),
+    3 = (1 2 3 4 5), 4 = (1 2 3 5 4).
+    """
+
+    @pytest.mark.parametrize("pair,max_length", [("S4", 5), ("A4-in-S4", 5), ("A5", 4)])
+    def test_every_class_vector(self, pair, max_length):
+        G, N = (make() for make in SLICE_PAIRS[pair])
+        several = 0
+        for length in range(1, max_length + 1):
+            for cv in class_vectors(G, length):
+                several += len(check_orbits_against_oracles(G, N, cv)) > 1
+        assert several
+
+    @pytest.mark.parametrize("pair,counts,sizes", [
+        # three blocks: split with a pure braid for adjacent blocks only
+        ("S4", {1: 2, 3: 1, 4: 2}, [360]),
+        ("S4", {2: 2, 3: 1, 4: 2}, [720]),
+        # two blocks: split with no pure braid across blocks
+        ("S3", {1: 2, 2: 2}, [12]),
+        # three blocks and two orbits
+        ("A5", {1: 2, 3: 1, 4: 1}, [60, 144]),
+        # two orbits: the seeds off the slice must be sorted into it
+        ("S4", {2: 2, 4: 2}, [12, 36]),
+    ])
+    def test_pinned_vector(self, pair, counts, sizes):
+        orbits = check_orbits_against_oracles(*slice_case(pair, counts))
+        assert [o.size for o in orbits] == sizes
+
+    def test_visited_cap_counts_every_member_of_one_orbit(self, monkeypatch):
+        # one orbit of 45 canonical tuples, 9 of them in the slice
+        G, N, cv = slice_case("S3", {1: 4, 2: 1})
+        monkeypatch.setattr(braid, "VISITED_CAP", 45)
+        assert [o.size for o in braid_orbits(G, N, cv)] == [45]
+        monkeypatch.setattr(braid, "VISITED_CAP", 44)
+        with pytest.raises(EnumerationCapExceeded, match="orbit grew past 44 canonical tuples"):
+            braid_orbits(G, N, cv)
 
 
 class SearchRan(Exception):
