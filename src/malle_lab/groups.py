@@ -134,19 +134,24 @@ class ConjugacyClass:
 
 
 def closure(generators: Sequence[Permutation], degree: int) -> FiniteGroup:
-    """Enumerate the group generated by `generators` inside S_degree."""
+    """Enumerate the group generated by `generators` inside S_degree.
+
+    The search runs on image tuples; each element is wrapped once, in the
+    sorted order.
+    """
     order_cap = ORDER_CAP
     for g in generators:
         if g.degree != degree:
             raise DegreeMismatch(f"generator degree {g.degree} != {degree}")
-    identity = Permutation.identity(degree)
+    gens = [g.images for g in generators]
+    identity = tuple(range(1, degree + 1))
     elements = {identity}
     frontier = [identity]
     while frontier:
         new = []
         for x in frontier:
-            for g in generators:
-                y = x * g
+            for g in gens:
+                y = tuple([g[i - 1] for i in x])
                 if y not in elements:
                     elements.add(y)
                     new.append(y)
@@ -155,7 +160,7 @@ def closure(generators: Sequence[Permutation], degree: int) -> FiniteGroup:
                             f"closure exceeded the order cap of {order_cap}"
                         )
         frontier = new
-    return FiniteGroup(degree, generators, elements)
+    return FiniteGroup(degree, generators, map(Permutation._unchecked, sorted(elements)))
 
 
 def _compute_classes(G: FiniteGroup) -> tuple[list[ConjugacyClass], list[int]]:
@@ -164,20 +169,23 @@ def _compute_classes(G: FiniteGroup) -> tuple[list[ConjugacyClass], list[int]]:
     A class is the orbit of its least member under conjugation by the
     generators of G.
     """
-    conjugators = [(x.inverse(), x) for x in G.generators or G.elements]
+    conjugators = G.generators or G.elements
+    elements, index = G.elements, G.index
     class_ids = [-1] * G.order
     classes = []
     # G.elements is sorted, so each new class starts at its least member.
-    for i, g in enumerate(G.elements):
+    # Members are G's own objects, so a class holds no copies.
+    for i, g in enumerate(elements):
         if class_ids[i] >= 0:
             continue
         class_ids[i] = cid = len(classes)
         orbit = [g]
         for y in orbit:
-            for z in (x_inv * y * x for x_inv, x in conjugators):
-                if class_ids[G.index[z]] < 0:
-                    class_ids[G.index[z]] = cid
-                    orbit.append(z)
+            for x in conjugators:
+                j = index[y.conjugate_by(x)]
+                if class_ids[j] < 0:
+                    class_ids[j] = cid
+                    orbit.append(elements[j])
         classes.append(ConjugacyClass(g, tuple(sorted(orbit)), cid))
     return classes, class_ids
 
@@ -186,8 +194,13 @@ def centralizer(N: FiniteGroup, G: FiniteGroup) -> FiniteGroup:
     """Cen_N(G) = {x in N : xg = gx for all g in G}."""
     if not G.is_subgroup_of(N):
         raise NotASubgroup("G is not a subgroup of N")
-    gens = G.generators or G.elements
-    members = [x for x in N.elements if all(x * g == g * x for g in gens)]
+    # xg = gx iff g(x(p)) = x(g(p)) for every point p
+    gens = [g.images for g in G.generators or G.elements]
+    members = []
+    for x in N.elements:
+        a = x.images
+        if all([g[i - 1] for i in a] == [a[i - 1] for i in g] for g in gens):
+            members.append(x)
     return FiniteGroup(N.degree, tuple(members), members)
 
 

@@ -30,7 +30,6 @@ from .groups import (
     GNContext,
     a_invariant,
     find_cyclic_complement,
-    group_index,
     normal_subgroups_with_abelian_quotient,
 )
 from .perms import Permutation
@@ -45,8 +44,9 @@ def minimal_index_classes(G: FiniteGroup) -> list[ConjugacyClass]:
     """The G-classes of minimal-index elements (trivial class excluded)."""
     if G.order == 1:
         raise TrivialGroup("no nontrivial classes in the trivial group")
-    m = group_index(G)
-    return [c for c in G.conjugacy_classes() if not c.is_trivial and c.index == m]
+    indexed = [(c.index, c) for c in G.conjugacy_classes() if not c.is_trivial]
+    m = min(i for i, _ in indexed)
+    return [c for i, c in indexed if i == m]
 
 
 @dataclass(frozen=True)
@@ -237,6 +237,11 @@ def b_phi(N: FiniteGroup, G: FiniteGroup, M: int, phi: Mapping[int, Permutation]
     what the table stores.
     """
     _check_phi(N, G, M, phi)
+    return _phi_orbit_count(G, M, phi)
+
+
+def _phi_orbit_count(G: FiniteGroup, M: int, phi: Mapping[int, Permutation]) -> int:
+    """b_phi for a table already known to be a homomorphism into N/G."""
     minimal = minimal_index_classes(G)
     for c in minimal:
         if M % c.representative.order() != 0:
@@ -359,7 +364,8 @@ def revised_b(N: FiniteGroup, fieldspec: FieldSpec) -> RevisedBReport:
             if not phis:
                 rows.append(RevisedBRow(G.order, a_G, quotient_order, "no-surjective-phi", None))
                 continue
-            b = max(b_phi(N, G, fieldspec.M, t) for t in phis)
+            # _surjective_phis builds homomorphisms, so no re-check
+            b = max(_phi_orbit_count(G, fieldspec.M, t) for t in phis)
         rows.append(RevisedBRow(G.order, a_G, quotient_order, "ok", b))
     # never empty: the G = N row is "ok" (N/N is cyclic and split, and the
     # one phi table onto N/N is surjective)

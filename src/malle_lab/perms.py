@@ -6,12 +6,18 @@ is evaluated left to right.  Conjugation ``g.conjugate_by(h)`` is
 h^{-1} g h in this convention, i.e. the permutation obtained from g by
 relabelling every point p as h(p); the conjugate of the cycle (1 2 3) by h
 is the cycle (h(1) h(2) h(3)).
+
+Speed rule: loops that run once per group element or per product (the
+closure in ``groups``, conjugation, centralizer tests, indices) compose
+image tuples, ``y = tuple([g[i - 1] for i in x])``, and hash and compare
+them in C.  A ``Permutation`` object wraps only a result that is kept.
 """
 
 from __future__ import annotations
 
 import re
 from functools import reduce
+from math import lcm
 from typing import Iterable, Sequence
 
 from .errors import DegreeMismatch, ParseError, PointOutOfRange
@@ -67,9 +73,10 @@ class Permutation:
 
     def __mul__(self, other: "Permutation") -> "Permutation":
         # apply self first, then other
-        if self.degree != other.degree:
-            raise DegreeMismatch(f"degree {self.degree} vs {other.degree}")
-        return Permutation._unchecked(tuple(other.images[i - 1] for i in self.images))
+        a, o = self.images, other.images
+        if len(a) != len(o):
+            raise DegreeMismatch(f"degree {len(a)} vs {len(o)}")
+        return Permutation._unchecked(tuple([o[i - 1] for i in a]))
 
     def inverse(self) -> "Permutation":
         images = [0] * self.degree
@@ -90,8 +97,17 @@ class Permutation:
         return result
 
     def conjugate_by(self, h: "Permutation") -> "Permutation":
-        """h^{-1} * self * h: relabel points of self through h."""
-        return h.inverse() * self * h
+        """h^{-1} * self * h: relabel points of self through h.
+
+        One pass: the conjugate maps h(p) to h(self(p)).
+        """
+        g, k = self.images, h.images
+        if len(g) != len(k):
+            raise DegreeMismatch(f"degree {len(g)} vs {len(k)}")
+        images = [0] * len(g)
+        for hp, gp in zip(k, g):
+            images[hp - 1] = k[gp - 1]
+        return Permutation._unchecked(tuple(images))
 
     def commutator(self, other: "Permutation") -> "Permutation":
         return self.inverse() * other.inverse() * self * other
@@ -115,19 +131,24 @@ class Permutation:
 
     @property
     def is_identity(self) -> bool:
-        return all(v == i + 1 for i, v in enumerate(self.images))
+        return self.images == tuple(range(1, len(self.images) + 1))
 
     def order(self) -> int:
-        k = 1
-        p = self
-        while not p.is_identity:
-            p = p * self
-            k += 1
-        return k
+        return lcm(*map(len, self.cycles()))
 
     def index(self) -> int:
         """Degree minus the number of orbits on points (fixed points count)."""
-        return self.degree - len(self.cycles(include_fixed=True))
+        images = self.images
+        seen = [False] * len(images)
+        orbits = 0
+        for start in range(len(images)):
+            if not seen[start]:
+                orbits += 1
+                p = start
+                while not seen[p]:
+                    seen[p] = True
+                    p = images[p] - 1
+        return len(images) - orbits
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Permutation) and self.images == other.images

@@ -21,6 +21,7 @@ from malle_lab.groups import (
     a_invariant,
     closure,
     find_cyclic_complement,
+    group_index,
     normal_subgroups_with_abelian_quotient,
     normal_subgroups_with_cyclic_quotient,
     subgroup_generated,
@@ -29,6 +30,7 @@ from malle_lab.invariants import (
     FunctionField,
     RationalNumberField,
     TwistSpec,
+    _check_phi,
     _surjective_phis,
     _units,
     b_constant,
@@ -71,6 +73,17 @@ class TestMinimalClasses:
         # the four single 3-cycles, each its own class in the abelian G1
         assert len(classes) == 4
         assert all(c.index == 2 for c in classes)
+
+    @settings(max_examples=40, deadline=None)
+    @given(degree=st.sampled_from((4, 5, 6)), data=st.data())
+    def test_minimum_is_the_group_index(self, degree, data):
+        # m comes from the classes; group_index scans every element
+        G = closure(data.draw(st.lists(permutations_of(degree), min_size=1, max_size=3)), degree)
+        assume(G.order > 1)
+        m = group_index(G)
+        assert minimal_index_classes(G) == [
+            c for c in G.conjugacy_classes() if not c.is_trivial and c.representative.index() == m
+        ]
 
 
 class TestTwist:
@@ -440,6 +453,13 @@ class TestSurjectivePhiOracle:
         }
         assert 0 in counts.values()
         assert max(counts.values()) >= 2
+
+    def test_every_table_passes_the_homomorphism_check(self):
+        # revised_b hands these tables to the orbit count without _check_phi
+        for label, N, G in abelian_quotient_cases():
+            for M in ORACLE_LEVELS:
+                for t in _surjective_phis(N, G, M):
+                    _check_phi(N, G, M, t)
 
     def test_b_phi_matches_union_find_oracle(self):
         checked = 0

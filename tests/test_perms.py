@@ -1,10 +1,12 @@
 """Permutation arithmetic and cycle-notation parsing."""
 
+from itertools import count
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from malle_lab.errors import ParseError, PointOutOfRange
+from malle_lab.errors import DegreeMismatch, ParseError, PointOutOfRange
 from malle_lab.perms import Permutation, format_cycles, parse_cycles, product
 
 
@@ -12,6 +14,10 @@ def perm_strategy(n: int):
     return st.permutations(list(range(1, n + 1))).map(
         lambda images: Permutation(tuple(images))
     )
+
+
+# degrees 1-4, so the identity turns up often
+small_perms = st.integers(1, 4).flatmap(perm_strategy)
 
 
 class TestBasics:
@@ -144,6 +150,32 @@ class TestAlgebra:
     def test_index_additive_over_cycles(self, p):
         # ind = sum over cycles of (length - 1)
         assert p.index() == sum(len(c) - 1 for c in p.cycles())
+
+    @given(perm_strategy(6), perm_strategy(6))
+    def test_conjugate_by_is_h_inverse_g_h(self, g, h):
+        # conjugate_by composes images in one pass; this is its definition
+        assert g.conjugate_by(h) == h.inverse() * g * h
+
+    @given(perm_strategy(7))
+    def test_index_is_degree_minus_orbits(self, p):
+        assert p.index() == p.degree - len(p.cycles(include_fixed=True))
+
+    @given(small_perms)
+    def test_is_identity_is_equality_with_the_identity(self, p):
+        assert p.is_identity == (p == Permutation.identity(p.degree))
+
+    @given(perm_strategy(7))
+    def test_order_is_the_least_power_giving_the_identity(self, p):
+        identity = Permutation.identity(7)
+        assert p.order() == next(k for k in count(1) if p**k == identity)
+
+    def test_mixed_degrees_raise(self):
+        p, q = parse_cycles("(1 2)", 3), parse_cycles("(1 2)", 4)
+        for a, b in ((p, q), (q, p)):
+            with pytest.raises(DegreeMismatch):
+                a * b
+            with pytest.raises(DegreeMismatch):
+                a.conjugate_by(b)
 
     def test_product_helper(self):
         ps = [parse_cycles(s, 3) for s in ("(1 2)", "(1 2)", "(1 2 3)")]
