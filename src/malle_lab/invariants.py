@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import product
 from math import gcd
-from typing import Mapping
+from typing import Callable, Mapping
 
 from .errors import (
     BadModulus,
@@ -62,9 +62,8 @@ class TwistSpec:
             raise ValueError(f"q must be at least 2, got {self.q}")
         if gcd(self.q, self.ctx.N.order) != 1:
             raise ValueError(f"q = {self.q} is not coprime to |N| = {self.ctx.N.order}")
-        dp = self.ctx.d_prime
-        if not (1 <= self.e <= dp and gcd(self.e, dp) == 1):
-            raise ValueError(f"e = {self.e} not admissible for d' = {dp}")
+        if self.e not in self.ctx.admissible_e():
+            raise ValueError(f"e = {self.e} not admissible for d' = {self.ctx.d_prime}")
 
     @cached_property
     def conjugator(self) -> Permutation:
@@ -106,6 +105,31 @@ class OrbitBlock:
         )
 
 
+def _class_orbits(pool: list[ConjugacyClass], images: Callable) -> list[list[ConjugacyClass]]:
+    """Orbits on pool, by least class id, of the group whose generators send
+    c to images(c).  Raises InvariantViolation if an image leaves pool or an
+    orbit mixes class indices.
+    """
+    by_id = {c.class_id: c for c in pool}
+    seen, orbits = set(), []
+    for cid in sorted(by_id):
+        if cid in seen:
+            continue
+        seen.add(cid)
+        orbit = [by_id[cid]]
+        for c in orbit:
+            for image in images(c):
+                if image.class_id not in by_id:
+                    raise InvariantViolation("the action left the class pool")
+                if image.class_id not in seen:
+                    seen.add(image.class_id)
+                    orbit.append(image)
+        if any(c.index != orbit[0].index for c in orbit):
+            raise InvariantViolation("an orbit mixes class indices")
+        orbits.append(orbit)
+    return orbits
+
+
 def orbit_blocks(spec: TwistSpec, restrict_minimal: bool) -> list[OrbitBlock]:
     """t_e-orbits of the nontrivial G-classes (or of C(G) only)."""
     G = spec.ctx.G
@@ -113,29 +137,11 @@ def orbit_blocks(spec: TwistSpec, restrict_minimal: bool) -> list[OrbitBlock]:
         pool = minimal_index_classes(G)
     else:
         pool = [c for c in G.conjugacy_classes() if not c.is_trivial]
-    by_id = {c.class_id: c for c in pool}
-    remaining = set(by_id)
-    blocks = []
-    for cid in sorted(remaining):
-        if cid not in remaining:
-            continue
-        orbit = [cid]
-        current = by_id[cid]
-        while True:
-            current = twist_class(current, spec)
-            if current.class_id not in by_id:
-                raise InvariantViolation("twist left the class pool")
-            if current.class_id == cid:
-                break
-            orbit.append(current.class_id)
-        remaining.difference_update(orbit)
-        idx = by_id[cid].index
-        if any(by_id[i].index != idx for i in orbit):
-            raise InvariantViolation("a twist orbit mixes class indices")
-        blocks.append(
-            OrbitBlock(e=spec.e, classes=frozenset(orbit), size=len(orbit), index=idx)
-        )
-    return blocks
+    # twist_class is looked up at call time, so a wrapper around it sees every call
+    return [
+        OrbitBlock(spec.e, frozenset(c.class_id for c in o), len(o), o[0].index)
+        for o in _class_orbits(pool, lambda c: [twist_class(c, spec)])
+    ]
 
 
 def b_e(spec: TwistSpec) -> int:
@@ -249,20 +255,13 @@ def _phi_orbit_count(G: FiniteGroup, M: int, phi: Mapping[int, Permutation]) -> 
                 f"level M = {M} not divisible by the order "
                 f"{c.representative.order()} of a minimal-index element"
             )
-    ids = {c.class_id for c in minimal}
-    # phi is a homomorphism, so (Z/M)* acts on the classes and the orbit
-    # of a class is its set of images
+    # phi is a homomorphism, so (Z/M)* acts on the classes through its lifts
     lifts = [(u, x.inverse()) for u, x in phi.items()]
-    orbits = set()
-    for c in minimal:
-        orbit = frozenset(
-            G.class_of((c.representative ** u).conjugate_by(lift_inv)).class_id
-            for u, lift_inv in lifts
-        )
-        if not orbit <= ids:
-            raise InvariantViolation("cyclotomic action left C(G)")
-        orbits.add(orbit)
-    return len(orbits)
+
+    def images(c: ConjugacyClass) -> list[ConjugacyClass]:
+        return [G.class_of((c.representative**u).conjugate_by(y)) for u, y in lifts]
+
+    return len(_class_orbits(minimal, images))
 
 
 def _surjective_phis(N: FiniteGroup, G: FiniteGroup, M: int) -> list[dict[int, Permutation]]:

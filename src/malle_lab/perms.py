@@ -11,6 +11,7 @@ Speed rule: loops that run once per group element or per product (the
 closure in ``groups``, conjugation, centralizer tests, indices) compose
 image tuples, ``y = tuple([g[i - 1] for i in x])``, and hash and compare
 them in C.  A ``Permutation`` object wraps only a result that is kept.
+A power ``g ** k``, k < 0 too, rotates each cycle of g by k steps.
 """
 
 from __future__ import annotations
@@ -85,16 +86,13 @@ class Permutation:
         return Permutation._unchecked(tuple(images))
 
     def __pow__(self, k: int) -> "Permutation":
-        if k < 0:
-            return self.inverse() ** (-k)
-        result = Permutation.identity(self.degree)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        # for any integer k, each point moves k steps along its cycle
+        images = [0] * self.degree
+        for cycle in self.cycles(include_fixed=True):
+            n = len(cycle)
+            for i, p in enumerate(cycle):
+                images[p - 1] = cycle[(i + k) % n]
+        return Permutation._unchecked(tuple(images))
 
     def conjugate_by(self, h: "Permutation") -> "Permutation":
         """h^{-1} * self * h: relabel points of self through h.

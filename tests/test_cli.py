@@ -261,6 +261,16 @@ class TestBraidCommand:
         assert "stable_orbit_count" in report["outputs"]
         assert any("model" in w for w in report["warnings"])
 
+    def test_inadmissible_e_without_q_is_a_usage_error(self, capsys):
+        # --e is checked against d' even when no --q asks for Frobenius data
+        code, out, err = run(
+            capsys, "braid", "--preset", "klueners-s6", "--normal", "G1",
+            "--classes", "(1 2 3),(1 3 2)", "--e", "7",
+        )
+        assert code == 2
+        assert out == ""
+        assert "e = 7 not admissible for d' = 2" in err
+
 
 class TestSeriesCommand:
     def test_series_report(self, capsys):
@@ -305,12 +315,14 @@ class TestSeriesCommand:
 
 class TestDefaults:
     SERIES = ("series", "--preset", "klueners-s6", "--normal", "G1", "--q", "5")
-    BRAID = ("braid", "--preset", "klueners-s6", "--normal", "G1", "--q", "5",
-             "--classes", "(1 2 3),(1 3 2),(4 5 6),(4 6 5)")
+    BRAID_NO_Q = ("braid", "--preset", "klueners-s6", "--normal", "G1",
+                  "--classes", "(1 2 3),(1 3 2),(4 5 6),(4 6 5)")
+    BRAID = (*BRAID_NO_Q, "--q", "5")
 
     @pytest.mark.parametrize(
         "argv, option",
-        [(SERIES, ("--terms", "40")), (SERIES, ("--e", "1")), (BRAID, ("--e", "1"))],
+        [(SERIES, ("--terms", "40")), (SERIES, ("--e", "1")), (BRAID, ("--e", "1")),
+         (BRAID_NO_Q, ("--e", "1"))],
     )
     def test_omitted_option_reads_its_default(self, capsys, argv, option):
         code, implicit, _ = run(capsys, *argv)

@@ -31,6 +31,7 @@ from malle_lab.invariants import (
     RationalNumberField,
     TwistSpec,
     _check_phi,
+    _phi_orbit_count,
     _surjective_phis,
     _units,
     b_constant,
@@ -122,7 +123,7 @@ class TestTwist:
         N = klueners()
         G1 = klueners_g1(N)
         ctx = find_cyclic_complement(N, G1)
-        with pytest.raises(Exception):
+        with pytest.raises(ValueError, match="not admissible"):
             TwistSpec(q=5, e=2, ctx=ctx)  # d' = 2, gcd(2,2) != 1
 
     def test_twist_leaving_the_pool_is_a_typed_error(self, monkeypatch):
@@ -136,6 +137,21 @@ class TestTwist:
         monkeypatch.setattr(inv, "twist_class", lambda c, spec: trivial)
         with pytest.raises(InvariantViolation):
             orbit_blocks(spec, restrict_minimal=True)
+
+    def test_an_orbit_mixing_indices_is_a_typed_error(self, monkeypatch):
+        # a twist that swaps a minimal class with a larger-index one is a
+        # permutation of the pool, so only the index check can catch it
+        import malle_lab.invariants as inv
+
+        N = klueners()
+        G1 = klueners_g1(N)
+        spec = TwistSpec(q=5, e=1, ctx=find_cyclic_complement(N, G1))
+        m = minimal_index_classes(G1)[0]
+        x = next(c for c in G1.conjugacy_classes() if c.index > m.index)
+        swap = {m.class_id: x, x.class_id: m}
+        monkeypatch.setattr(inv, "twist_class", lambda c, spec: swap.get(c.class_id, c))
+        with pytest.raises(InvariantViolation, match="mixes class indices"):
+            orbit_blocks(spec, restrict_minimal=False)
 
     def test_q_not_coprime_rejected(self):
         N = klueners()
@@ -255,6 +271,14 @@ class TestNumberField:
         e = parse_cycles("id", 6)
         with pytest.raises(BadModulus):
             b_phi(N, G1, 2, {1: e})
+
+    def test_phi_action_leaving_the_minimal_classes_is_a_typed_error(self):
+        # _phi_orbit_count trusts its table; 2 is no unit mod 2, so its
+        # entry squares each transposition of S3 into the trivial class
+        S3 = closure([parse_cycles("(1 2)", 3), parse_cycles("(1 2 3)", 3)], 3)
+        table = {1: S3.identity, 2: S3.identity}
+        with pytest.raises(InvariantViolation, match="left the class pool"):
+            _phi_orbit_count(S3, 2, table)
 
     @pytest.mark.parametrize("M", [0, -3])
     def test_a_level_below_one_is_a_bad_modulus(self, M):

@@ -164,6 +164,13 @@ class TestAlgebra:
     def test_is_identity_is_equality_with_the_identity(self, p):
         assert p.is_identity == (p == Permutation.identity(p.degree))
 
+    @given(perm_strategy(7), st.integers(-60, 60))
+    def test_pow_is_repeated_multiplication(self, p, k):
+        # p**k is k copies of p, or |k| of its inverse, multiplied left to
+        # right; the empty product (k = 0) is the identity
+        base = p if k >= 0 else p.inverse()
+        assert p**k == product([base] * abs(k), degree=7)
+
     @given(perm_strategy(7))
     def test_order_is_the_least_power_giving_the_identity(self, p):
         identity = Permutation.identity(7)
