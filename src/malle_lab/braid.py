@@ -69,16 +69,33 @@ canonical: a row that moves t[:j] first changes it at a position where,
 t being canonical, it makes the entry larger, and u agrees with t there;
 every other row is the identity.  u[:j] = t[:j] also gives j(u) = j(t).
 
-An abelian G needs no orbit search: the canonical tuples of cv form one
-orbit, or none if there are none.  In abelian G, Q_i maps (..., a, b, ...)
-to (..., b, a, ...), since a b a^{-1} = b, and adjacent swaps generate
-S_k, so any two arrangements of one multiset of elements lie in one braid
-orbit.  Each class of an abelian G is one element, so every tuple with
-class multiset cv is an arrangement of the same multiset; product one
-and generation depend only on that multiset, so either every
-arrangement qualifies or none does.  N-conjugation commutes with every
-move, so the canonical forms of those tuples also form one orbit, and
-_enumerate_idx returns exactly those canonical forms.
+An abelian G needs neither the search nor the enumeration: its one orbit
+is counted.  In abelian G, Q_i maps (..., a, b, ...) to (..., b, a, ...),
+since a b a^{-1} = b, and adjacent swaps generate S_k, so any two
+arrangements of one multiset of elements lie in one braid orbit.  Each
+class of an abelian G is one element, so cv names one multiset M of k
+elements, with multiplicities m_c.
+
+- The rows act freely.  The conjugation rows are distinct automorphisms
+  of G.  A row that fixes every entry of a generating tuple fixes G
+  pointwise, so it is the identity row.
+- What the orbit is.  Let U be the set of arrangements of the row images
+  of M.  The rows commute with the moves, so U is one braid orbit modulo
+  N-conjugation, or empty; product one and generation depend only on the
+  multiset, so U is non-empty iff M has product one and generates G.
+  The orbit's members are the canonical tuples in U.
+- The size.  Let images be the distinct sorted row images of M.  Each
+  has the multiplicities m_c, so |U| = len(images) k!/prod(m_c!), and
+  the rows permute U freely with one canonical tuple per row orbit:
+  size = |U| / len(conj_rows).  A remainder raises InvariantViolation.
+- The representative.  U is closed under the rows, so its least element,
+  min(images), is its own least image: the least canonical tuple in U.
+- Frobenius stability.  The canonical form of the twisted image of the
+  representative lies in the orbit iff the image lies in U, that is iff
+  the least sorted row image of its entries is min(images).
+
+BraidOrbit.members of a counted orbit is built on first read, by
+_enumerate_idx under NODE_CAP, and checked against the counted size.
 
 Frobenius stability of an orbit is a *model*: the entrywise map
 g -> (g^q) conjugated by tau^{-e}, followed by reduction modulo braid
@@ -88,8 +105,9 @@ moves and N-conjugation.  Reports built on it carry a warning.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from typing import Collection, Mapping, Sequence
+from functools import cached_property, lru_cache, partial
+from math import factorial
+from typing import Callable, Collection, Mapping, Sequence
 
 from .errors import (
     EnumerationCapExceeded,
@@ -448,13 +466,18 @@ class BraidOrbit:
     """One orbit of the braid moves on N-conjugation classes of tuples.
 
     The tuples lie in canonical_rep.group (G) and ambient is N.  An orbit
-    equals only itself.
+    equals only itself.  members, the orbit's canonical tuples of element
+    indices, is built on first read by _members.
     """
 
     ambient: FiniteGroup
     canonical_rep: NielsenTuple
     size: int
-    members: frozenset
+    _members: Callable[[], frozenset]
+
+    @cached_property
+    def members(self) -> frozenset:
+        return self._members()
 
     def __repr__(self) -> str:
         return f"BraidOrbit(size={self.size}, rep={self.canonical_rep.entries!r})"
@@ -556,31 +579,85 @@ def braid_orbits(G: FiniteGroup, N: FiniteGroup, cv: ClassVector) -> list[BraidO
     """
     _check_group(G, cv)
     ctx = _indexed(G, N)
-    canonical = _enumerate_idx(ctx, cv)
     if len(G.conjugacy_classes()) == G.order:
-        # abelian G: one orbit of every canonical tuple (module docstring)
-        visited_cap = VISITED_CAP
-        if len(canonical) > visited_cap:
-            raise EnumerationCapExceeded(f"orbit grew past {visited_cap} canonical tuples")
-        parts = [set(canonical)] if canonical else []
+        # abelian G: one orbit, counted (module docstring)
+        parts = [
+            (rep, size, partial(_counted_members, G, N, cv, size))
+            for rep, size in _count_abelian_orbit(ctx, cv)
+        ]
     else:
-        parts = _orbit_partition(ctx, canonical)
-    covered = sum(len(members) for members in parts)
-    if covered != len(canonical):
-        raise InvariantViolation(
-            f"orbit sizes sum to {covered}, not to the {len(canonical)} canonical tuples"
-        )
-    orbits = []
-    for rep, members in sorted((min(members), members) for members in parts):
-        orbits.append(
-            BraidOrbit(
-                ambient=N,
-                canonical_rep=NielsenTuple(G, tuple(G.elements[i] for i in rep)),
-                size=len(members),
-                members=frozenset(members),
+        canonical = _enumerate_idx(ctx, cv)
+        found = _orbit_partition(ctx, canonical)
+        covered = sum(len(members) for members in found)
+        if covered != len(canonical):
+            raise InvariantViolation(
+                f"orbit sizes sum to {covered}, not to the {len(canonical)} canonical tuples"
             )
+        parts = [
+            (min(members), len(members), partial(frozenset, members))
+            for members in sorted(found, key=min)
+        ]
+    return [
+        BraidOrbit(
+            ambient=N,
+            canonical_rep=NielsenTuple(G, tuple(G.elements[i] for i in rep)),
+            size=size,
+            _members=members,
         )
-    return orbits
+        for rep, size, members in parts
+    ]
+
+
+def _count_abelian_orbit(
+    ctx: _IndexedPair, cv: ClassVector
+) -> list[tuple[tuple[int, ...], int]]:
+    """[(least member, size)] of abelian G's one orbit of cv, or [] if none.
+
+    No tuple is built: the module docstring derives both from the row
+    images of cv's element multiset.
+    """
+    G = ctx.G
+    classes = G.conjugacy_classes()
+    index, mul = G.index, G.mul
+    identity = index[G.identity]
+    elements = [
+        index[classes[cid].representative] for cid, m in cv.multiplicities for _ in range(m)
+    ]
+    prod = identity
+    for g in elements:
+        prod = mul[prod][g]
+    # no tuple shorter than 2, as in _enumerate_idx (a product-one 1-tuple
+    # is the identity, in no class of cv)
+    if len(elements) < 2 or prod != identity or _closure_order(G, set(elements)) != G.order:
+        return []
+    images = {tuple(sorted(map(row.__getitem__, elements))) for row in ctx.conj_rows}
+    arrangements = factorial(len(elements))
+    for _, m in cv.multiplicities:
+        arrangements //= factorial(m)
+    size, rest = divmod(len(images) * arrangements, len(ctx.conj_rows))
+    if rest:
+        raise InvariantViolation(
+            f"{len(images)} row images of {arrangements} arrangements each do not "
+            f"split into orbits of the {len(ctx.conj_rows)} conjugation rows"
+        )
+    visited_cap = VISITED_CAP
+    if size > visited_cap:
+        raise EnumerationCapExceeded(f"orbit grew past {visited_cap} canonical tuples")
+    return [(min(images), size)]
+
+
+def _counted_members(
+    G: FiniteGroup, N: FiniteGroup, cv: ClassVector, size: int
+) -> frozenset:
+    """The canonical tuples of a counted orbit, enumerated under NODE_CAP."""
+    tuples = _enumerate_idx(_indexed(G, N), cv)
+    members = frozenset(tuples)
+    if not len(tuples) == len(members) == size:
+        raise InvariantViolation(
+            f"the enumeration gave {len(tuples)} canonical tuples, {len(members)} "
+            f"distinct, for an orbit counted at {size}"
+        )
+    return members
 
 
 def frobenius_stable_orbits(
@@ -603,6 +680,7 @@ def frobenius_stable_orbits(
     index = G.index
     twist = [index[spec.image(g)] for g in G.elements]
     identity = index[G.identity]
+    abelian = len(G.conjugacy_classes()) == G.order
     stable = []
     for orbit in orbits:
         rep = tuple(index[g] for g in orbit.canonical_rep.entries)
@@ -613,7 +691,11 @@ def frobenius_stable_orbits(
             prod = G.mul[prod][g]
         if prod != identity:
             continue
-        if ctx.canonical(image) in orbit.members:
+        if abelian:
+            # a counted orbit: compare row images, not members (module docstring)
+            if min(tuple(sorted(map(row.__getitem__, image))) for row in ctx.conj_rows) == rep:
+                stable.append(orbit)
+        elif ctx.canonical(image) in orbit.members:
             stable.append(orbit)
     return stable
 

@@ -1,15 +1,19 @@
 """Acceptance gate: the nine pinned criteria, one pass/fail line each.
 
-Each test prints exactly one line "[criterion N] PASS|FAIL: summary (Ts)",
+Each criterion test prints exactly one line "[criterion N] PASS|FAIL: summary (Ts)",
 T being the seconds since the test started, and then asserts.  Criteria 1 and 8 check the program against oracles written
 in this file that do not go through the code under test; the hand
 derivations of the values they expect are in docs/decisions.md.
+Criterion 8's multiset oracle also checks `h2` of Klüners' G1 and G2 in
+N, in a plain test with no verdict line.
 """
 
 import math
 import time
 from fractions import Fraction
 from itertools import product as iproduct
+
+import pytest
 
 from malle_lab.braid import class_vector_of, enumerate_nielsen
 from malle_lab.groups import (
@@ -30,7 +34,7 @@ from malle_lab.invariants import (
     render_growth,
     revised_b,
 )
-from malle_lab.perms import parse_cycles, product
+from malle_lab.perms import Permutation, parse_cycles, product
 from malle_lab.presets import abelian_q, abelian_suite, get_preset
 from malle_lab.series import (
     RationalGF,
@@ -316,17 +320,22 @@ def test_criterion_7_braid_machinery():
     verdict(7, ok, "braid relations, Clebsch connectivity, traversal independence", t0)
 
 
-def stable_generating_multisets(G: FiniteGroup, q: int, R: int) -> dict[int, int]:
-    """Independent oracle for h2 of an abelian G = N (tau = 1).
+def stable_generating_multisets(G: FiniteGroup, q: int, R: int, tau: Permutation, e: int) -> dict[int, int]:
+    """Independent oracle for h2 of an abelian G normal in N.
 
-    In an abelian group a braid move only swaps two neighbouring entries
-    and conjugation is trivial, so a braid orbit is a multiset of
-    elements.  Counts, at r = total index <= R, the multisets of
+    In an abelian group a braid move only swaps two neighbouring entries,
+    so a braid orbit is a multiset of elements.  `h2_desk_scale` visits
+    the class vectors made of twist orbits, and in abelian G a class is
+    one element.  Counts, at r = total index <= R, the multisets of
     nontrivial elements with product one that generate G and are sent to
-    themselves by g -> g^q, each weighted q^(number of entries).
+    themselves by the twist t_e(g) = g^q conjugated by tau^{-e}, each
+    weighted q^(number of entries).  Multisets that N maps to one another
+    are counted apart, as `h2_desk_scale` decides each class vector on
+    its own.  With G = N, tau = 1.
     """
     identity = G.identity
     pool = sorted(g for g in G if not g.is_identity)
+    twist = {g: (g**q).conjugate_by(tau ** -e) for g in pool}
     table: dict[int, int] = {}
 
     def generates(entries):
@@ -337,7 +346,7 @@ def stable_generating_multisets(G: FiniteGroup, q: int, R: int) -> dict[int, int
         return len(closed) == G.order
 
     def descend(start, entries, r, prod):
-        stable = sorted(g**q for g in entries) == entries
+        stable = sorted(twist[g] for g in entries) == entries
         if entries and prod == identity and stable and generates(entries):
             table[r] = table.get(r, 0) + q ** len(entries)
         for i in range(start, len(pool)):
@@ -365,7 +374,7 @@ def test_criterion_8_prop_main_desk_scale():
         ctx = find_cyclic_complement(N, N)
         twist = TwistSpec(q=q, e=1, ctx=ctx)
         h2 = h2_desk_scale(N, N, twist, R)
-        if not h2 or h2 != stable_generating_multisets(N, q, R):
+        if not h2 or h2 != stable_generating_multisets(N, q, R, ctx.tau, 1):
             failures.append(f"{label}: h2={h2} at R={R}")
         rep = prop_main_check(N, N, twist, R)
         if rep.violated or rep.m != m or rep.c1 != 1:
@@ -388,6 +397,18 @@ def test_criterion_8_prop_main_desk_scale():
         + (f" — failing clauses: {failures}" if failures else ""),
         t0,
     )
+
+
+@pytest.mark.parametrize("q", [5, 7, 11, 13])
+@pytest.mark.parametrize("name", ["G1", "G2"])
+def test_klueners_h2_equals_the_multiset_oracle(name, q):
+    # Klüners' abelian G1 and G2 inside N = C3 wr C2 (G != N, tau != 1):
+    # h2 against the twist-invariant multisets, at R = 24
+    spec = get_preset("klueners-s6").spec
+    N, G = spec.group(), spec.subgroup(name)
+    ctx = find_cyclic_complement(N, G)
+    h2 = h2_desk_scale(G, N, TwistSpec(q=q, e=1, ctx=ctx), 24)
+    assert h2 and h2 == stable_generating_multisets(G, q, 24, ctx.tau, 1)
 
 
 def test_criterion_9_number_field_variant():

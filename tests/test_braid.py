@@ -33,7 +33,8 @@ from malle_lab.errors import (
 from malle_lab.groups import closure, derived_subgroup, find_cyclic_complement
 from malle_lab.invariants import TwistSpec
 from malle_lab.perms import Permutation, parse_cycles, product
-from malle_lab.presets import abelian_suite, get_preset
+from malle_lab.presets import abelian_q, abelian_suite, get_preset
+from test_acceptance import stable_generating_multisets
 from test_groups import permutations_of
 
 
@@ -612,8 +613,8 @@ class TestMinimalImageOracles:
 
     @pytest.mark.parametrize("label,max_length", [("C2xC2", 8), ("C4", 8), ("C6", 7), ("C3xC3", 5)])
     def test_abelian_g_equals_n_every_class_vector(self, label, max_length):
-        # braid_orbits answers abelian G without a search; the BFS and the
-        # one-orbit answer are both checked against the oracle here
+        # braid_orbits counts abelian G's one orbit; the BFS and the
+        # counted answer are both checked against the oracle here
         G = abelian_suite()[label].group()
         found = 0
         for length in range(1, max_length + 1):
@@ -698,6 +699,93 @@ class TestAbelianOneOrbit:
         G = s3()
         with pytest.raises(SearchRan):
             braid_orbits(G, G, class_vector_of(G, [parse_cycles("(1 2)", 3)] * 4))
+
+
+def refuse_enumeration(ctx, cv, canonical_only=True):
+    raise SearchRan
+
+
+def stable_by_members(ctx, spec, orbit):
+    """The searched orbits' rule: the twisted representative's canonical form is a member."""
+    G = ctx.G
+    image = [spec.image(g) for g in orbit.canonical_rep.entries]
+    return (
+        product(image, G.degree).is_identity
+        and ctx.canonical(tuple(G.index[g] for g in image)) in orbit.members
+    )
+
+
+def check_stability_shortcut(G, N, qs, vectors):
+    """frobenius_stable_orbits on abelian G agrees with the members rule.
+
+    Returns how many orbits each verdict (True, False) was reached on.
+    """
+    ctx = braid._indexed(G, N)
+    specs = [TwistSpec(q=q, e=1, ctx=find_cyclic_complement(N, G)) for q in qs]
+    verdicts = Counter()
+    for cv in vectors:
+        for orbit in braid_orbits(G, N, cv):
+            for spec in specs:
+                expect = stable_by_members(ctx, spec, orbit)
+                assert (frobenius_stable_orbits([orbit], spec) == [orbit]) == expect, (cv, spec.q)
+                verdicts[expect] += 1
+    return verdicts
+
+
+class TestCountedOrbit:
+    """Abelian G: the one orbit is counted, and members built only when read."""
+
+    @pytest.mark.parametrize("case,q", [("wreath-d6", 7), ("wreath-d6", 11), ("klueners-pool8", 5), ("klueners-pool8", 7)])
+    def test_orbit_and_stability_without_enumeration(self, case, q, monkeypatch):
+        [(G, N, cv)] = orderly_cases(case)
+        ctx = braid._indexed(G, N)
+        spec = TwistSpec(q=q, e=1, ctx=find_cyclic_complement(N, G))
+        canonical = braid._enumerate_idx(ctx, cv)
+        [before] = braid_orbits(G, N, cv)  # its members read, so enumerated
+        stable = stable_by_members(ctx, spec, before)
+        monkeypatch.setattr(braid, "_enumerate_idx", refuse_enumeration)
+        [orbit] = braid_orbits(G, N, cv)
+        assert orbit.size == len(canonical)
+        assert tuple(G.index[g] for g in orbit.canonical_rep.entries) == min(canonical)
+        assert frobenius_stable_orbits([orbit], spec) == ([orbit] if stable else [])
+        with pytest.raises(SearchRan):
+            orbit.members
+
+    @pytest.mark.parametrize("q", [5, 7, 11, 13])
+    def test_h2_without_enumeration(self, q, monkeypatch):
+        N, G1 = klueners(), klueners_g1()
+        ctx = find_cyclic_complement(N, G1)
+        monkeypatch.setattr(braid, "_enumerate_idx", refuse_enumeration)
+        h2 = series.h2_desk_scale(G1, N, TwistSpec(q=q, e=1, ctx=ctx), 16)
+        assert h2 and h2 == stable_generating_multisets(G1, q, 16, ctx.tau, 1)
+
+    @pytest.mark.parametrize("label", ["C2xC2", "C4", "C6", "C3xC3"])
+    def test_stability_shortcut_on_the_abelian_suite(self, label):
+        G = abelian_suite()[label].group()
+        lengths = range(1, 7 if label == "C3xC3" else 8)
+        vectors = [cv for length in lengths for cv in class_vectors(G, length)]
+        assert check_stability_shortcut(G, G, abelian_q(label), vectors)[True]
+
+    def test_stability_shortcut_on_klueners_g1_in_n(self):
+        G1, N = klueners_g1(), klueners()
+        vectors = [cv for length in range(1, 7) for cv in class_vectors(G1, length)]
+        verdicts = check_stability_shortcut(G1, N, (5, 7, 11, 13), vectors)
+        assert verdicts[True] and verdicts[False]
+
+    @pytest.mark.parametrize("change", ["drop", "duplicate"])
+    def test_members_must_match_the_counted_size(self, change, monkeypatch):
+        G, N, cv = klueners_case(KLUENERS_G1_IN_N[1])
+        enumerate_idx = braid._enumerate_idx
+
+        def wrong(ctx, cv, canonical_only=True):
+            tuples = enumerate_idx(ctx, cv, canonical_only)
+            return tuples[1:] if change == "drop" else tuples + tuples[:1]
+
+        monkeypatch.setattr(braid, "_enumerate_idx", wrong)
+        [orbit] = braid_orbits(G, N, cv)  # counted: nothing enumerated yet
+        assert orbit.size == 12
+        with pytest.raises(InvariantViolation, match="counted at 12"):
+            orbit.members
 
 
 class TestOrderlyEnumeration:
