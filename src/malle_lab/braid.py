@@ -678,7 +678,7 @@ def frobenius_stable_orbits(
         raise ValueError("an orbit of another (G, N) than spec.ctx")
     ctx = _indexed(G, N)
     index = G.index
-    twist = [index[spec.image(g)] for g in G.elements]
+    twist = spec.image_indices
     identity = index[G.identity]
     abelian = len(G.conjugacy_classes()) == G.order
     stable = []

@@ -11,7 +11,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Sequence
+from operator import itemgetter
+from typing import Callable, Iterable, Sequence
 
 from .errors import (
     DegreeMismatch,
@@ -24,6 +25,19 @@ from .perms import Permutation
 
 # closure raises OrderCapExceeded past this many elements
 ORDER_CAP = 10**6
+
+Images = tuple[int, ...]  # Permutation.images: images[i - 1] is the image of i
+
+
+def _left(g: Images) -> Callable[[Images], Images]:
+    """x -> (g * x).images, for image tuples: a gather of x, done in C.
+
+    itemgetter of one index returns a bare item, not a 1-tuple; in degree
+    1 the only g is the identity, and g * x = x.
+    """
+    if len(g) == 1:
+        return tuple
+    return itemgetter(*[i - 1 for i in g])
 
 
 class FiniteGroup:
@@ -136,22 +150,21 @@ class ConjugacyClass:
 def closure(generators: Sequence[Permutation], degree: int) -> FiniteGroup:
     """Enumerate the group generated by `generators` inside S_degree.
 
-    The search runs on image tuples; each element is wrapped once, in the
-    sorted order.
+    The search runs on image tuples, multiplying on the left by each
+    generator; each element is wrapped once, in the sorted order.
     """
     order_cap = ORDER_CAP
     for g in generators:
         if g.degree != degree:
             raise DegreeMismatch(f"generator degree {g.degree} != {degree}")
-    gens = [g.images for g in generators]
+    steps = [_left(g.images) for g in generators]
     identity = tuple(range(1, degree + 1))
     elements = {identity}
     frontier = [identity]
     while frontier:
         new = []
-        for x in frontier:
-            for g in gens:
-                y = tuple([g[i - 1] for i in x])
+        for step in steps:
+            for y in map(step, frontier):
                 if y not in elements:
                     elements.add(y)
                     new.append(y)
@@ -169,8 +182,16 @@ def _compute_classes(G: FiniteGroup) -> tuple[list[ConjugacyClass], list[int]]:
     A class is the orbit of its least member under conjugation by the
     generators of G.
     """
-    conjugators = G.generators or G.elements
-    elements, index = G.elements, G.index
+    elements = G.elements
+    position = {p.images: i for i, p in enumerate(elements)}
+    # x^{-1} y x is the gather _left(x^{-1}) of y, then x's images read at
+    # its entries (padded, as points are 1-based).  The identity moves no
+    # class, and leaving it out keeps a one-index itemgetter out of degree 1.
+    conjugators = [
+        (_left(x.inverse().images), (0,) + x.images)
+        for x in G.generators or elements
+        if not x.is_identity
+    ]
     class_ids = [-1] * G.order
     classes = []
     # G.elements is sorted, so each new class starts at its least member.
@@ -179,14 +200,15 @@ def _compute_classes(G: FiniteGroup) -> tuple[list[ConjugacyClass], list[int]]:
         if class_ids[i] >= 0:
             continue
         class_ids[i] = cid = len(classes)
-        orbit = [g]
-        for y in orbit:
-            for x in conjugators:
-                j = index[y.conjugate_by(x)]
-                if class_ids[j] < 0:
-                    class_ids[j] = cid
-                    orbit.append(elements[j])
-        classes.append(ConjugacyClass(g, tuple(sorted(orbit)), cid))
+        orbit = [i]
+        for j in orbit:
+            y = elements[j].images
+            for left, pad in conjugators:
+                k = position[itemgetter(*left(y))(pad)]
+                if class_ids[k] < 0:
+                    class_ids[k] = cid
+                    orbit.append(k)
+        classes.append(ConjugacyClass(g, tuple([elements[j] for j in sorted(orbit)]), cid))
     return classes, class_ids
 
 
@@ -194,12 +216,13 @@ def centralizer(N: FiniteGroup, G: FiniteGroup) -> FiniteGroup:
     """Cen_N(G) = {x in N : xg = gx for all g in G}."""
     if not G.is_subgroup_of(N):
         raise NotASubgroup("G is not a subgroup of N")
-    # xg = gx iff g(x(p)) = x(g(p)) for every point p
-    gens = [g.images for g in G.generators or G.elements]
+    # xg = gx: the gather of g by x against the gather of x by g
+    gens = [(g.images, _left(g.images)) for g in G.generators or G.elements]
     members = []
     for x in N.elements:
         a = x.images
-        if all([g[i - 1] for i in a] == [a[i - 1] for i in g] for g in gens):
+        x_left = _left(a)
+        if all(x_left(g) == g_left(a) for g, g_left in gens):
             members.append(x)
     return FiniteGroup(N.degree, tuple(members), members)
 
@@ -226,49 +249,69 @@ def derived_subgroup(N: FiniteGroup) -> FiniteGroup:
         seed |= new
 
 
-def coset_order(G: FiniteGroup, x: Permutation) -> int:
-    """Order of xG in N/G."""
-    k = 1
-    y = x
-    while y not in G:
-        y = y * x
-        k += 1
-    return k
+def _cosets(
+    N: FiniteGroup, G: FiniteGroup
+) -> tuple[dict[Images, int], list[Permutation], list[int]]:
+    """N/G for G normal in N, numbered by least member (G is coset 0).
+
+    Returns the coset number of each element's image tuple, each coset's
+    least member x, and its order in N/G: the least k with x^k in G,
+    found by stepping x^k = x * x^(k-1).
+    """
+    g_images = [g.images for g in G.elements]
+    coset: dict[Images, int] = {}
+    reps: list[Permutation] = []
+    for x in N.elements:
+        if x.images not in coset:
+            coset.update(dict.fromkeys(map(_left(x.images), g_images), len(reps)))
+            reps.append(x)
+    orders = []
+    for x in reps:
+        step, y, k = _left(x.images), x.images, 1
+        while coset[y]:
+            y, k = step(y), k + 1
+        orders.append(k)
+    return coset, reps, orders
 
 
 def quotient_is_cyclic(N: FiniteGroup, G: FiniteGroup) -> bool:
-    d = N.order // G.order
-    return any(coset_order(G, x) == d for x in N.elements)
+    return N.order // G.order in _cosets(N, G)[2]
 
 
 def _subgroups_between(N: FiniteGroup, D: FiniteGroup) -> list[FiniteGroup]:
     """All subgroups H with D <= H <= N, for D normal with abelian quotient.
 
     Each such H contains [N, N], so it is normal in N and <H, x> = H<x> is
-    the union of the cosets H x^k: |<H, x>| products from the powers of x.
-    <H, x> depends only on the coset Hx, so one x per coset of H is tried;
+    the union of the cosets x^k H: |<H, x>| products from the powers of x.
+    <H, x> depends only on the coset xH, so one x per coset of H is tried;
     skipping every x inside some <H, x'> would lose subgroups (in C4 = <g>,
     <g> covers g^2).  Every H > D is <H', x> for some H' in the interval
-    below it, so the breadth-first search from D reaches it.
+    below it, so the breadth-first search from D reaches it.  The search
+    runs on image tuples; each subgroup holds N's own elements.
     """
-    seen = {D._element_set: D}
+    own = {p.images: p for p in N.elements}
+    seen = {frozenset(p.images for p in D.elements): D}
     frontier = [D]
     while frontier:
         new = []
         for H in frontier:
-            covered = set(H._element_set)
+            h_images = [h.images for h in H.elements]
+            in_h = set(h_images)
+            covered = set(in_h)
             for x in N.elements:
-                if x in covered:
+                a = x.images
+                if a in covered:
                     continue
-                elements = list(H.elements)
-                y = x
-                while y not in H:
-                    elements.extend(h * y for h in H.elements)
-                    y = y * x
-                covered.update(elements[H.order : 2 * H.order])  # the coset Hx
-                key = frozenset(elements)
+                images = list(h_images)
+                step = _left(a)
+                y = a
+                while y not in in_h:
+                    images.extend(map(_left(y), h_images))
+                    y = step(y)
+                covered.update(images[H.order : 2 * H.order])  # the coset xH
+                key = frozenset(images)
                 if key not in seen:
-                    H2 = FiniteGroup(N.degree, H.generators + (x,), elements)
+                    H2 = FiniteGroup(N.degree, H.generators + (x,), map(own.__getitem__, images))
                     seen[key] = H2
                     new.append(H2)
         frontier = new
@@ -331,7 +374,8 @@ def find_cyclic_complement(N: FiniteGroup, G: FiniteGroup) -> GNContext:
     if not G.is_normal_in(N):
         raise NotASubgroup("G is not a normal subgroup of N")
     d = N.order // G.order
-    coset_gens = [x for x in N.elements if coset_order(G, x) == d]
+    coset, _, orders = _cosets(N, G)
+    coset_gens = [x for x in N.elements if orders[coset[x.images]] == d]
     if not coset_gens:
         raise NonCyclicQuotient(f"N/G of order {d} is not cyclic")
 

@@ -28,6 +28,7 @@ from .groups import (
     ConjugacyClass,
     FiniteGroup,
     GNContext,
+    _cosets,
     a_invariant,
     find_cyclic_complement,
     normal_subgroups_with_abelian_quotient,
@@ -73,6 +74,15 @@ class TwistSpec:
     def image(self, g: Permutation) -> Permutation:
         """t_e on elements: g^q conjugated by tau^{-e}."""
         return (g**self.q).conjugate_by(self.conjugator)
+
+    @cached_property
+    def image_indices(self) -> list[int]:
+        """t_e on positions in G.elements: entry i is the position of
+        t_e(G.elements[i]).  Built once per spec, so an h2 call twists
+        each element once, not once per class vector.
+        """
+        G = self.ctx.G
+        return [G.index[self.image(g)] for g in G.elements]
 
 
 def twist_class(c: ConjugacyClass, spec: TwistSpec) -> ConjugacyClass:
@@ -267,10 +277,10 @@ def _phi_orbit_count(G: FiniteGroup, M: int, phi: Mapping[int, Permutation]) -> 
 def _surjective_phis(N: FiniteGroup, G: FiniteGroup, M: int) -> list[dict[int, Permutation]]:
     """All surjective homomorphisms (Z/M)* -> N/G, as lift tables.
 
-    Cosets of G are numbered by their least member, the lift a table
-    stores.  A table that satisfies phi(u g) = phi(u) phi(g) along every
-    unit generator g is a homomorphism, so its image is a subgroup and phi
-    is onto exactly when it takes every coset as a value.
+    Cosets of G are numbered by their least member (groups._cosets), the
+    lift a table stores.  A table that satisfies phi(u g) = phi(u) phi(g)
+    along every unit generator g is a homomorphism, so its image is a
+    subgroup and phi is onto exactly when it takes every coset as a value.
     """
     units = _units(M)
     gens: list[int] = []
@@ -279,14 +289,8 @@ def _surjective_phis(N: FiniteGroup, G: FiniteGroup, M: int) -> list[dict[int, P
         if u not in generated:
             gens.append(u)
             generated = {x * pow(u, k, M) % M for x in generated for k in range(len(units))}
-    coset = [-1] * N.order
-    reps: list[Permutation] = []
-    for i, x in enumerate(N.elements):
-        if coset[i] < 0:
-            for g in G.elements:
-                coset[N.index[x * g]] = len(reps)
-            reps.append(x)
-    qmul = [[coset[N.index[a * b]] for b in reps] for a in reps]
+    coset, reps, _ = _cosets(N, G)
+    qmul = [[coset[(a * b).images] for b in reps] for a in reps]
 
     def phi(images: tuple[int, ...]) -> dict[int, int] | None:
         # coset ids breadth-first from phi(1) = G along the generators;

@@ -8,10 +8,14 @@ relabelling every point p as h(p); the conjugate of the cycle (1 2 3) by h
 is the cycle (h(1) h(2) h(3)).
 
 Speed rule: loops that run once per group element or per product (the
-closure in ``groups``, conjugation, centralizer tests, indices) compose
-image tuples, ``y = tuple([g[i - 1] for i in x])``, and hash and compare
-them in C.  A ``Permutation`` object wraps only a result that is kept.
-A power ``g ** k``, k < 0 too, rotates each cycle of g by k steps.
+closure, classes, centralizers, cosets and subgroup lattice in
+``groups``) compose image tuples with one C-level gather: ``g * x`` has
+images ``itemgetter(*[i - 1 for i in g])(x)`` (``groups._left(g)``),
+hashed and compared in C.  In degree 1 ``itemgetter`` of one index
+returns a bare item, not a 1-tuple; there the only g is the identity,
+and ``_left`` returns x itself.  A ``Permutation`` object wraps only a
+result that is kept.  A power ``g ** k``, k < 0 too, rotates each cycle
+of g by k steps.
 """
 
 from __future__ import annotations

@@ -191,13 +191,14 @@ def tauberian_fit(table: CoefficientTable, report: PoleReport) -> FitSummary:
     ratios = []
     running = 0
     upper = support[len(support) // 2 :]
+    log_q = math.log(q)
     for r in support:
         running += table.values[r]
         if r not in upper:
             continue
-        X = float(q) ** (r + 1)
-        denom = X**a * (math.log(X)) ** (b - 1)
-        ratios.append(running / denom)
+        # in logs: q^(r+1) and the exact int `running` may pass the float range
+        log_X = (r + 1) * log_q
+        ratios.append(math.exp(math.log(running) - a * log_X - (b - 1) * math.log(log_X)))
     lo, hi = min(ratios), max(ratios)
     spread = hi / lo
     return FitSummary(

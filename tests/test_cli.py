@@ -294,6 +294,16 @@ class TestSeriesCommand:
         assert report["outputs"]["fit"]["ok"] is True
         assert any("equal modulus" in w for w in report["warnings"])
 
+    def test_fit_past_the_float_range(self, capsys):
+        # q^(r+1) passes the float range at r = 364 for q = 7
+        code, out, _ = run(
+            capsys, "series", "--preset", "klueners-s6", "--normal", "G1", "--q", "7",
+            "--terms", "400",
+        )
+        assert code == 0
+        fit = json.loads(out)["outputs"]["fit"]
+        assert fit["ok"] is True and 1 <= fit["spread"] <= fit["window"]
+
     def test_short_series_skips_fit(self, capsys):
         code, out, _ = run(
             capsys,

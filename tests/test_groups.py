@@ -368,7 +368,35 @@ class TestCoreOracles:
 
 
 # ---------------------------------------------------------------------------
-# the image-tuple kernels against their definitions in Permutation arithmetic
+# the image-tuple kernels and the coset table against their definitions in
+# Permutation arithmetic, on random subgroups of S_n with n = 1 and 2 included
+
+
+def permutations_in(degree):
+    """Any permutation of 1..degree, the identity included."""
+    return st.permutations(range(1, degree + 1)).map(Permutation)
+
+
+def random_group(data, degrees):
+    degree = data.draw(st.sampled_from(degrees))
+    gens = data.draw(st.lists(permutations_in(degree), min_size=1, max_size=3))
+    return gens, degree
+
+
+def normal_closure(N, seed):
+    """The subgroup of N generated by every N-conjugate of seed."""
+    return subgroup_generated(N, {g.conjugate_by(x) for g in seed for x in N.elements})
+
+
+def old_coset_order(G, x):
+    """Order of xG: the least k with x^k in G, by repeated products."""
+    k, y = 1, x
+    while y not in G:
+        y, k = y * x, k + 1
+    return k
+
+
+DEGREES = (1, 2, 3, 4, 5)
 
 
 def oracle_closure(gens, degree):
@@ -382,21 +410,78 @@ def oracle_closure(gens, degree):
 
 
 class TestTupleKernels:
-    @settings(max_examples=60, deadline=None)
-    @given(degree=st.integers(2, 7), data=st.data())
-    def test_closure_matches_a_product_bfs(self, degree, data):
-        gens = data.draw(st.lists(permutations_of(degree), min_size=1, max_size=3))
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_closure_matches_a_product_bfs(self, data):
+        gens, degree = random_group(data, (1, 2, 3, 4, 5, 6, 7))
         G = closure(gens, degree)
         assert G.elements == oracle_closure(gens, degree)
         assert all(type(p) is Permutation for p in G.elements)
 
-    @settings(max_examples=60, deadline=None)
-    @given(degree=st.sampled_from((4, 5, 6)), data=st.data())
-    def test_centralizer_is_the_commuting_filter(self, degree, data):
-        N = closure(data.draw(st.lists(permutations_of(degree), min_size=1, max_size=3)), degree)
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_centralizer_is_the_commuting_filter(self, data):
+        N = closure(*random_group(data, (1, 2, 3, 4, 5, 6)))
         seed = data.draw(st.lists(st.sampled_from(N.elements), min_size=1, max_size=2))
         G = subgroup_generated(N, seed)
         C = centralizer(N, G)
         assert C.elements == tuple(
             x for x in N.elements if all(x * g == g * x for g in G.elements)
         )
+
+
+class TestGatherKernels:
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_classes_match_conjugate_by(self, data):
+        G = closure(*random_group(data, DEGREES))
+        classes = G.conjugacy_classes()
+        assert [(c.class_id, c.representative, c.members) for c in classes] == oracle_classes(G)
+        # members are G's own objects, not copies
+        own = {id(p) for p in G.elements}
+        assert all(id(p) in own for c in classes for p in c.members)
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_cosets_match_coset_order(self, data):
+        N = closure(*random_group(data, DEGREES))
+        seed = data.draw(st.lists(st.sampled_from(N.elements), min_size=1, max_size=2))
+        G = normal_closure(N, seed)
+        coset, reps, orders = groups._cosets(N, G)
+        least = {}
+        for x in N.elements:
+            least.setdefault(frozenset(x * g for g in G.elements), x)
+        assert reps == sorted(least.values())
+        assert reps[0] == N.identity
+        for x in N.elements:
+            k = coset[x.images]
+            assert least[frozenset(x * g for g in G.elements)] == reps[k]
+            assert orders[k] == old_coset_order(G, x)
+        assert len(coset) == N.order and len(reps) * G.order == N.order
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+    @given(data=st.data())
+    def test_subgroups_between_match_subgroup_generated(self, data):
+        N = closure(*random_group(data, DEGREES))
+        assume(N.order <= 72)
+        D = derived_subgroup(N)
+        subs = _subgroups_between(N, D)
+        expected = {H._element_set for H in oracle_subgroups_between(N, D)}
+        assert len(subs) == len(expected)
+        assert {H._element_set for H in subs} == expected
+        # every subgroup found above D holds N's own objects, and each one
+        # closes from its generators
+        own = {id(p) for p in N.elements}
+        for H in subs:
+            assert H is D or all(id(p) in own for p in H.elements)
+            assert closure(H.generators, N.degree).elements == H.elements
+
+    def test_degree_one(self):
+        T = closure([Permutation.identity(1)], 1)
+        assert T.elements == (Permutation.identity(1),)
+        assert [c.members for c in T.conjugacy_classes()] == [T.elements]
+        assert centralizer(T, T) == T
+        assert groups._cosets(T, T) == ({(1,): 0}, [T.identity], [1])
+        assert _subgroups_between(T, T) == [T]
+        assert groups.quotient_is_cyclic(T, T)
+        assert find_cyclic_complement(T, T).split

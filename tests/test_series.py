@@ -259,6 +259,31 @@ class TestTauberianFit:
         with pytest.raises(InsufficientRange):
             tauberian_fit(expand(gf, 20), dominant_pole(gf))
 
+    def test_single_block_past_the_float_range(self):
+        # 7^601 and the partial sums at R = 600 are far past the float range;
+        # the ratios of the closed form tend to a constant
+        gf = RationalGF(q=7, factors=((1, 2),))
+        fit = tauberian_fit(expand(gf, 600), dominant_pole(gf))
+        assert fit.ok
+        assert fit.spread == pytest.approx(1, abs=1e-9)
+
+    @pytest.mark.parametrize("q", [5, 7, 11, 13])
+    def test_log_ratios_match_the_float_quotient(self, q):
+        # where q^(r+1) fits a float, the ratios are the direct quotients
+        gf = euler_product(klueners_blocks(q), q)
+        table, pole = expand(gf, 60), dominant_pole(gf)
+        support = sorted(r for r, v in table.values.items() if r >= 1 and v > 0)
+        upper = support[len(support) // 2 :]
+        ratios = []
+        for r in support:
+            if r in upper:
+                S = sum(table.values[k] for k in range(1, r + 1))
+                X = float(q) ** (r + 1)
+                ratios.append(S / (X ** float(pole.a) * math.log(X) ** (pole.b - 1)))
+        fit = tauberian_fit(table, pole)
+        assert fit.min_ratio == pytest.approx(min(ratios), rel=1e-12)
+        assert fit.max_ratio == pytest.approx(max(ratios), rel=1e-12)
+
     def test_one_nonzero_coefficient(self):
         # R >= 40, but the only term past r = 0 sits at r = 30
         gf = RationalGF(q=2, factors=((1, 30),))
@@ -267,6 +292,28 @@ class TestTauberianFit:
 
 
 class TestH2DeskScale:
+    def test_the_twist_table_is_built_once_per_spec(self, monkeypatch):
+        # frobenius_stable_orbits reads spec.image_indices, one image per
+        # element of G; orbit_blocks' twist_class takes two per nontrivial
+        # class.  Neither grows with the number of class vectors h2 visits.
+        N = klueners()
+        G1 = closure([parse_cycles("(1 2 3)", 6), parse_cycles("(4 5 6)", 6)], 6)
+        ctx = find_cyclic_complement(N, G1)
+        image = TwistSpec.image
+        calls = []
+
+        def counted(spec, g):
+            calls.append(g)
+            return image(spec, g)
+
+        monkeypatch.setattr(TwistSpec, "image", counted)
+        for R in (16, 24):
+            calls.clear()
+            spec = TwistSpec(q=5, e=1, ctx=ctx)
+            h2_desk_scale(G1, N, spec, R)
+            assert len(calls) == G1.order + 2 * (len(G1.conjugacy_classes()) - 1) == 25
+            assert spec.image_indices == [G1.index[image(spec, g)] for g in G1.elements]
+
     def test_abelian_single_orbit_per_rational_vector(self):
         # C3 regular: trivial twist at q = 7 (7 = 1 mod 3); every
         # rational vector with a product-one generating tuple gets one
