@@ -90,12 +90,10 @@ elements, with multiplicities m_c.
   size = |U| / len(conj_rows).  A remainder raises InvariantViolation.
 - The representative.  U is closed under the rows, so its least element,
   min(images), is its own least image: the least canonical tuple in U.
-- Frobenius stability.  The canonical form of the twisted image of the
-  representative lies in the orbit iff the image lies in U, that is iff
-  the least sorted row image of its entries is min(images).
-
-BraidOrbit.members of a counted orbit is built on first read, by
-_enumerate_idx under NODE_CAP, and checked against the counted size.
+- Membership.  A k-tuple t is N-conjugate to a member of the orbit iff
+  it lies in U, that is iff the least sorted row image of its entries is
+  min(images): the rows form a group, so the sorted row images of t and
+  of M are one set exactly when t's multiset is a row image of M.
 
 Frobenius stability of an orbit is a *model*: the entrywise map
 g -> (g^q) conjugated by tau^{-e}, followed by reduction modulo braid
@@ -466,18 +464,16 @@ class BraidOrbit:
     """One orbit of the braid moves on N-conjugation classes of tuples.
 
     The tuples lie in canonical_rep.group (G) and ambient is N.  An orbit
-    equals only itself.  members, the orbit's canonical tuples of element
-    indices, is built on first read by _members.
+    equals only itself.  _contains(t) says whether a tuple t of element
+    indices of G is N-conjugate to a member: a lookup of t's canonical
+    form in a searched orbit, the row-image rule in a counted one (module
+    docstring).
     """
 
     ambient: FiniteGroup
     canonical_rep: NielsenTuple
     size: int
-    _members: Callable[[], frozenset]
-
-    @cached_property
-    def members(self) -> frozenset:
-        return self._members()
+    _contains: Callable[[tuple[int, ...]], bool]
 
     def __repr__(self) -> str:
         return f"BraidOrbit(size={self.size}, rep={self.canonical_rep.entries!r})"
@@ -582,7 +578,7 @@ def braid_orbits(G: FiniteGroup, N: FiniteGroup, cv: ClassVector) -> list[BraidO
     if len(G.conjugacy_classes()) == G.order:
         # abelian G: one orbit, counted (module docstring)
         parts = [
-            (rep, size, partial(_counted_members, G, N, cv, size))
+            (rep, size, partial(_in_counted_orbit, ctx.conj_rows, rep))
             for rep, size in _count_abelian_orbit(ctx, cv)
         ]
     else:
@@ -594,7 +590,7 @@ def braid_orbits(G: FiniteGroup, N: FiniteGroup, cv: ClassVector) -> list[BraidO
                 f"orbit sizes sum to {covered}, not to the {len(canonical)} canonical tuples"
             )
         parts = [
-            (min(members), len(members), partial(frozenset, members))
+            (min(members), len(members), lambda t, m=members: ctx.canonical(t) in m)
             for members in sorted(found, key=min)
         ]
     return [
@@ -602,9 +598,9 @@ def braid_orbits(G: FiniteGroup, N: FiniteGroup, cv: ClassVector) -> list[BraidO
             ambient=N,
             canonical_rep=NielsenTuple(G, tuple(G.elements[i] for i in rep)),
             size=size,
-            _members=members,
+            _contains=contains,
         )
-        for rep, size, members in parts
+        for rep, size, contains in parts
     ]
 
 
@@ -646,18 +642,11 @@ def _count_abelian_orbit(
     return [(min(images), size)]
 
 
-def _counted_members(
-    G: FiniteGroup, N: FiniteGroup, cv: ClassVector, size: int
-) -> frozenset:
-    """The canonical tuples of a counted orbit, enumerated under NODE_CAP."""
-    tuples = _enumerate_idx(_indexed(G, N), cv)
-    members = frozenset(tuples)
-    if not len(tuples) == len(members) == size:
-        raise InvariantViolation(
-            f"the enumeration gave {len(tuples)} canonical tuples, {len(members)} "
-            f"distinct, for an orbit counted at {size}"
-        )
-    return members
+def _in_counted_orbit(
+    rows: Sequence[tuple[int, ...]], rep: tuple[int, ...], t: tuple[int, ...]
+) -> bool:
+    """Is t in the counted orbit with least member rep (module docstring)?"""
+    return min(tuple(sorted(map(row.__getitem__, t))) for row in rows) == rep
 
 
 def frobenius_stable_orbits(
@@ -667,35 +656,26 @@ def frobenius_stable_orbits(
 
     The model maps each entry g to spec.image(g) = t_e(g).  If the
     image tuple is no longer product-one (powering is not a homomorphism),
-    the orbit is reported unstable.  Each orbit is decided on its own, so
-    the orbits may come from several class vectors; they must all be
-    orbits of the pair (spec.ctx.G, spec.ctx.N).
+    the orbit is reported unstable; otherwise the orbit's own membership
+    test decides.  So the orbits may come from several class vectors;
+    they must all be orbits of the pair (spec.ctx.G, spec.ctx.N).
     """
     if not orbits:
         return []
     G, N = spec.ctx.G, spec.ctx.N
     if any((o.canonical_rep.group, o.ambient) != (G, N) for o in orbits):
         raise ValueError("an orbit of another (G, N) than spec.ctx")
-    ctx = _indexed(G, N)
-    index = G.index
+    index, mul = G.index, G.mul
     twist = spec.image_indices
     identity = index[G.identity]
-    abelian = len(G.conjugacy_classes()) == G.order
     stable = []
     for orbit in orbits:
-        rep = tuple(index[g] for g in orbit.canonical_rep.entries)
-        image = tuple(twist[g] for g in rep)
+        image = tuple(twist[index[g]] for g in orbit.canonical_rep.entries)
         # product-one must survive for the image to be a tuple at all
         prod = identity
         for g in image:
-            prod = G.mul[prod][g]
-        if prod != identity:
-            continue
-        if abelian:
-            # a counted orbit: compare row images, not members (module docstring)
-            if min(tuple(sorted(map(row.__getitem__, image))) for row in ctx.conj_rows) == rep:
-                stable.append(orbit)
-        elif ctx.canonical(image) in orbit.members:
+            prod = mul[prod][g]
+        if prod == identity and orbit._contains(image):
             stable.append(orbit)
     return stable
 

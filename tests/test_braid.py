@@ -312,7 +312,8 @@ class TestOrbits:
         b = sorted(sorted(part) for part in braid._orbit_partition(ctx, seeds[::-1]))
         assert a and a == b
         # braid_orbits is this partition, sorted by least member
-        assert [sorted(o.members) for o in braid_orbits(G, G, cv)] == a
+        orbits = braid_orbits(G, G, cv)
+        assert [sorted(filter(o._contains, seeds)) for o in orbits] == a
 
     def test_orbit_sizes_must_cover_every_canonical_tuple(self, monkeypatch):
         G = s3()
@@ -465,7 +466,7 @@ def class_vector_images(G, N, cv):
 
 
 def check_orbits_against_oracles(G, N, cv):
-    """Canonical forms, partition, sizes and members agree with the oracles."""
+    """Canonical forms, partition, sizes and membership agree with the oracles."""
     ctx = braid._indexed(G, N)
     tuples = oracle_enumerate_idx(ctx, cv)
     forms = oracle_forms(ctx, tuples)
@@ -476,12 +477,44 @@ def check_orbits_against_oracles(G, N, cv):
     got = braid._orbit_partition(ctx, canonical)
     assert sorted(sorted(members) for members in got) == expect
     orbits = braid_orbits(G, N, cv)
-    assert [sorted(o.members) for o in orbits] == expect
     assert [o.size for o in orbits] == [len(members) for members in expect]
     assert [tuple(G.index[g] for g in o.canonical_rep.entries) for o in orbits] == [
         members[0] for members in expect
     ]
+    if orbits:
+        other = another_class_vector(G, N, cv)
+        check_membership(ctx, orbits, expect, braid._enumerate_idx(ctx, other) if other else [])
     return orbits
+
+
+def check_membership(ctx, orbits, parts, refused):
+    """Each orbit's _contains against its oracle part.
+
+    True on every tuple of the part and on its image under a conjugation
+    row other than the identity (the rows take turns); false on every
+    tuple of the other parts and on `refused`, tuples no orbit may hold.
+    """
+    rows = ctx.conj_rows[1:]
+    for n, (orbit, part) in enumerate(zip(orbits, parts)):
+        for i, t in enumerate(part):
+            assert orbit._contains(t)
+            if rows:
+                assert orbit._contains(tuple(map(rows[i % len(rows)].__getitem__, t)))
+        for t in [t for other in parts[:n] + parts[n + 1 :] for t in other] + refused:
+            assert not orbit._contains(t)
+
+
+def another_class_vector(G, N, cv):
+    """The first class vector of cv's length with Nielsen tuples that is not
+    an N-image of cv, in combinations_with_replacement order; None if none is."""
+    ctx = braid._indexed(G, N)
+    images = class_vector_images(G, N, cv)
+    cids = [c.class_id for c in G.conjugacy_classes() if not c.is_trivial]
+    for combo in combinations_with_replacement(cids, cv.length):
+        other = ClassVector.from_counts(G, Counter(combo))
+        if other not in images and braid._enumerate_idx(ctx, other):
+            return other
+    return None
 
 
 def check_orderly_enumeration(G, N, cv):
@@ -506,16 +539,15 @@ def check_fixed_prefix(G, N, cv):
     ctx = braid._indexed(G, N)
     mul, inv = G.mul, G.inv
     checked = 0
-    for orbit in braid_orbits(G, N, cv):
-        for t in orbit.members:
-            u, j = ctx.least_image(t)
-            assert u == t
-            assert j == oracle_fixed_prefix(ctx, t)
-            for i in range(j, len(t) - 1):
-                a = t[i]
-                moved = t[:i] + (mul[mul[a][t[i + 1]]][inv[a]], a) + t[i + 2 :]
-                assert ctx.canonical(moved) == moved
-                checked += 1
+    for t in braid._enumerate_idx(ctx, cv):
+        u, j = ctx.least_image(t)
+        assert u == t
+        assert j == oracle_fixed_prefix(ctx, t)
+        for i in range(j, len(t) - 1):
+            a = t[i]
+            moved = t[:i] + (mul[mul[a][t[i + 1]]][inv[a]], a) + t[i + 2 :]
+            assert ctx.canonical(moved) == moved
+            checked += 1
     return checked
 
 
@@ -629,6 +661,19 @@ class TestMinimalImageOracles:
 SLICE_PAIRS = {"S3": (s3, s3), "S4": (s4, s4), "A4-in-S4": (a4, s4), "A5": (a5, a5)}
 
 
+PINNED_SLICE_VECTORS = [
+    # three blocks: split with a pure braid for adjacent blocks only
+    ("S4", {1: 2, 3: 1, 4: 2}, [360]),
+    ("S4", {2: 2, 3: 1, 4: 2}, [720]),
+    # two blocks: split with no pure braid across blocks
+    ("S3", {1: 2, 2: 2}, [12]),
+    # three blocks and two orbits
+    ("A5", {1: 2, 3: 1, 4: 1}, [60, 144]),
+    # two orbits: the seeds off the slice must be sorted into it
+    ("S4", {2: 2, 4: 2}, [12, 36]),
+]
+
+
 def slice_case(pair, counts):
     G, N = (make() for make in SLICE_PAIRS[pair])
     return G, N, ClassVector.from_counts(G, counts)
@@ -651,17 +696,7 @@ class TestSliceSearch:
                 several += len(check_orbits_against_oracles(G, N, cv)) > 1
         assert several
 
-    @pytest.mark.parametrize("pair,counts,sizes", [
-        # three blocks: split with a pure braid for adjacent blocks only
-        ("S4", {1: 2, 3: 1, 4: 2}, [360]),
-        ("S4", {2: 2, 3: 1, 4: 2}, [720]),
-        # two blocks: split with no pure braid across blocks
-        ("S3", {1: 2, 2: 2}, [12]),
-        # three blocks and two orbits
-        ("A5", {1: 2, 3: 1, 4: 1}, [60, 144]),
-        # two orbits: the seeds off the slice must be sorted into it
-        ("S4", {2: 2, 4: 2}, [12, 36]),
-    ])
+    @pytest.mark.parametrize("pair,counts,sizes", PINNED_SLICE_VECTORS)
     def test_pinned_vector(self, pair, counts, sizes):
         orbits = check_orbits_against_oracles(*slice_case(pair, counts))
         assert [o.size for o in orbits] == sizes
@@ -691,9 +726,9 @@ class TestAbelianOneOrbit:
     def test_abelian_g_needs_no_search(self, case, no_search):
         [(G, N, cv)] = orderly_cases(case)
         canonical = braid._enumerate_idx(braid._indexed(G, N), cv)
-        orbits = braid_orbits(G, N, cv)
-        assert [o.members for o in orbits] == [frozenset(canonical)]
-        assert [o.size for o in orbits] == [len(canonical)]
+        [orbit] = braid_orbits(G, N, cv)
+        assert orbit.size == len(canonical)
+        assert all(map(orbit._contains, canonical))
 
     def test_non_abelian_g_still_searches(self, no_search):
         G = s3()
@@ -705,35 +740,38 @@ def refuse_enumeration(ctx, cv, canonical_only=True):
     raise SearchRan
 
 
-def stable_by_members(ctx, spec, orbit):
+def stable_by_members(ctx, spec, orbit, members):
     """The searched orbits' rule: the twisted representative's canonical form is a member."""
     G = ctx.G
     image = [spec.image(g) for g in orbit.canonical_rep.entries]
     return (
         product(image, G.degree).is_identity
-        and ctx.canonical(tuple(G.index[g] for g in image)) in orbit.members
+        and ctx.canonical(tuple(G.index[g] for g in image)) in members
     )
 
 
 def check_stability_shortcut(G, N, qs, vectors):
     """frobenius_stable_orbits on abelian G agrees with the members rule.
 
-    Returns how many orbits each verdict (True, False) was reached on.
+    The members of the one orbit are every canonical tuple of cv.  Returns
+    how many orbits each verdict (True, False) was reached on.
     """
     ctx = braid._indexed(G, N)
     specs = [TwistSpec(q=q, e=1, ctx=find_cyclic_complement(N, G)) for q in qs]
     verdicts = Counter()
     for cv in vectors:
+        members = set(braid._enumerate_idx(ctx, cv))
         for orbit in braid_orbits(G, N, cv):
+            assert orbit.size == len(members)
             for spec in specs:
-                expect = stable_by_members(ctx, spec, orbit)
+                expect = stable_by_members(ctx, spec, orbit, members)
                 assert (frobenius_stable_orbits([orbit], spec) == [orbit]) == expect, (cv, spec.q)
                 verdicts[expect] += 1
     return verdicts
 
 
 class TestCountedOrbit:
-    """Abelian G: the one orbit is counted, and members built only when read."""
+    """Abelian G: the one orbit is counted, and membership needs no tuple built."""
 
     @pytest.mark.parametrize("case,q", [("wreath-d6", 7), ("wreath-d6", 11), ("klueners-pool8", 5), ("klueners-pool8", 7)])
     def test_orbit_and_stability_without_enumeration(self, case, q, monkeypatch):
@@ -741,15 +779,13 @@ class TestCountedOrbit:
         ctx = braid._indexed(G, N)
         spec = TwistSpec(q=q, e=1, ctx=find_cyclic_complement(N, G))
         canonical = braid._enumerate_idx(ctx, cv)
-        [before] = braid_orbits(G, N, cv)  # its members read, so enumerated
-        stable = stable_by_members(ctx, spec, before)
         monkeypatch.setattr(braid, "_enumerate_idx", refuse_enumeration)
         [orbit] = braid_orbits(G, N, cv)
+        stable = stable_by_members(ctx, spec, orbit, set(canonical))
         assert orbit.size == len(canonical)
         assert tuple(G.index[g] for g in orbit.canonical_rep.entries) == min(canonical)
         assert frobenius_stable_orbits([orbit], spec) == ([orbit] if stable else [])
-        with pytest.raises(SearchRan):
-            orbit.members
+        assert all(map(orbit._contains, canonical))
 
     @pytest.mark.parametrize("q", [5, 7, 11, 13])
     def test_h2_without_enumeration(self, q, monkeypatch):
@@ -771,21 +807,6 @@ class TestCountedOrbit:
         vectors = [cv for length in range(1, 7) for cv in class_vectors(G1, length)]
         verdicts = check_stability_shortcut(G1, N, (5, 7, 11, 13), vectors)
         assert verdicts[True] and verdicts[False]
-
-    @pytest.mark.parametrize("change", ["drop", "duplicate"])
-    def test_members_must_match_the_counted_size(self, change, monkeypatch):
-        G, N, cv = klueners_case(KLUENERS_G1_IN_N[1])
-        enumerate_idx = braid._enumerate_idx
-
-        def wrong(ctx, cv, canonical_only=True):
-            tuples = enumerate_idx(ctx, cv, canonical_only)
-            return tuples[1:] if change == "drop" else tuples + tuples[:1]
-
-        monkeypatch.setattr(braid, "_enumerate_idx", wrong)
-        [orbit] = braid_orbits(G, N, cv)  # counted: nothing enumerated yet
-        assert orbit.size == 12
-        with pytest.raises(InvariantViolation, match="counted at 12"):
-            orbit.members
 
 
 class TestOrderlyEnumeration:
@@ -1037,19 +1058,57 @@ def test_canonical_is_the_least_image_and_a_conjugation_invariant(pair, data):
         assert ctx.canonical(moved) == ctx.canonical(t)
 
 
+def check_stability_against_the_model(G, N, vectors):
+    """frobenius_stable_orbits against the model's definition, on the oracle partition.
+
+    An orbit is stable iff its twisted representative is product-one and
+    the least image of that tuple over every conjugation row lies in the
+    orbit's part of oracle_orbit_partition.  Runs at each q in (5, 7, 11,
+    13) prime to |N|; returns how many orbits each verdict was reached on.
+    """
+    ctx = braid._indexed(G, N)
+    specs = [
+        TwistSpec(q=q, e=1, ctx=find_cyclic_complement(N, G)) for q in (5, 7, 11, 13) if N.order % q
+    ]
+    verdicts = Counter()
+    for cv in vectors:
+        forms = oracle_forms(ctx, oracle_enumerate_idx(ctx, cv))
+        parts = [set(part) for part in oracle_orbit_partition(ctx, sorted(set(forms.values())), forms)]
+        orbits = braid_orbits(G, N, cv)
+        assert [o.size for o in orbits] == list(map(len, parts))
+        for spec in specs:
+            expect = []
+            for orbit, part in zip(orbits, parts):
+                image = [spec.image(g) for g in orbit.canonical_rep.entries]
+                stable = (
+                    product(image, G.degree).is_identity
+                    and oracle_canonical(ctx, tuple(G.index[g] for g in image)) in part
+                )
+                expect += [orbit] * stable
+                verdicts[stable] += 1
+            assert frobenius_stable_orbits(orbits, spec) == expect, (cv, spec.q)
+    return verdicts
+
+
 class TestStability:
     def test_stable_orbits_klueners(self):
-        N = klueners()
-        G1 = closure([parse_cycles("(1 2 3)", 6), parse_cycles("(4 5 6)", 6)], 6)
-        ctx = find_cyclic_complement(N, G1)
-        spec = TwistSpec(q=5, e=1, ctx=ctx)
-        entries = [
-            parse_cycles(s, 6) for s in ("(1 2 3)", "(1 3 2)", "(4 5 6)", "(4 6 5)")
-        ]
-        cv = class_vector_of(G1, entries)
-        orbits = braid_orbits(G1, N, cv)
-        stable = frobenius_stable_orbits(orbits, spec)
-        assert set(stable) <= set(orbits)
+        # Klüners G1 in N: counted orbits, every vector up to length 4 and
+        # the longer vectors of the minimal-image tests
+        G1, N = klueners_g1(), klueners()
+        vectors = [cv for length in range(1, 5) for cv in class_vectors(G1, length)]
+        vectors += [klueners_case(entries)[2] for entries in KLUENERS_G1_IN_N]
+        verdicts = check_stability_against_the_model(G1, N, vectors)
+        assert verdicts[True] and verdicts[False]
+
+    @pytest.mark.parametrize("pair,max_length", [("S3", 6), ("S4", 4), ("A4-in-S4", 4), ("A5", 3)])
+    def test_stable_orbits_on_the_slice_pairs(self, pair, max_length):
+        # searched orbits: every short vector and the pinned vectors of the
+        # slice search, two of them with two orbits
+        G, N = (make() for make in SLICE_PAIRS[pair])
+        vectors = [cv for length in range(1, max_length + 1) for cv in class_vectors(G, length)]
+        vectors += [slice_case(p, counts)[2] for p, counts, _ in PINNED_SLICE_VECTORS if p == pair]
+        verdicts = check_stability_against_the_model(G, N, vectors)
+        assert verdicts[True] and verdicts[False]
 
     def test_stability_with_trivial_twist_keeps_all(self):
         # G = N, q = 7 = 1 mod 6: powering by q fixes every class of S3
@@ -1095,7 +1154,9 @@ class TestStability:
         cv = class_vector_of(G, [parse_cycles("(1 2)", 3)] * 4)
         (first,), (second,) = braid_orbits(G, G, cv), braid_orbits(G, G, cv)
         assert first == first and first != second
-        assert first.members == second.members
+        assert (first.size, first.canonical_rep) == (second.size, second.canonical_rep)
+        seeds = braid._enumerate_idx(braid._indexed(G, G), cv)
+        assert all(first._contains(t) and second._contains(t) for t in seeds)
 
 
 class TestConwayParker:
