@@ -108,45 +108,30 @@ def expand(gf: RationalGF, R: int) -> CoefficientTable:
 
 
 def brute_force_h3(blocks: Sequence[OrbitBlock], q: int, R: int) -> CoefficientTable:
-    """Independent oracle: enumerate all block multisets of weight <= R.
+    """Independent oracle: count the block multisets of weight <= R.
 
     Every rational class vector of the given type is a unique nonnegative
     combination sum a_O * O of blocks; it contributes q^(number of classes)
-    at r = weighted size.  Each multiset adds 1 to counts[r * S + size],
-    where S = 1 + sum c * (R // w) exceeds every size of weight <= R, so
-    an index is below (R + 1) * S exactly when its weight is <= R; then
-    values[r] = sum over sizes of counts[r * S + size] * q^size.  The
-    lightest factor goes last: its multiplicities are a loop stepping the
-    index by w * S + c, and the recursion runs over the other factors only.
+    at r = weighted size.  rows[r] maps a size to the number of multisets
+    of weight r with that many classes.  The factors (c, w) are taken in
+    turn; for r ascending from w, each multiset counted in rows[r - w]
+    gives one more of weight r with c more classes by taking the block
+    once more.  Ascending r lets a block repeat any number of times, and
+    w >= 1 keeps the row read apart from the row written.  The counts are
+    plain integers, weighted by q^size only at the end, while expand
+    multiplies q-power geometric series: the two share only the factors.
     """
     if R < 0:
         raise ValueError("R must be nonnegative")
     gf = euler_product(blocks, q)  # validates block set
-    factors = sorted(gf.factors, key=lambda f: f[1], reverse=True)
-    S = 1 + sum(c * (R // w) for c, w in factors)
-    limit = (R + 1) * S
-    counts = [0] * limit
-    steps = [w * S + c for c, w in factors]
-    last = len(steps) - 1
-    last_step = steps[last]
-
-    def descend(i: int, idx: int):
-        if i == last:
-            while idx < limit:
-                counts[idx] += 1
-                idx += last_step
-            return
-        step = steps[i]
-        while idx < limit:
-            descend(i + 1, idx)
-            idx += step
-
-    descend(0, 0)
-    qpow = [q**size for size in range(S)]
-    values = {
-        r: sum(n * p for n, p in zip(counts[r * S : (r + 1) * S], qpow) if n)
-        for r in range(R + 1)
-    }
+    rows: list[dict[int, int]] = [{} for _ in range(R + 1)]
+    rows[0][0] = 1
+    for c, w in gf.factors:
+        for r in range(w, R + 1):
+            row = rows[r]
+            for size, n in rows[r - w].items():
+                row[size + c] = row.get(size + c, 0) + n
+    values = {r: sum(n * q**size for size, n in row.items()) for r, row in enumerate(rows)}
     return CoefficientTable(q=q, values=values)
 
 

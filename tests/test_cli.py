@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from malle_lab import series as ser
 from malle_lab.cli import build_parser, main
 from malle_lab.presets import preset_names
 
@@ -301,8 +302,27 @@ class TestSeriesCommand:
             "--terms", "400",
         )
         assert code == 0
-        fit = json.loads(out)["outputs"]["fit"]
+        outputs = json.loads(out)["outputs"]
+        assert outputs["oracle_match"] is True
+        fit = outputs["fit"]
         assert fit["ok"] is True and 1 <= fit["spread"] <= fit["window"]
+
+    def test_oracle_does_not_route_through_expand(self, capsys, monkeypatch):
+        # an expand that is off by one in one coefficient must be caught: an
+        # oracle that called expand would agree with it
+        real = ser.expand
+
+        def off_by_one(gf, R):
+            table = real(gf, R)
+            return ser.CoefficientTable(q=table.q, values={**table.values, R: table.values[R] + 1})
+
+        monkeypatch.setattr(ser, "expand", off_by_one)
+        code, out, _ = run(
+            capsys, "series", "--preset", "klueners-s6", "--normal", "G1", "--q", "5",
+            "--terms", "44",
+        )
+        assert code == 0
+        assert json.loads(out)["outputs"]["oracle_match"] is False
 
     def test_short_series_skips_fit(self, capsys):
         code, out, _ = run(

@@ -104,11 +104,15 @@ def block(size, index, first=1):
 
 
 class TestBruteForceH3:
-    def assert_three_agree(self, blocks, q, R):
+    def assert_expand_agrees(self, blocks, q, R):
         got = brute_force_h3(blocks, q, R).values
         assert list(got) == list(range(R + 1))
-        assert got == oracle_brute_force_h3(blocks, q, R).values
         assert got == expand(euler_product(blocks, q), R).values
+        return got
+
+    def assert_three_agree(self, blocks, q, R):
+        got = self.assert_expand_agrees(blocks, q, R)
+        assert got == oracle_brute_force_h3(blocks, q, R).values
 
     def test_criterion_5_block_systems(self):
         systems = criterion_5_block_systems()
@@ -122,10 +126,15 @@ class TestBruteForceH3:
     def test_wreath_a_r80(self):
         self.assert_three_agree(wreath_a_blocks(), 5, 80)
 
+    def test_klueners_g1_q7_r400(self):
+        self.assert_expand_agrees(klueners_blocks(7), 7, 400)
+
+    def test_wreath_a_r200(self):
+        self.assert_expand_agrees(wreath_a_blocks(), 5, 200)
+
     def test_single_block_closed_form(self):
-        # one block of size 2 and index 2: q^(2m) at r = 4m; m = R // 4
-        # reaches size 2 * (R // 4) = S - 1, the cell that a smaller S
-        # would share with the next weight
+        # one block of size 2 and index 2: q^(2m) at r = 4m, the one cell
+        # of each row; the rows between stay empty and give 0
         for R in (0, 3, 4, 9, 12):
             got = brute_force_h3([block(2, 2)], 3, R).values
             assert got == {r: (9 ** (r // 4) if r % 4 == 0 else 0) for r in range(R + 1)}
