@@ -69,6 +69,12 @@ canonical: a row that moves t[:j] first changes it at a position where,
 t being canonical, it makes the entry larger, and u agrees with t there;
 every other row is the identity.  u[:j] = t[:j] also gives j(u) = j(t).
 
+The rows act freely on generating tuples.  The conjugation rows are
+distinct automorphisms of G, and a row that fixes every entry of a
+generating tuple fixes G pointwise, so it is the identity row.  Each
+canonical tuple thus stands for len(conj_rows) distinct tuples, and
+with N = G these are every tuple of cv (enumerate_nielsen).
+
 An abelian G needs neither the search nor the enumeration: its one orbit
 is counted.  In abelian G, Q_i maps (..., a, b, ...) to (..., b, a, ...),
 since a b a^{-1} = b, and adjacent swaps generate S_k, so any two
@@ -76,9 +82,6 @@ arrangements of one multiset of elements lie in one braid orbit.  Each
 class of an abelian G is one element, so cv names one multiset M of k
 elements, with multiplicities m_c.
 
-- The rows act freely.  The conjugation rows are distinct automorphisms
-  of G.  A row that fixes every entry of a generating tuple fixes G
-  pointwise, so it is the identity row.
 - What the orbit is.  Let U be the set of arrangements of the row images
   of M.  The rows commute with the moves, so U is one braid orbit modulo
   N-conjugation, or empty; product one and generation depend only on the
@@ -114,7 +117,7 @@ from .errors import (
     NotASubgroup,
     TrivialClassPresent,
 )
-from .groups import FiniteGroup, closure
+from .groups import FiniteGroup, _orbit, closure
 from .invariants import TwistSpec
 from .perms import Permutation, product
 
@@ -329,21 +332,7 @@ class _IndexedPair:
 
 def _closure_order(G: FiniteGroup, entries: Collection[int]) -> int:
     """Order of the subgroup of G generated by the elements indexed by entries."""
-    mul = G.mul
-    identity = G.index[G.identity]
-    closed = {identity}
-    frontier = [identity]
-    while frontier:
-        new = []
-        for x in frontier:
-            row = mul[x]
-            for g in entries:
-                y = row[g]
-                if y not in closed:
-                    closed.add(y)
-                    new.append(y)
-        frontier = new
-    return len(closed)
+    return len(_orbit(G.index[G.identity], [G.mul[g].__getitem__ for g in entries]))
 
 
 @lru_cache(maxsize=PAIR_CACHE_SIZE)
@@ -351,22 +340,12 @@ def _indexed(G: FiniteGroup, N: FiniteGroup) -> _IndexedPair:
     return _IndexedPair(G, N)
 
 
-def _enumerate_idx(
-    ctx: _IndexedPair,
-    cv: ClassVector,
-    canonical_only: bool = True,
-) -> list[tuple[int, ...]]:
-    """Product-one tuples that generate G, unsorted.
+def _enumerate_idx(ctx: _IndexedPair, cv: ClassVector) -> list[tuple[int, ...]]:
+    """The canonical forms of the generating product-one tuples of cv, unsorted.
 
-    With canonical_only, exactly the canonical forms of the tuples with
-    class multiset cv (module docstring); otherwise every such tuple, by
-    the same search with the identity row as its only row.
+    These are exactly the canonical tuples whose class multiset is an
+    N-image of cv (module docstring).
     """
-    if canonical_only:
-        rows, first = ctx.conj_rows, ctx.min_rows
-    else:
-        rows = [ctx.identity_row]
-        first = [rows] * ctx.G.order
     k = cv.length
     out: list[tuple[int, ...]] = []
     if k < 2:
@@ -383,7 +362,7 @@ def _enumerate_idx(
     reps = {cid: index[classes[cid].representative] for cid in cv.counts}
     images = sorted({
         tuple(sorted((class_ids[row[reps[cid]]], m) for cid, m in cv.multiplicities))
-        for row in rows
+        for row in ctx.conj_rows
     })
     nodes, node_cap = 0, NODE_CAP
     entries: list[int] = []
@@ -407,7 +386,7 @@ def _enumerate_idx(
             counts[cid] -= 1
             for g in members[cid]:
                 if pos == 0:
-                    stabiliser = first[g]
+                    stabiliser = ctx.min_rows[g]
                     if stabiliser[0][g] != g:
                         continue
                 elif len(fixing) > 1:
@@ -439,7 +418,7 @@ def _enumerate_idx(
     for image in images:
         counts = dict(image)
         order = sorted(counts)
-        dfs(0, identity, rows)
+        dfs(0, identity, ctx.conj_rows)
     return out
 
 
@@ -450,13 +429,19 @@ def _check_group(G: FiniteGroup, cv: ClassVector) -> None:
 
 
 def enumerate_nielsen(G: FiniteGroup, cv: ClassVector) -> list[NielsenTuple]:
-    """All Nielsen tuples of G whose entry class multiset equals cv."""
+    """All Nielsen tuples of G whose entry class multiset equals cv.
+
+    Each is a G-conjugate of one canonical form: every conjugation row of
+    G applied to every canonical tuple, in element-index order.  The rows
+    act freely on generating tuples (module docstring), so no tuple
+    comes out twice.
+    """
     _check_group(G, cv)
     ctx = _indexed(G, G)
-    tuples = _enumerate_idx(ctx, cv, canonical_only=False)
-    return [
-        NielsenTuple(G, tuple(G.elements[i] for i in t)) for t in tuples
-    ]
+    tuples = sorted(
+        tuple(map(row.__getitem__, t)) for t in _enumerate_idx(ctx, cv) for row in ctx.conj_rows
+    )
+    return [NielsenTuple(G, tuple(G.elements[i] for i in t)) for t in tuples]
 
 
 @dataclass(frozen=True, eq=False)
@@ -560,9 +545,6 @@ def _orbit_partition(
                             swapped = True
                 n = orbit_of[ctx.canonical(tuple(t))]
             orbits[n].add(seed)
-    for members in orbits:
-        if len(members) > visited_cap:
-            raise EnumerationCapExceeded(f"orbit grew past {visited_cap} canonical tuples")
     return orbits
 
 
@@ -593,6 +575,10 @@ def braid_orbits(G: FiniteGroup, N: FiniteGroup, cv: ClassVector) -> list[BraidO
             (min(members), len(members), lambda t, m=members: ctx.canonical(t) in m)
             for members in sorted(found, key=min)
         ]
+    # the slice search caps its own work; every orbit, searched or counted, is capped here
+    visited_cap = VISITED_CAP
+    if any(size > visited_cap for _, size, _ in parts):
+        raise EnumerationCapExceeded(f"orbit grew past {visited_cap} canonical tuples")
     return [
         BraidOrbit(
             ambient=N,
@@ -636,9 +622,6 @@ def _count_abelian_orbit(
             f"{len(images)} row images of {arrangements} arrangements each do not "
             f"split into orbits of the {len(ctx.conj_rows)} conjugation rows"
         )
-    visited_cap = VISITED_CAP
-    if size > visited_cap:
-        raise EnumerationCapExceeded(f"orbit grew past {visited_cap} canonical tuples")
     return [(min(images), size)]
 
 

@@ -12,7 +12,7 @@ from functools import cached_property
 from fractions import Fraction
 from math import gcd
 from operator import itemgetter
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Hashable, Iterable, Sequence
 
 from .errors import (
     DegreeMismatch,
@@ -23,7 +23,8 @@ from .errors import (
 )
 from .perms import Permutation
 
-# closure raises OrderCapExceeded past this many elements
+# _orbit, so closure and braid's generation test, raises OrderCapExceeded
+# past this many points
 ORDER_CAP = 10**6
 
 Images = tuple[int, ...]  # Permutation.images: images[i - 1] is the image of i
@@ -147,32 +148,41 @@ class ConjugacyClass:
         return f"ConjugacyClass(id={self.class_id}, size={self.size}, rep={self.representative!r})"
 
 
+def _orbit(start: Hashable, steps: Sequence[Callable]) -> set:
+    """The set that the step maps reach from `start`, breadth first.
+
+    With start the identity and one step per generator, multiplying by
+    it, this is the group they generate: a finite group is closed under
+    products alone.  Past ORDER_CAP points it raises OrderCapExceeded.
+    """
+    order_cap = ORDER_CAP
+    reached = {start}
+    frontier = [start]
+    while frontier:
+        new = []
+        for step in steps:
+            for y in map(step, frontier):
+                if y not in reached:
+                    reached.add(y)
+                    new.append(y)
+                    if len(reached) > order_cap:
+                        raise OrderCapExceeded(
+                            f"closure exceeded the order cap of {order_cap}"
+                        )
+        frontier = new
+    return reached
+
+
 def closure(generators: Sequence[Permutation], degree: int) -> FiniteGroup:
     """Enumerate the group generated by `generators` inside S_degree.
 
     The search runs on image tuples, multiplying on the left by each
     generator; each element is wrapped once, in the sorted order.
     """
-    order_cap = ORDER_CAP
     for g in generators:
         if g.degree != degree:
             raise DegreeMismatch(f"generator degree {g.degree} != {degree}")
-    steps = [_left(g.images) for g in generators]
-    identity = tuple(range(1, degree + 1))
-    elements = {identity}
-    frontier = [identity]
-    while frontier:
-        new = []
-        for step in steps:
-            for y in map(step, frontier):
-                if y not in elements:
-                    elements.add(y)
-                    new.append(y)
-                    if len(elements) > order_cap:
-                        raise OrderCapExceeded(
-                            f"closure exceeded the order cap of {order_cap}"
-                        )
-        frontier = new
+    elements = _orbit(tuple(range(1, degree + 1)), [_left(g.images) for g in generators])
     return FiniteGroup(degree, generators, map(Permutation._unchecked, sorted(elements)))
 
 

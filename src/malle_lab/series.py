@@ -175,11 +175,11 @@ def tauberian_fit(table: CoefficientTable, report: PoleReport) -> FitSummary:
         raise InsufficientRange("fewer than two nonzero coefficients")
     ratios = []
     running = 0
-    upper = support[len(support) // 2 :]
+    half = len(support) // 2
     log_q = math.log(q)
-    for r in support:
+    for n, r in enumerate(support):
         running += table.values[r]
-        if r not in upper:
+        if n < half:
             continue
         # in logs: q^(r+1) and the exact int `running` may pass the float range
         log_X = (r + 1) * log_q

@@ -366,7 +366,7 @@ def oracle_enumerate_idx(ctx, cv, node_cap=braid.NODE_CAP):
 
     @lru_cache(maxsize=None)  # one call's entry sets, as in _enumerate_idx
     def generates(key):
-        return braid._closure_order(G, key) == G.order
+        return len(subgroup_closure(G, key)) == G.order
 
     def dfs(pos, prefix):
         nonlocal nodes
@@ -736,7 +736,7 @@ class TestAbelianOneOrbit:
             braid_orbits(G, G, class_vector_of(G, [parse_cycles("(1 2)", 3)] * 4))
 
 
-def refuse_enumeration(ctx, cv, canonical_only=True):
+def refuse_enumeration(ctx, cv):
     raise SearchRan
 
 
@@ -828,11 +828,13 @@ class TestOrderlyEnumeration:
         assert len(class_vector_images(G, N, cv)) == 2
         assert len(braid._enumerate_idx(braid._indexed(G, N), cv)) == 3360
 
-    def test_identity_row_alone_gives_every_tuple(self):
-        for G, N, cv in orderly_cases("klueners-0") + orderly_cases("s3-6"):
-            ctx = braid._indexed(G, N)
-            got = braid._enumerate_idx(ctx, cv, canonical_only=False)
-            assert sorted(got) == sorted(oracle_enumerate_idx(ctx, cv))
+    def test_every_row_on_every_canonical_form_gives_every_tuple(self):
+        # enumerate_nielsen expands the canonical forms of (G, G)
+        for G, _, cv in orderly_cases("klueners-0") + orderly_cases("s3-6"):
+            ctx = braid._indexed(G, G)
+            got = [tuple(map(G.index.__getitem__, t.entries)) for t in enumerate_nielsen(G, cv)]
+            assert got == sorted(oracle_enumerate_idx(ctx, cv))
+            assert len(got) == len(braid._enumerate_idx(ctx, cv)) * len(ctx.conj_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -840,7 +842,11 @@ class TestOrderlyEnumeration:
 
 
 def subgroup_closure(G, gens):
-    """The subgroup of G generated by the element indices gens."""
+    """The subgroup of G generated by the element indices gens.
+
+    A plain index-level loop that shares no code with groups._orbit: the
+    reference for braid._closure_order and the oracles' generation test.
+    """
     mul = G.mul
     identity = G.index[G.identity]
     closed = {identity}
@@ -855,6 +861,17 @@ def subgroup_closure(G, gens):
                     new.append(y)
         frontier = new
     return frozenset(closed)
+
+
+@pytest.mark.parametrize("make", [s4, klueners])
+def test_closure_order_is_the_reference_closure(make):
+    # every entry set of up to 3 elements, against the plain loop and groups.closure
+    G = make()
+    for size in range(4):
+        for entries in combinations(range(G.order), size):
+            expect = len(subgroup_closure(G, entries))
+            assert braid._closure_order(G, entries) == expect
+            assert closure([G.elements[i] for i in entries], G.degree).order == expect
 
 
 def subgroups_by_cyclic_joins(G):
