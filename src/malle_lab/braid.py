@@ -128,6 +128,9 @@ VISITED_CAP = 10**7
 # Pair cache bound: h2_desk_scale calls braid_orbits once per class vector
 # on the same (G, N), so the tables of recent pairs are reused.
 PAIR_CACHE_SIZE = 16
+# The identity's position in G.elements: they are sorted, and the
+# identity is the least permutation.
+_IDENTITY = 0
 
 FROBENIUS_MODEL_WARNING = (
     "orbit-level Frobenius stability uses the entrywise twisted-power "
@@ -332,7 +335,7 @@ class _IndexedPair:
 
 def _closure_order(G: FiniteGroup, entries: Collection[int]) -> int:
     """Order of the subgroup of G generated by the elements indexed by entries."""
-    return len(_orbit(G.index[G.identity], [G.mul[g].__getitem__ for g in entries]))
+    return len(_orbit(_IDENTITY, [G.mul[g].__getitem__ for g in entries]))
 
 
 @lru_cache(maxsize=PAIR_CACHE_SIZE)
@@ -352,7 +355,6 @@ def _enumerate_idx(ctx: _IndexedPair, cv: ClassVector) -> list[tuple[int, ...]]:
         return out  # a product-one 1-tuple is the identity, in no class of cv
     G = ctx.G
     mul, inv, class_ids, index = G.mul, G.inv, G.class_ids, G.index
-    identity = index[G.identity]
     # entry set -> does it generate G; lives for this call only
     generates: dict[frozenset[int], bool] = {}
     classes = G.conjugacy_classes()
@@ -402,7 +404,7 @@ def _enumerate_idx(ctx: _IndexedPair, cv: ClassVector) -> list[tuple[int, ...]]:
                     last = inv[row[g]]
                     if (
                         counts.get(class_ids[last], 0) > 0
-                        and last != identity
+                        and last != _IDENTITY
                         and (len(stabiliser) == 1 or all(r[last] >= last for r in stabiliser))
                     ):
                         entries.append(last)
@@ -418,7 +420,7 @@ def _enumerate_idx(ctx: _IndexedPair, cv: ClassVector) -> list[tuple[int, ...]]:
     for image in images:
         counts = dict(image)
         order = sorted(counts)
-        dfs(0, identity, ctx.conj_rows)
+        dfs(0, _IDENTITY, ctx.conj_rows)
     return out
 
 
@@ -601,16 +603,15 @@ def _count_abelian_orbit(
     G = ctx.G
     classes = G.conjugacy_classes()
     index, mul = G.index, G.mul
-    identity = index[G.identity]
     elements = [
         index[classes[cid].representative] for cid, m in cv.multiplicities for _ in range(m)
     ]
-    prod = identity
+    prod = _IDENTITY
     for g in elements:
         prod = mul[prod][g]
     # no tuple shorter than 2, as in _enumerate_idx (a product-one 1-tuple
     # is the identity, in no class of cv)
-    if len(elements) < 2 or prod != identity or _closure_order(G, set(elements)) != G.order:
+    if len(elements) < 2 or prod != _IDENTITY or _closure_order(G, set(elements)) != G.order:
         return []
     images = {tuple(sorted(map(row.__getitem__, elements))) for row in ctx.conj_rows}
     arrangements = factorial(len(elements))
@@ -650,15 +651,14 @@ def frobenius_stable_orbits(
         raise ValueError("an orbit of another (G, N) than spec.ctx")
     index, mul = G.index, G.mul
     twist = spec.image_indices
-    identity = index[G.identity]
     stable = []
     for orbit in orbits:
         image = tuple(twist[index[g]] for g in orbit.canonical_rep.entries)
         # product-one must survive for the image to be a tuple at all
-        prod = identity
+        prod = _IDENTITY
         for g in image:
             prod = mul[prod][g]
-        if prod == identity and orbit._contains(image):
+        if prod == _IDENTITY and orbit._contains(image):
             stable.append(orbit)
     return stable
 

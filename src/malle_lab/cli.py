@@ -84,11 +84,9 @@ def resolve_spec(args) -> GroupSpecFile:
 
 def resolve_pair(args) -> GNContext:
     spec = resolve_spec(args)
-    N = spec.group()
-    G = spec.subgroup(args.normal) if args.normal else N
-    if not G.is_normal_in(N):
+    if args.normal and not spec.subgroup(args.normal).is_normal_in(spec.group()):
         raise err.NotASubgroup(f"{args.normal!r} is not normal in the main group")
-    return find_cyclic_complement(N, G)
+    return spec.pair(args.normal)
 
 
 def require_q(args, N: FiniteGroup) -> int:
@@ -250,13 +248,10 @@ def _check(expected, got, ok: bool | None = None) -> dict:
 
 
 def _verify_klueners_s6(preset) -> tuple[dict, list[str]]:
-    spec = preset.spec
-    N = spec.group()
     exp = preset.expected
-    G1 = spec.subgroup(exp["subgroup"])
-    ctx = find_cyclic_complement(N, G1)
+    ctx = preset.spec.pair(exp["subgroup"])
     checks = {}
-    a = a_invariant(G1)
+    a = a_invariant(ctx.G)
     checks["a"] = _check(exp["a"], a)
     formulas = {}  # distinct growth formulas over q, in q order
     for q in preset.q_values:
@@ -270,14 +265,11 @@ def _verify_klueners_s6(preset) -> tuple[dict, list[str]]:
 
 
 def _verify_wreath_s18(preset) -> tuple[dict, list[str]]:
-    spec = preset.spec
-    N = spec.group()
     exp = preset.expected
     checks = {}
     for name in exp["subgroups"]:
-        G = spec.subgroup(name)
-        ctx = find_cyclic_complement(N, G)
-        a = a_invariant(G)
+        ctx = preset.spec.pair(name)
+        a = a_invariant(ctx.G)
         checks[f"{name}_a"] = _check(exp["a"], a)
         for q in preset.q_values:
             b = inv.b_constant(ctx, q)
@@ -289,9 +281,9 @@ def _verify_abelian_suite(preset) -> tuple[dict, list[str]]:
     checks = {}
     warnings = []
     for label, spec in sorted(abelian_suite().items()):
-        N = spec.group()
         # none of the pairs depends on q
-        ctx_N = find_cyclic_complement(N, N)
+        ctx_N = spec.pair()
+        N = ctx_N.N
         pairs = [
             (G, find_cyclic_complement(N, G))
             for G in normal_subgroups_with_cyclic_quotient(N)

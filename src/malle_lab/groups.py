@@ -126,11 +126,13 @@ class FiniteGroup:
 
 @dataclass(frozen=True)
 class ConjugacyClass:
-    """A conjugacy class of a group, with a stable class_id."""
+    """A conjugacy class of a group, with a stable class_id and the index
+    ind(g) that all its members share, set once when the class is built."""
 
     representative: Permutation
     members: tuple[Permutation, ...]
     class_id: int
+    index: int
 
     @property
     def size(self) -> int:
@@ -138,11 +140,8 @@ class ConjugacyClass:
 
     @property
     def is_trivial(self) -> bool:
-        return self.representative.is_identity
-
-    @property
-    def index(self) -> int:
-        return self.representative.index()
+        # classes are numbered by least member, and the identity is least
+        return self.class_id == 0
 
     def __repr__(self) -> str:
         return f"ConjugacyClass(id={self.class_id}, size={self.size}, rep={self.representative!r})"
@@ -218,7 +217,7 @@ def _compute_classes(G: FiniteGroup) -> tuple[list[ConjugacyClass], list[int]]:
                 if class_ids[k] < 0:
                     class_ids[k] = cid
                     orbit.append(k)
-        classes.append(ConjugacyClass(g, tuple([elements[j] for j in sorted(orbit)]), cid))
+        classes.append(ConjugacyClass(g, tuple([elements[j] for j in sorted(orbit)]), cid, g.index()))
     return classes, class_ids
 
 

@@ -3,7 +3,10 @@
 Each preset is a group-spec record (degree, generators, named subgroups)
 plus expected golden values for `verify`.  Groups are stored as
 cycle-notation strings so the same data round-trips through group-spec
-files on disk.
+files on disk.  The group those strings close to, and the (N, G) context
+of a named subgroup, are built once per process and kept in two bounded
+memos keyed by the strings (docs/decisions.md, "Groups from one spec are
+built once").
 """
 
 from __future__ import annotations
@@ -11,11 +14,29 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Mapping
 
 from .errors import UnknownPreset
-from .groups import FiniteGroup, closure
+from .groups import FiniteGroup, GNContext, closure, find_cyclic_complement
 from .perms import Permutation, format_cycles, parse_cycles
+
+# Memo bound: each memo holds at most this many entries, least recently
+# used first out.  A sweep of CLI jobs over the presets and two relabelled
+# group files touches 14 groups and 11 (N, G) pairs.
+GROUP_CACHE_SIZE = 32
+
+
+@lru_cache(maxsize=GROUP_CACHE_SIZE)
+def _closed(degree: int, generators: tuple[str, ...]) -> FiniteGroup:
+    """The group that the cycle strings generate in S_degree."""
+    return closure([parse_cycles(s, degree) for s in generators], degree)
+
+
+@lru_cache(maxsize=GROUP_CACHE_SIZE)
+def _paired(degree: int, generators: tuple[str, ...], sub_generators: tuple[str, ...]) -> GNContext:
+    """find_cyclic_complement(N, G) for the groups the two string tuples generate."""
+    return find_cyclic_complement(_closed(degree, generators), _closed(degree, sub_generators))
 
 
 @dataclass(frozen=True)
@@ -27,14 +48,22 @@ class GroupSpecFile:
     named_subgroups: Mapping[str, tuple[str, ...]] = field(default_factory=dict)
 
     def group(self) -> FiniteGroup:
-        gens = [parse_cycles(s, self.degree) for s in self.generators]
-        return closure(gens, self.degree)
+        return _closed(self.degree, tuple(self.generators))
 
     def subgroup(self, name: str) -> FiniteGroup:
+        return _closed(self.degree, self._named(name))
+
+    def pair(self, name: str | None = None) -> GNContext:
+        """The (N, G) context of the named subgroup G in the main group N;
+        name None gives the pair (N, N)."""
+        generators = tuple(self.generators)
+        sub = generators if name is None else self._named(name)
+        return _paired(self.degree, generators, sub)
+
+    def _named(self, name: str) -> tuple[str, ...]:
         if name not in self.named_subgroups:
             raise KeyError(f"no named subgroup {name!r}")
-        gens = [parse_cycles(s, self.degree) for s in self.named_subgroups[name]]
-        return closure(gens, self.degree)
+        return tuple(self.named_subgroups[name])
 
 
 @dataclass(frozen=True)

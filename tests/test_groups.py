@@ -278,6 +278,27 @@ PRESET_SPECS = {
 }
 
 
+class TestStoredFields:
+    """Fields that the code sets once and reads in place of a recomputation."""
+
+    @pytest.mark.parametrize("name", sorted(PRESET_SPECS))
+    def test_class_index_and_triviality_match_their_definitions(self, name):
+        spec = PRESET_SPECS[name]
+        for G in [spec.group(), *map(spec.subgroup, spec.named_subgroups)]:
+            classes = G.conjugacy_classes()
+            for c in classes:
+                assert {c.index} == {g.index() for g in c.members}
+                assert c.is_trivial == c.representative.is_identity
+            assert sum(c.is_trivial for c in classes) == 1
+
+    @pytest.mark.parametrize("name", sorted(PRESET_SPECS))
+    def test_identity_is_element_zero(self, name):
+        N = PRESET_SPECS[name].group()
+        D = derived_subgroup(N)
+        built = [N, D, *_subgroups_between(N, D), *(centralizer(N, H) for H in (N, D))]
+        assert all(H.elements[0].is_identity for H in built)
+
+
 @st.composite
 def permutations_of(draw, degree):
     """A random permutation of a random set of at least two points."""

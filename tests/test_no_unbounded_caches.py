@@ -1,0 +1,118 @@
+"""Every memo in the library is bounded.
+
+An `lru_cache` states an integer `maxsize`, as a literal or a module
+constant; a bare `@lru_cache` or `maxsize=None` fails.  `functools.cache`
+never drops an entry, so it is allowed only on a function without
+parameters, which has a single entry.
+"""
+
+import ast
+import importlib
+from pathlib import Path
+from typing import Mapping
+
+SOURCE_DIR = Path(__file__).parent.parent / "src" / "malle_lab"
+
+
+def _name(node: ast.expr) -> str | None:
+    if isinstance(node, ast.Call):
+        node = node.func
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, ast.Name):
+        return node.id
+    return None
+
+
+def _maxsize(call: ast.Call, constants: Mapping[str, object]) -> object:
+    """The maxsize an lru_cache(...) call states, or None."""
+    node = next((kw.value for kw in call.keywords if kw.arg == "maxsize"), None)
+    if node is None and call.args:
+        node = call.args[0]
+    if isinstance(node, ast.Constant):
+        return node.value
+    if isinstance(node, ast.Name):
+        return constants.get(node.id)
+    return None
+
+
+def unbounded_caches(tree: ast.Module, constants: Mapping[str, object]) -> list[tuple[int, str]]:
+    """(line, reason) of each unbounded memo in tree, by line; names in a
+    maxsize resolve in constants."""
+    found = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        a = fn.args
+        takes_parameters = bool(a.posonlyargs or a.args or a.vararg or a.kwonlyargs or a.kwarg)
+        for d in fn.decorator_list:
+            if _name(d) == "cache" and takes_parameters:
+                found.append((d.lineno, f"cache on {fn.name}, which takes parameters"))
+            elif _name(d) == "lru_cache" and not isinstance(d, ast.Call):
+                found.append((d.lineno, "lru_cache without maxsize"))
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        if _name(node) == "lru_cache":
+            size = _maxsize(node, constants)
+            if type(size) is not int:
+                found.append((node.lineno, f"lru_cache with maxsize {size!r}"))
+        elif _name(node) == "cache":  # `@cache` is no call; `cache(f)` is
+            found.append((node.lineno, "cache called on a function"))
+    return sorted(found)
+
+
+def test_the_lint_tells_bounded_from_unbounded():
+    source = """
+SIZE = 8
+NONE = None
+
+@lru_cache(maxsize=SIZE)
+def ok_constant(x): ...
+
+@functools.lru_cache(16)
+def ok_literal(x): ...
+
+@cache
+def ok_nullary(): ...
+
+@lru_cache(maxsize=None)
+def bad_none(x): ...
+
+@lru_cache(maxsize=NONE)
+def bad_none_constant(x): ...
+
+@lru_cache
+def bad_bare(x): ...
+
+@functools.cache
+def bad_cache(x): ...
+
+@cache
+def bad_cache_keyword(*, x): ...
+
+bad_call = lru_cache(None)(ok_constant)
+bad_cache_call = cache(ok_constant)
+"""
+    lines = source.splitlines()
+    # one finding per bad case: on the decorator above `def bad_...`, or on a `bad_` assignment
+    bad = [
+        n
+        for n, line in enumerate(lines, 1)
+        if line.startswith("bad_") or (n < len(lines) and lines[n].startswith("def bad_"))
+    ]
+    found = unbounded_caches(ast.parse(source), {"SIZE": 8, "NONE": None})
+    assert [line for line, _ in found] == bad, found
+    assert len(bad) == 7
+
+
+def test_every_cache_in_the_library_is_bounded():
+    sources = sorted(SOURCE_DIR.glob("*.py"))
+    assert sources, f"no modules found under {SOURCE_DIR}"
+    found = []
+    for path in sources:
+        name = "malle_lab" if path.stem == "__init__" else f"malle_lab.{path.stem}"
+        module = importlib.import_module(name)
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{line} {why}" for line, why in unbounded_caches(tree, vars(module))]
+    assert found == []

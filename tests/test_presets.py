@@ -1,0 +1,144 @@
+"""The spec memos: one group and one (N, G) context per spec strings, bounded."""
+
+import contextlib
+import gc
+import io
+import weakref
+
+import pytest
+
+from malle_lab import cli, groups, presets
+from malle_lab.errors import OrderCapExceeded
+from malle_lab.perms import format_cycles, parse_cycles
+from malle_lab.presets import GROUP_CACHE_SIZE, GroupSpecFile, get_preset
+
+
+def clear_memos():
+    presets._closed.cache_clear()
+    presets._paired.cache_clear()
+
+
+def relabelled(spec: GroupSpecFile, sigma: str) -> GroupSpecFile:
+    """The spec with its points renamed by the permutation sigma."""
+    s = parse_cycles(sigma, spec.degree)
+
+    def move(strings):
+        return tuple(format_cycles(parse_cycles(g, spec.degree).conjugate_by(s)) for g in strings)
+
+    return GroupSpecFile(
+        degree=spec.degree,
+        generators=move(spec.generators),
+        named_subgroups={name: move(gens) for name, gens in spec.named_subgroups.items()},
+    )
+
+
+def cyclic_spec(n: int) -> GroupSpecFile:
+    return GroupSpecFile(degree=n, generators=(f"({' '.join(map(str, range(1, n + 1)))})",))
+
+
+class TestOneObjectPerSpec:
+    def test_group_subgroup_and_pair_share_the_objects(self):
+        spec = get_preset("wreath-s18").spec
+        N = spec.group()
+        assert spec.group() is N
+        # A is named by the main group's own generators
+        assert spec.subgroup("A") is N
+        ctx = spec.pair()
+        assert ctx.N is N and ctx.G is N
+        assert spec.pair("A") is ctx
+        D = spec.pair("D")
+        assert D.N is N and D.G is spec.subgroup("D")
+        assert spec.pair("D") is D
+
+    def test_a_copy_of_the_strings_shares_the_objects(self):
+        spec = get_preset("klueners-s6").spec
+        copy = GroupSpecFile(
+            degree=spec.degree,
+            generators=list(spec.generators),
+            named_subgroups={name: list(gens) for name, gens in spec.named_subgroups.items()},
+        )
+        assert copy.group() is spec.group()
+        assert copy.pair("G1") is spec.pair("G1")
+
+    def test_a_relabelled_spec_gets_its_own_objects(self):
+        spec = get_preset("klueners-s6").spec
+        moved = relabelled(spec, "(1 4)(2 6)")
+        assert moved.generators != spec.generators
+        assert moved.group() is not spec.group()
+        assert moved.group() != spec.group()
+        assert moved.group().order == spec.group().order
+        ctx, moved_ctx = spec.pair("G1"), moved.pair("G1")
+        assert moved_ctx is not ctx
+        assert moved_ctx.G == moved.subgroup("G1") != ctx.G
+        assert (moved_ctx.d, moved_ctx.d_prime, moved_ctx.split) == (ctx.d, ctx.d_prime, ctx.split)
+
+    def test_an_unknown_name_is_a_key_error(self):
+        spec = get_preset("klueners-s6").spec
+        for lookup in (spec.subgroup, spec.pair):
+            with pytest.raises(KeyError, match="G9"):
+                lookup("G9")
+
+
+class TestBounded:
+    def test_dropped_entries_are_freed_without_a_gc_pass(self):
+        first = cyclic_spec(2)
+        group, ctx = weakref.ref(first.group()), weakref.ref(first.pair())
+        gc.disable()
+        try:
+            for n in range(3, GROUP_CACHE_SIZE + 3):
+                assert cyclic_spec(n).group() is cyclic_spec(n).pair().N
+            assert presets._closed.cache_info().currsize == GROUP_CACHE_SIZE
+            assert presets._paired.cache_info().currsize == GROUP_CACHE_SIZE
+            assert ctx() is None
+            assert group() is None
+        finally:
+            gc.enable()
+
+    def test_a_recent_entry_is_kept(self):
+        first = cyclic_spec(2)
+        group = first.group()
+        for n in range(3, GROUP_CACHE_SIZE + 1):
+            cyclic_spec(n).group()
+        assert first.group() is group
+
+
+class TestEachTestStartsEmpty:
+    """conftest.py empties both memos before each test; these run in order."""
+
+    def test_a_preset_group_is_built(self):
+        assert get_preset("wreath-s18").spec.group().order == 162
+
+    def test_a_lowered_cap_sees_a_fresh_closure(self, monkeypatch):
+        monkeypatch.setattr(groups, "ORDER_CAP", 100)
+        with pytest.raises(OrderCapExceeded):
+            get_preset("wreath-s18").spec.group()
+
+
+class TestRepeatedCliRuns:
+    ARGVS = (
+        ("invariants", "--preset", "klueners-s6", "--normal", "G1", "--q", "5"),
+        ("invariants", "--preset", "klueners-s6", "--normal", "G2", "--q", "11"),
+        ("invariants", "--preset", "wreath-s18", "--normal", "C", "--q", "5"),
+        ("invariants", "--preset", "wreath-s18", "--q", "11"),
+        ("series", "--preset", "klueners-s6", "--normal", "G2", "--q", "5", "--terms", "12"),
+        ("series", "--preset", "wreath-s18", "--normal", "D", "--q", "5", "--e", "2", "--terms", "8"),
+        ("verify", "--preset", "klueners-s6"),
+        ("verify", "--preset", "wreath-s18"),
+        ("verify", "--preset", "abelian-suite"),
+    )
+
+    @staticmethod
+    def stdout(argv) -> str:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(list(argv)) == 0
+        return out.getvalue()
+
+    def test_memo_hits_print_what_a_fresh_run_prints(self):
+        fresh = {}
+        for argv in self.ARGVS:
+            clear_memos()
+            fresh[argv] = self.stdout(argv)
+        clear_memos()
+        for argv in [*self.ARGVS, *reversed(self.ARGVS), *self.ARGVS]:
+            assert self.stdout(argv) == fresh[argv], argv

@@ -53,7 +53,13 @@ def limits_section() -> str:
 
 def test_limits_state_the_module_constants():
     stated = re.findall(r"`(\w+)\.([A-Z_]+) = ([^`]+)`", limits_section())
-    assert {name for _, name, _ in stated} == {"ORDER_CAP", "NODE_CAP", "VISITED_CAP", "PAIR_CACHE_SIZE"}
+    assert {name for _, name, _ in stated} == {
+        "ORDER_CAP",
+        "NODE_CAP",
+        "VISITED_CAP",
+        "PAIR_CACHE_SIZE",
+        "GROUP_CACHE_SIZE",
+    }
     for module, name, value in stated:
         actual = getattr(importlib.import_module(f"malle_lab.{module}"), name)
         assert actual == eval(value, {}), f"{module}.{name}"
