@@ -26,13 +26,7 @@ from . import braid as braid_mod
 from . import errors as err
 from . import invariants as inv
 from . import series as ser
-from .groups import (
-    FiniteGroup,
-    GNContext,
-    a_invariant,
-    find_cyclic_complement,
-    normal_subgroups_with_cyclic_quotient,
-)
+from .groups import FiniteGroup, GNContext, a_invariant
 from .perms import format_cycles, parse_cycles
 from .presets import GroupSpecFile, abelian_q, abelian_suite, get_preset, preset_names
 from .report import build_report, dump_report
@@ -283,19 +277,15 @@ def _verify_abelian_suite(preset) -> tuple[dict, list[str]]:
     for label, spec in sorted(abelian_suite().items()):
         # none of the pairs depends on q
         ctx_N = spec.pair()
-        N = ctx_N.N
-        pairs = [
-            (G, find_cyclic_complement(N, G))
-            for G in normal_subgroups_with_cyclic_quotient(N)
-            if G.order != 1
-        ]
+        pairs = [ctx for ctx in spec.cyclic_pairs() if ctx.G.order != 1]
         for q in abelian_q(label):
             b_N = inv.b_table(ctx_N, q).value
-            for G, ctx in pairs:
+            for ctx in pairs:
+                order = ctx.G.order
                 if not ctx.split:
-                    warnings.append(f"{label}: non-split subgroup of order {G.order}")
+                    warnings.append(f"{label}: non-split subgroup of order {order}")
                 b_G = inv.b_table(ctx, q).value
-                checks[f"{label}_q{q}_order{G.order}"] = _check(f"b <= {b_N}", b_G, b_G <= b_N)
+                checks[f"{label}_q{q}_order{order}"] = _check(f"b <= {b_N}", b_G, b_G <= b_N)
     return checks, warnings
 
 

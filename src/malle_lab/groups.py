@@ -7,7 +7,7 @@ subgroups, complements — is deterministic across runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from math import gcd
@@ -16,6 +16,7 @@ from typing import Callable, Hashable, Iterable, Sequence
 
 from .errors import (
     DegreeMismatch,
+    InvariantViolation,
     NonCyclicQuotient,
     NotASubgroup,
     OrderCapExceeded,
@@ -51,6 +52,9 @@ class FiniteGroup:
         self.order = len(self.elements)
         self._element_set = frozenset(self.elements)
         self._classes: list[ConjugacyClass] | None = None
+        # _power_rows[k][cid] is the class id of g**k for g in class cid,
+        # or -1 until power_class first asks; k runs over residues mod |G|
+        self._power_rows: dict[int, list[int]] = {}
 
     # Integer tables over `elements`, built on first use.  `mul` holds |G|^2
     # products, so only the small groups braid.py works on build it.
@@ -122,6 +126,32 @@ class FiniteGroup:
         if i is None:
             raise NotASubgroup(f"{p!r} is not an element of this group")
         return self.conjugacy_classes()[self.class_ids[i]]
+
+    def power_class(self, cid: int, k: int) -> int:
+        """The class id of g**k for g in class cid.
+
+        g**|G| = 1, so one row per residue k mod |G| serves every k.  Each
+        entry is filled the first time a class asks for it.
+        """
+        k %= self.order
+        row = self._power_rows.get(k)
+        if row is None:
+            row = self._power_rows[k] = [-1] * len(self.conjugacy_classes())
+        if row[cid] < 0:
+            row[cid] = self._image_class(cid, lambda g: g**k)
+        return row[cid]
+
+    def _image_class(self, cid: int, move: Callable[[Permutation], Permutation]) -> int:
+        """The class id of move(g) for g in class cid.
+
+        move must send a class into one class; the representative and the
+        last member are checked to land together.
+        """
+        c = self.conjugacy_classes()[cid]
+        image = self.class_of(move(c.representative)).class_id
+        if len(c.members) > 1 and self.class_of(move(c.members[-1])).class_id != image:
+            raise InvariantViolation("the twist is not well defined on classes")
+        return image
 
 
 @dataclass(frozen=True)
@@ -368,9 +398,36 @@ class GNContext:
     tau: Permutation
     d_prime: int
     split: bool
+    # e -> (tau^{-e}, row): row[cid] is the class id in G of the conjugate
+    # of class cid by tau^{-e}, or -1 until conjugate_class first asks.
+    # Not an init field, so dataclasses.replace starts with no rows.
+    _conjugation_rows: dict[int, tuple[Permutation, list[int]]] = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
 
     def admissible_e(self) -> list[int]:
         return [e for e in range(1, self.d_prime + 1) if gcd(e, self.d_prime) == 1]
+
+    def conjugator(self, e: int) -> Permutation:
+        """tau^{-e}, computed once per admissible e."""
+        return self._conjugation_row(e)[0]
+
+    def conjugate_class(self, cid: int, e: int) -> int:
+        """The class id in G of x^{-1} g x, for g in class cid and x = tau^{-e}."""
+        x, row = self._conjugation_row(e)
+        if row[cid] < 0:
+            row[cid] = self.G._image_class(cid, lambda g: g.conjugate_by(x))
+        return row[cid]
+
+    def _conjugation_row(self, e: int) -> tuple[Permutation, list[int]]:
+        entry = self._conjugation_rows.get(e)
+        if entry is None:
+            # one row per admissible e: at most phi(d') rows
+            if e not in self.admissible_e():
+                raise ValueError(f"e = {e} not admissible for d' = {self.d_prime}")
+            entry = (self.tau ** (-e), [-1] * len(self.G.conjugacy_classes()))
+            self._conjugation_rows[e] = entry
+        return entry
 
 
 def find_cyclic_complement(N: FiniteGroup, G: FiniteGroup) -> GNContext:

@@ -63,13 +63,12 @@ class TwistSpec:
             raise ValueError(f"q must be at least 2, got {self.q}")
         if gcd(self.q, self.ctx.N.order) != 1:
             raise ValueError(f"q = {self.q} is not coprime to |N| = {self.ctx.N.order}")
-        if self.e not in self.ctx.admissible_e():
-            raise ValueError(f"e = {self.e} not admissible for d' = {self.ctx.d_prime}")
+        self.ctx.conjugator(self.e)  # raises ValueError unless e is admissible
 
-    @cached_property
+    @property
     def conjugator(self) -> Permutation:
-        """tau^{-e}, the element t_e conjugates by; computed once per spec."""
-        return self.ctx.tau ** (-self.e)
+        """tau^{-e}, the element t_e conjugates by, as ctx stores it."""
+        return self.ctx.conjugator(self.e)
 
     def image(self, g: Permutation) -> Permutation:
         """t_e on elements: g^q conjugated by tau^{-e}."""
@@ -86,13 +85,13 @@ class TwistSpec:
 
 
 def twist_class(c: ConjugacyClass, spec: TwistSpec) -> ConjugacyClass:
-    """The class of t_e(g), for g a representative of c."""
-    G = spec.ctx.G
-    image = G.class_of(spec.image(c.representative))
-    # well-definedness: any member must land in the same class
-    if G.class_of(spec.image(c.members[-1])) is not image:
-        raise InvariantViolation("the twist is not well defined on classes")
-    return image
+    """The class of t_e(g), for g in c: two row reads, G's power row for q,
+    then ctx's conjugation row for e.  Each entry is filled, and checked
+    to be well defined on classes, the first time it is read.
+    """
+    ctx = spec.ctx
+    G = ctx.G
+    return G.conjugacy_classes()[ctx.conjugate_class(G.power_class(c.class_id, spec.q), spec.e)]
 
 
 @dataclass(frozen=True)

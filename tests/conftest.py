@@ -9,6 +9,7 @@ def fresh_group_memos():
     (say groups.ORDER_CAP) sees a fresh closure, not a memo hit."""
     presets._closed.cache_clear()
     presets._paired.cache_clear()
+    presets._cyclic_pairs.cache_clear()
     yield
 
 

@@ -4,7 +4,7 @@ from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iproduct
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -46,7 +46,7 @@ from malle_lab.invariants import (
     twist_class,
 )
 from malle_lab.perms import Permutation, parse_cycles
-from malle_lab.presets import abelian_suite, get_preset
+from malle_lab.presets import abelian_suite, get_preset, preset_names
 from malle_lab.series import h2_desk_scale
 from test_groups import permutations_of
 
@@ -560,3 +560,91 @@ def test_point_relabelling_keeps_the_twisted_tables(degree, data):
     assert h2_desk_scale(H, M, TwistSpec(q=7, e=1, ctx=moved), 8) == h2_desk_scale(
         G, N, TwistSpec(q=7, e=1, ctx=ctx), 8
     )
+
+
+def twisted_pairs():
+    """The proper pairs of the TWISTED groups in degree 5, among them C5 in
+    F20 (d' = 4) and V4 in A4 (d' = 3)."""
+    out = []
+    for gens in TWISTED:
+        N = closure([parse_cycles(c, 5) for c in gens], 5)
+        proper = [G for G in normal_subgroups_with_cyclic_quotient(N) if 1 < G.order < N.order]
+        out += [find_cyclic_complement(N, G) for G in proper]
+    return out
+
+
+def every_pair():
+    """Each preset pair, each abelian-suite pair and the TWISTED pairs."""
+    pairs = []
+    for name in preset_names():
+        spec = get_preset(name).spec
+        pairs += [spec.pair(), *map(spec.pair, sorted(spec.named_subgroups))]
+    for spec in abelian_suite().values():
+        pairs += [ctx for ctx in spec.cyclic_pairs() if ctx.G.order > 1]
+    return pairs + twisted_pairs()
+
+
+class TestTwistRows:
+    """twist_class reads G's power rows and ctx's conjugation rows."""
+
+    def test_the_rows_agree_with_the_twist_of_every_member(self):
+        pairs = every_pair()
+        assert {(ctx.G.order, ctx.d_prime) for ctx in twisted_pairs()} >= {(5, 4), (4, 3)}
+        for ctx in pairs:
+            G = ctx.G
+            qs = [q for q in (5, 7, 11, 13, 17) if gcd(q, ctx.N.order) == 1]
+            assert qs
+            for q in qs:
+                for e in ctx.admissible_e():
+                    spec = TwistSpec(q=q, e=e, ctx=ctx)
+                    # t_e(g) = tau^e g^q tau^{-e}, built here from tau
+                    x = ctx.tau ** (-e)
+                    for c in G.conjugacy_classes():
+                        image = twist_class(c, spec)
+                        for m in c.members:
+                            assert G.class_of((m**q).conjugate_by(x)) is image
+
+    def test_a_second_spec_on_the_pair_takes_no_power(self, monkeypatch):
+        ctx = get_preset("klueners-s6").spec.pair("G1")
+        blocks = orbit_blocks(TwistSpec(q=5, e=1, ctx=ctx), restrict_minimal=False)
+        power, powers = Permutation.__pow__, []
+
+        def counted(g, k):
+            powers.append(g)
+            return power(g, k)
+
+        monkeypatch.setattr(Permutation, "__pow__", counted)
+        # 23 = 5 mod |G1| = 9, so it reads the same power row
+        for q in (5, 23):
+            assert orbit_blocks(TwistSpec(q=q, e=1, ctx=ctx), restrict_minimal=False) == blocks
+        assert powers == []
+
+    def test_a_replaced_context_starts_with_no_rows(self):
+        # C5 in F20: tau has order 4
+        ctx = next(ctx for ctx in twisted_pairs() if ctx.G.order == 5)
+        b_table(ctx, 7)
+        assert sorted(ctx._conjugation_rows) == [1, 3]
+        # tau^3 also generates N/G, and conjugates the other way round
+        moved = replace(ctx, tau=ctx.tau**3)
+        assert moved._conjugation_rows == {}
+        G = moved.G
+        spec = TwistSpec(q=7, e=1, ctx=moved)
+        x = moved.tau ** (-1)
+        for c in G.conjugacy_classes():
+            assert twist_class(c, spec) is G.class_of((c.representative**7).conjugate_by(x))
+
+    def test_a_merged_class_is_caught_when_its_entry_is_filled(self):
+        N = klueners()
+        G1 = klueners_g1(N)
+        ctx = find_cyclic_complement(N, G1)
+        # G1 is abelian, so each class is one element; class 1 is made to
+        # hold class 2's element too, and neither row maps them together
+        classes = G1.conjugacy_classes()
+        classes[1] = replace(classes[1], members=classes[1].members + classes[2].members)
+        with pytest.raises(InvariantViolation, match="not well defined on classes"):
+            twist_class(classes[1], TwistSpec(q=5, e=1, ctx=ctx))
+        with pytest.raises(InvariantViolation, match="not well defined on classes"):
+            ctx.conjugate_class(1, 1)
+        # the rows stay unfilled: each read checks again
+        with pytest.raises(InvariantViolation, match="not well defined on classes"):
+            G1.power_class(1, 5)

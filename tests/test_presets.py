@@ -1,4 +1,5 @@
-"""The spec memos: one group and one (N, G) context per spec strings, bounded."""
+"""The spec memos: one group, one (N, G) context and one tuple of cyclic-quotient
+contexts per spec strings, bounded."""
 
 import contextlib
 import gc
@@ -9,13 +10,16 @@ import pytest
 
 from malle_lab import cli, groups, presets
 from malle_lab.errors import OrderCapExceeded
+from malle_lab.groups import normal_subgroups_with_cyclic_quotient
+from malle_lab.invariants import b_table
 from malle_lab.perms import format_cycles, parse_cycles
-from malle_lab.presets import GROUP_CACHE_SIZE, GroupSpecFile, get_preset
+from malle_lab.presets import GROUP_CACHE_SIZE, GroupSpecFile, abelian_suite, get_preset
 
 
 def clear_memos():
     presets._closed.cache_clear()
     presets._paired.cache_clear()
+    presets._cyclic_pairs.cache_clear()
 
 
 def relabelled(spec: GroupSpecFile, sigma: str) -> GroupSpecFile:
@@ -50,6 +54,16 @@ class TestOneObjectPerSpec:
         assert D.N is N and D.G is spec.subgroup("D")
         assert spec.pair("D") is D
 
+    def test_the_cyclic_pairs_are_built_once(self):
+        spec = abelian_suite()["C6"]
+        N = spec.group()
+        pairs = spec.cyclic_pairs()
+        assert spec.cyclic_pairs() is pairs
+        assert [ctx.G for ctx in pairs] == normal_subgroups_with_cyclic_quotient(N)
+        assert all(ctx.N is N for ctx in pairs)
+        # C6 is cyclic: G = N first, the trivial group last
+        assert [ctx.G.order for ctx in pairs] == [6, 3, 2, 1]
+
     def test_a_copy_of_the_strings_shares_the_objects(self):
         spec = get_preset("klueners-s6").spec
         copy = GroupSpecFile(
@@ -83,13 +97,22 @@ class TestBounded:
     def test_dropped_entries_are_freed_without_a_gc_pass(self):
         first = cyclic_spec(2)
         group, ctx = weakref.ref(first.group()), weakref.ref(first.pair())
+        pairs = [weakref.ref(c) for c in first.cyclic_pairs()]
+        # fill the power row on the group and a conjugation row on each
+        # pair but the last, whose G is trivial
+        b_table(first.pair(), 3)
+        for c in first.cyclic_pairs()[:-1]:
+            b_table(c, 3)
+        del c  # the loop name would keep the last context alive
         gc.disable()
         try:
             for n in range(3, GROUP_CACHE_SIZE + 3):
-                assert cyclic_spec(n).group() is cyclic_spec(n).pair().N
-            assert presets._closed.cache_info().currsize == GROUP_CACHE_SIZE
-            assert presets._paired.cache_info().currsize == GROUP_CACHE_SIZE
+                spec = cyclic_spec(n)
+                assert spec.group() is spec.pair().N is spec.cyclic_pairs()[0].N
+            for memo in (presets._closed, presets._paired, presets._cyclic_pairs):
+                assert memo.cache_info().currsize == GROUP_CACHE_SIZE
             assert ctx() is None
+            assert [p() for p in pairs] == [None, None]
             assert group() is None
         finally:
             gc.enable()
@@ -103,7 +126,7 @@ class TestBounded:
 
 
 class TestEachTestStartsEmpty:
-    """conftest.py empties both memos before each test; these run in order."""
+    """conftest.py empties the memos before each test; these run in order."""
 
     def test_a_preset_group_is_built(self):
         assert get_preset("wreath-s18").spec.group().order == 162

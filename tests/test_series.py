@@ -17,7 +17,7 @@ from malle_lab.groups import (
     normal_subgroups_with_cyclic_quotient,
 )
 from malle_lab.invariants import OrbitBlock, TwistSpec, orbit_blocks
-from malle_lab.perms import parse_cycles
+from malle_lab.perms import Permutation, parse_cycles
 from malle_lab.presets import abelian_q, abelian_suite, get_preset
 from malle_lab.series import (
     CoefficientTable,
@@ -303,25 +303,38 @@ class TestTauberianFit:
 class TestH2DeskScale:
     def test_the_twist_table_is_built_once_per_spec(self, monkeypatch):
         # frobenius_stable_orbits reads spec.image_indices, one image per
-        # element of G; orbit_blocks' twist_class takes two per nontrivial
-        # class.  Neither grows with the number of class vectors h2 visits.
+        # element of G; orbit_blocks' twist_class reads class rows and
+        # images no element.  Neither grows with the class vectors h2 visits.
         N = klueners()
         G1 = closure([parse_cycles("(1 2 3)", 6), parse_cycles("(4 5 6)", 6)], 6)
         ctx = find_cyclic_complement(N, G1)
-        image = TwistSpec.image
-        calls = []
+        image, power = TwistSpec.image, Permutation.__pow__
+        calls, powers = [], []
 
         def counted(spec, g):
             calls.append(g)
             return image(spec, g)
 
+        def counted_power(g, k):
+            powers.append(g)
+            return power(g, k)
+
         monkeypatch.setattr(TwistSpec, "image", counted)
+        monkeypatch.setattr(Permutation, "__pow__", counted_power)
+        filled = []
         for R in (16, 24):
             calls.clear()
+            powers.clear()
             spec = TwistSpec(q=5, e=1, ctx=ctx)
             h2_desk_scale(G1, N, spec, R)
-            assert len(calls) == G1.order + 2 * (len(G1.conjugacy_classes()) - 1) == 25
+            assert len(calls) == G1.order == 9
+            # the powers beyond the table's: tau^{-1}, which ctx keeps, and
+            # the power row's fills, one per nontrivial class of G1, whose
+            # classes are single elements
+            filled.append(len(powers) - G1.order)
             assert spec.image_indices == [G1.index[image(spec, g)] for g in G1.elements]
+        # tau^{-1} and the power row are made at R = 16 and read at R = 24
+        assert filled == [1 + len(G1.conjugacy_classes()) - 1, 0] == [9, 0]
 
     def test_abelian_single_orbit_per_rational_vector(self):
         # C3 regular: trivial twist at q = 7 (7 = 1 mod 3); every
