@@ -172,8 +172,7 @@ def parse_class_vector(text: str, G: FiniteGroup) -> braid_mod.ClassVector:
 
 def cmd_braid(args) -> dict:
     ctx = resolve_pair(args)
-    if args.e not in ctx.admissible_e():
-        raise ValueError(f"e = {args.e} not admissible for d' = {ctx.d_prime}")
+    ctx.conjugator(args.e)  # raises ValueError unless e is admissible
     cv = parse_class_vector(args.classes, ctx.G)
     orbits = braid_mod.braid_orbits(ctx.G, ctx.N, cv)
     warnings = []

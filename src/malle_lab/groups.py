@@ -52,9 +52,11 @@ class FiniteGroup:
         self.order = len(self.elements)
         self._element_set = frozenset(self.elements)
         self._classes: list[ConjugacyClass] | None = None
-        # _power_rows[k][cid] is the class id of g**k for g in class cid,
-        # or -1 until power_class first asks; k runs over residues mod |G|
+        # class rows: row[cid] is the class id of the image of class cid,
+        # or -1 until first asked; power_class keys its rows by the exponent
+        # mod |G|, conjugate_class by the conjugator's images
         self._power_rows: dict[int, list[int]] = {}
+        self._conjugation_rows: dict[Images, list[int]] = {}
 
     # Integer tables over `elements`, built on first use.  `mul` holds |G|^2
     # products, so only the small groups braid.py works on build it.
@@ -131,14 +133,31 @@ class FiniteGroup:
         """The class id of g**k for g in class cid.
 
         g**|G| = 1, so one row per residue k mod |G| serves every k.  Each
-        entry is filled the first time a class asks for it.
+        entry is filled the first time a class asks for it; for k = 1 the
+        row is the identity from the start.
         """
         k %= self.order
         row = self._power_rows.get(k)
         if row is None:
-            row = self._power_rows[k] = [-1] * len(self.conjugacy_classes())
+            n = len(self.conjugacy_classes())
+            row = self._power_rows[k] = list(range(n)) if k == 1 else [-1] * n
         if row[cid] < 0:
             row[cid] = self._image_class(cid, lambda g: g**k)
+        return row[cid]
+
+    def conjugate_class(self, cid: int, x: Permutation) -> int:
+        """The class id of x^{-1} g x, for g in class cid.
+
+        x is any permutation that normalises G, in G or not.  One row per
+        conjugator, each entry filled the first time a class asks for it;
+        for x in G the row is the identity from the start.
+        """
+        row = self._conjugation_rows.get(x.images)
+        if row is None:
+            n = len(self.conjugacy_classes())
+            row = self._conjugation_rows[x.images] = list(range(n)) if x in self else [-1] * n
+        if row[cid] < 0:
+            row[cid] = self._image_class(cid, lambda g: g.conjugate_by(x))
         return row[cid]
 
     def _image_class(self, cid: int, move: Callable[[Permutation], Permutation]) -> int:
@@ -398,36 +417,22 @@ class GNContext:
     tau: Permutation
     d_prime: int
     split: bool
-    # e -> (tau^{-e}, row): row[cid] is the class id in G of the conjugate
-    # of class cid by tau^{-e}, or -1 until conjugate_class first asks.
-    # Not an init field, so dataclasses.replace starts with no rows.
-    _conjugation_rows: dict[int, tuple[Permutation, list[int]]] = field(
-        default_factory=dict, init=False, compare=False, repr=False
-    )
+    # e -> tau^{-e} for each admissible e, made with the context, so
+    # dataclasses.replace makes them anew from the new tau and d'
+    _conjugators: dict[int, Permutation] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_conjugators", {e: self.tau ** (-e) for e in self.admissible_e()})
 
     def admissible_e(self) -> list[int]:
         return [e for e in range(1, self.d_prime + 1) if gcd(e, self.d_prime) == 1]
 
     def conjugator(self, e: int) -> Permutation:
-        """tau^{-e}, computed once per admissible e."""
-        return self._conjugation_row(e)[0]
-
-    def conjugate_class(self, cid: int, e: int) -> int:
-        """The class id in G of x^{-1} g x, for g in class cid and x = tau^{-e}."""
-        x, row = self._conjugation_row(e)
-        if row[cid] < 0:
-            row[cid] = self.G._image_class(cid, lambda g: g.conjugate_by(x))
-        return row[cid]
-
-    def _conjugation_row(self, e: int) -> tuple[Permutation, list[int]]:
-        entry = self._conjugation_rows.get(e)
-        if entry is None:
-            # one row per admissible e: at most phi(d') rows
-            if e not in self.admissible_e():
-                raise ValueError(f"e = {e} not admissible for d' = {self.d_prime}")
-            entry = (self.tau ** (-e), [-1] * len(self.G.conjugacy_classes()))
-            self._conjugation_rows[e] = entry
-        return entry
+        """tau^{-e}, the element t_e conjugates by."""
+        x = self._conjugators.get(e)
+        if x is None:
+            raise ValueError(f"e = {e} not admissible for d' = {self.d_prime}")
+        return x
 
 
 def find_cyclic_complement(N: FiniteGroup, G: FiniteGroup) -> GNContext:

@@ -9,7 +9,7 @@ level M gives the number-field constant b_phi.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
@@ -29,6 +29,7 @@ from .groups import (
     FiniteGroup,
     GNContext,
     _cosets,
+    _orbit,
     a_invariant,
     find_cyclic_complement,
     normal_subgroups_with_abelian_quotient,
@@ -57,18 +58,16 @@ class TwistSpec:
     q: int
     e: int
     ctx: GNContext
+    # tau^{-e}, the element t_e conjugates by, read from ctx when the spec is made
+    conjugator: Permutation = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.q < 2:
             raise ValueError(f"q must be at least 2, got {self.q}")
         if gcd(self.q, self.ctx.N.order) != 1:
             raise ValueError(f"q = {self.q} is not coprime to |N| = {self.ctx.N.order}")
-        self.ctx.conjugator(self.e)  # raises ValueError unless e is admissible
-
-    @property
-    def conjugator(self) -> Permutation:
-        """tau^{-e}, the element t_e conjugates by, as ctx stores it."""
-        return self.ctx.conjugator(self.e)
+        # raises ValueError unless e is admissible
+        object.__setattr__(self, "conjugator", self.ctx.conjugator(self.e))
 
     def image(self, g: Permutation) -> Permutation:
         """t_e on elements: g^q conjugated by tau^{-e}."""
@@ -85,13 +84,12 @@ class TwistSpec:
 
 
 def twist_class(c: ConjugacyClass, spec: TwistSpec) -> ConjugacyClass:
-    """The class of t_e(g), for g in c: two row reads, G's power row for q,
-    then ctx's conjugation row for e.  Each entry is filled, and checked
-    to be well defined on classes, the first time it is read.
+    """The class of t_e(g), for g in c: G's power row for q, then its
+    conjugation row for tau^{-e}.  Each entry is filled, and checked to be
+    well defined on classes, the first time it is read.
     """
-    ctx = spec.ctx
-    G = ctx.G
-    return G.conjugacy_classes()[ctx.conjugate_class(G.power_class(c.class_id, spec.q), spec.e)]
+    G = spec.ctx.G
+    return G.conjugacy_classes()[G.conjugate_class(G.power_class(c.class_id, spec.q), spec.conjugator)]
 
 
 @dataclass(frozen=True)
@@ -114,27 +112,23 @@ class OrbitBlock:
         )
 
 
-def _class_orbits(pool: list[ConjugacyClass], images: Callable) -> list[list[ConjugacyClass]]:
-    """Orbits on pool, by least class id, of the group whose generators send
-    c to images(c).  Raises InvariantViolation if an image leaves pool or an
-    orbit mixes class indices.
+def _class_orbits(pool: list[ConjugacyClass], steps: list[Callable[[int], int]]) -> list[set[int]]:
+    """The orbits on pool, as class id sets by least id, of the group whose
+    generators send class id i to step(i) for each step.  Raises
+    InvariantViolation if an orbit leaves pool or mixes class indices.
     """
-    by_id = {c.class_id: c for c in pool}
+    index = {c.class_id: c.index for c in pool}
     seen, orbits = set(), []
-    for cid in sorted(by_id):
+    for cid in sorted(index):
         if cid in seen:
             continue
-        seen.add(cid)
-        orbit = [by_id[cid]]
-        for c in orbit:
-            for image in images(c):
-                if image.class_id not in by_id:
-                    raise InvariantViolation("the action left the class pool")
-                if image.class_id not in seen:
-                    seen.add(image.class_id)
-                    orbit.append(image)
-        if any(c.index != orbit[0].index for c in orbit):
+        orbit = _orbit(cid, steps)
+        indices = set(map(index.get, orbit))
+        if None in indices:
+            raise InvariantViolation("the action left the class pool")
+        if len(indices) > 1:
             raise InvariantViolation("an orbit mixes class indices")
+        seen |= orbit
         orbits.append(orbit)
     return orbits
 
@@ -142,14 +136,15 @@ def _class_orbits(pool: list[ConjugacyClass], images: Callable) -> list[list[Con
 def orbit_blocks(spec: TwistSpec, restrict_minimal: bool) -> list[OrbitBlock]:
     """t_e-orbits of the nontrivial G-classes (or of C(G) only)."""
     G = spec.ctx.G
+    classes = G.conjugacy_classes()
     if restrict_minimal:
         pool = minimal_index_classes(G)
     else:
-        pool = [c for c in G.conjugacy_classes() if not c.is_trivial]
+        pool = [c for c in classes if not c.is_trivial]
     # twist_class is looked up at call time, so a wrapper around it sees every call
     return [
-        OrbitBlock(spec.e, frozenset(c.class_id for c in o), len(o), o[0].index)
-        for o in _class_orbits(pool, lambda c: [twist_class(c, spec)])
+        OrbitBlock(spec.e, frozenset(o), len(o), classes[min(o)].index)
+        for o in _class_orbits(pool, [lambda cid: twist_class(classes[cid], spec).class_id])
     ]
 
 
@@ -264,13 +259,13 @@ def _phi_orbit_count(G: FiniteGroup, M: int, phi: Mapping[int, Permutation]) -> 
                 f"level M = {M} not divisible by the order "
                 f"{c.representative.order()} of a minimal-index element"
             )
-    # phi is a homomorphism, so (Z/M)* acts on the classes through its lifts
-    lifts = [(u, x.inverse()) for u, x in phi.items()]
-
-    def images(c: ConjugacyClass) -> list[ConjugacyClass]:
-        return [G.class_of((c.representative**u).conjugate_by(y)) for u, y in lifts]
-
-    return len(_class_orbits(minimal, images))
+    # phi is a homomorphism, so (Z/M)* acts on the classes through its
+    # lifts: u powers by u, then conjugates by phi(u)^{-1}
+    steps = [
+        lambda cid, u=u, y=x.inverse(): G.conjugate_class(G.power_class(cid, u), y)
+        for u, x in phi.items()
+    ]
+    return len(_class_orbits(minimal, steps))
 
 
 def _surjective_phis(N: FiniteGroup, G: FiniteGroup, M: int) -> list[dict[int, Permutation]]:

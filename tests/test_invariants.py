@@ -585,9 +585,9 @@ def every_pair():
 
 
 class TestTwistRows:
-    """twist_class reads G's power rows and ctx's conjugation rows."""
+    """twist_class and the phi action read G's power and conjugation rows."""
 
-    def test_the_rows_agree_with_the_twist_of_every_member(self):
+    def test_the_rows_agree_with_the_twist_of_every_member(self, monkeypatch):
         pairs = every_pair()
         assert {(ctx.G.order, ctx.d_prime) for ctx in twisted_pairs()} >= {(5, 4), (4, 3)}
         for ctx in pairs:
@@ -603,6 +603,53 @@ class TestTwistRows:
                         image = twist_class(c, spec)
                         for m in c.members:
                             assert G.class_of((m**q).conjugate_by(x)) is image
+        # the phi action reads the same rows: _phi_orbit_count's step for
+        # the unit u sends class c to the class of phi(u) g^u phi(u)^{-1}
+        import malle_lab.invariants as inv
+
+        class_orbits, steps_seen = inv._class_orbits, []
+
+        def recorded(pool, steps):
+            steps_seen.append(steps)
+            return class_orbits(pool, steps)
+
+        monkeypatch.setattr(inv, "_class_orbits", recorded)
+        checked = set()
+        for ctx in pairs:
+            G = ctx.G
+            for M in (3, 4, 5, 6, 8, 9, 10, 12):
+                for phi in _surjective_phis(ctx.N, G, M):
+                    steps_seen.clear()
+                    try:
+                        _phi_orbit_count(G, M, phi)
+                    except BadModulus:
+                        break  # it depends on G and M alone
+                    [steps] = steps_seen
+                    for (u, x), step in zip(phi.items(), steps, strict=True):
+                        for c in G.conjugacy_classes():
+                            image = step(c.class_id)
+                            for m in c.members:
+                                assert G.class_of((m**u).conjugate_by(x.inverse())).class_id == image
+                    checked.add((G.order, ctx.N.order, M))
+        # C5 in F20 at M = 5: N/G = C4, where phi(u) and phi(u)^{-1} differ
+        assert (5, 20, 5) in checked
+        # a second b_phi on the same G reads the filled rows and takes no power
+        ctx = next(ctx for ctx in twisted_pairs() if ctx.G.order == 5)
+        phi = _surjective_phis(ctx.N, ctx.G, 5)[0]
+        power, powers = Permutation.__pow__, []
+
+        def counted(g, k):
+            powers.append(g)
+            return power(g, k)
+
+        monkeypatch.setattr(Permutation, "__pow__", counted)
+        b = b_phi(ctx.N, ctx.G, 5, phi)
+        # one power row per unit u != 1, one entry per minimal class, and
+        # C5's 4 minimal classes are single elements
+        assert len(powers) == 3 * 4
+        powers.clear()
+        assert b_phi(ctx.N, ctx.G, 5, phi) == b
+        assert powers == []
 
     def test_a_second_spec_on_the_pair_takes_no_power(self, monkeypatch):
         ctx = get_preset("klueners-s6").spec.pair("G1")
@@ -619,14 +666,15 @@ class TestTwistRows:
             assert orbit_blocks(TwistSpec(q=q, e=1, ctx=ctx), restrict_minimal=False) == blocks
         assert powers == []
 
-    def test_a_replaced_context_starts_with_no_rows(self):
+    def test_a_replaced_context_twists_by_its_own_tau(self):
         # C5 in F20: tau has order 4
         ctx = next(ctx for ctx in twisted_pairs() if ctx.G.order == 5)
         b_table(ctx, 7)
-        assert sorted(ctx._conjugation_rows) == [1, 3]
-        # tau^3 also generates N/G, and conjugates the other way round
+        # tau^3 also generates N/G, and conjugates the other way round;
+        # G's rows are keyed by the conjugator, so the old tau's rows do
+        # not answer for the new one
         moved = replace(ctx, tau=ctx.tau**3)
-        assert moved._conjugation_rows == {}
+        assert moved.conjugator(1) == ctx.conjugator(3)
         G = moved.G
         spec = TwistSpec(q=7, e=1, ctx=moved)
         x = moved.tau ** (-1)
@@ -644,7 +692,7 @@ class TestTwistRows:
         with pytest.raises(InvariantViolation, match="not well defined on classes"):
             twist_class(classes[1], TwistSpec(q=5, e=1, ctx=ctx))
         with pytest.raises(InvariantViolation, match="not well defined on classes"):
-            ctx.conjugate_class(1, 1)
+            G1.conjugate_class(1, ctx.conjugator(1))
         # the rows stay unfilled: each read checks again
         with pytest.raises(InvariantViolation, match="not well defined on classes"):
             G1.power_class(1, 5)

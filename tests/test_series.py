@@ -328,13 +328,13 @@ class TestH2DeskScale:
             spec = TwistSpec(q=5, e=1, ctx=ctx)
             h2_desk_scale(G1, N, spec, R)
             assert len(calls) == G1.order == 9
-            # the powers beyond the table's: tau^{-1}, which ctx keeps, and
-            # the power row's fills, one per nontrivial class of G1, whose
-            # classes are single elements
+            # the powers beyond the table's: the power row's fills, one per
+            # nontrivial class of G1, whose classes are single elements
+            # (tau^{-1} is made with ctx, before the count starts)
             filled.append(len(powers) - G1.order)
             assert spec.image_indices == [G1.index[image(spec, g)] for g in G1.elements]
-        # tau^{-1} and the power row are made at R = 16 and read at R = 24
-        assert filled == [1 + len(G1.conjugacy_classes()) - 1, 0] == [9, 0]
+        # the power row is made at R = 16 and read at R = 24
+        assert filled == [len(G1.conjugacy_classes()) - 1, 0] == [8, 0]
 
     def test_abelian_single_orbit_per_rational_vector(self):
         # C3 regular: trivial twist at q = 7 (7 = 1 mod 3); every
