@@ -39,8 +39,8 @@ VALIDATION_ERRORS = (
     err.BadModulus,
     err.NotASubgroup,
     err.TrivialClassPresent,
+    err.UnknownSubgroup,
     ValueError,
-    KeyError,
 )
 
 
@@ -277,14 +277,14 @@ def _verify_abelian_suite(preset) -> tuple[dict, list[str]]:
         # none of the pairs depends on q
         ctx_N = spec.pair()
         pairs = [ctx for ctx in spec.cyclic_pairs() if ctx.G.order != 1]
+        for ctx in pairs:
+            if not ctx.split:
+                warnings.append(f"{label}: non-split subgroup of order {ctx.G.order}")
         for q in abelian_q(label):
             b_N = inv.b_table(ctx_N, q).value
             for ctx in pairs:
-                order = ctx.G.order
-                if not ctx.split:
-                    warnings.append(f"{label}: non-split subgroup of order {order}")
                 b_G = inv.b_table(ctx, q).value
-                checks[f"{label}_q{q}_order{order}"] = _check(f"b <= {b_N}", b_G, b_G <= b_N)
+                checks[f"{label}_q{q}_order{ctx.G.order}"] = _check(f"b <= {b_N}", b_G, b_G <= b_N)
     return checks, warnings
 
 

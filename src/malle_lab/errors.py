@@ -75,3 +75,12 @@ class PointOutOfRange(MalleLabError):
 
 class UnknownPreset(MalleLabError):
     """No preset scenario with the requested name exists."""
+
+
+class UnknownSubgroup(MalleLabError, KeyError):
+    """A group spec has no named subgroup of the requested name.
+
+    str() is the message itself, not the quoted repr KeyError gives.
+    """
+
+    __str__ = Exception.__str__

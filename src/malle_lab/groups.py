@@ -52,11 +52,9 @@ class FiniteGroup:
         self.order = len(self.elements)
         self._element_set = frozenset(self.elements)
         self._classes: list[ConjugacyClass] | None = None
-        # class rows: row[cid] is the class id of the image of class cid,
-        # or -1 until first asked; power_class keys its rows by the exponent
-        # mod |G|, conjugate_class by the conjugator's images
-        self._power_rows: dict[int, list[int]] = {}
-        self._conjugation_rows: dict[Images, list[int]] = {}
+        # class rows of class_image, keyed by (k mod |G|, x.images): row[cid]
+        # is the class id of x^{-1} g^k x for g in class cid, or -1 until asked
+        self._class_rows: dict[tuple[int, Images], list[int]] = {}
 
     # Integer tables over `elements`, built on first use.  `mul` holds |G|^2
     # products, so only the small groups braid.py works on build it.
@@ -129,35 +127,26 @@ class FiniteGroup:
             raise NotASubgroup(f"{p!r} is not an element of this group")
         return self.conjugacy_classes()[self.class_ids[i]]
 
-    def power_class(self, cid: int, k: int) -> int:
-        """The class id of g**k for g in class cid.
+    def class_image(self, cid: int, k: int, x: Permutation) -> int:
+        """The class id of x^{-1} g^k x, for g in class cid.
 
-        g**|G| = 1, so one row per residue k mod |G| serves every k.  Each
-        entry is filled the first time a class asks for it; for k = 1 the
-        row is the identity from the start.
+        x is any permutation that normalises G, in G or not.  g**|G| = 1,
+        so one row per residue k mod |G| and conjugator serves every k.
+        Each entry is filled the first time a class asks for it.  g**1 = g,
+        and an x in G moves no class, so a fill skips the power when
+        k = 1 mod |G| and the conjugation when x is in G; the row where
+        both hold is the identity from the start.
         """
         k %= self.order
-        row = self._power_rows.get(k)
+        key = (k, x.images)
+        row = self._class_rows.get(key)
         if row is None:
             n = len(self.conjugacy_classes())
-            row = self._power_rows[k] = list(range(n)) if k == 1 else [-1] * n
+            row = self._class_rows[key] = list(range(n)) if k == 1 and x in self else [-1] * n
         if row[cid] < 0:
-            row[cid] = self._image_class(cid, lambda g: g**k)
-        return row[cid]
-
-    def conjugate_class(self, cid: int, x: Permutation) -> int:
-        """The class id of x^{-1} g x, for g in class cid.
-
-        x is any permutation that normalises G, in G or not.  One row per
-        conjugator, each entry filled the first time a class asks for it;
-        for x in G the row is the identity from the start.
-        """
-        row = self._conjugation_rows.get(x.images)
-        if row is None:
-            n = len(self.conjugacy_classes())
-            row = self._conjugation_rows[x.images] = list(range(n)) if x in self else [-1] * n
-        if row[cid] < 0:
-            row[cid] = self._image_class(cid, lambda g: g.conjugate_by(x))
+            power = (lambda g: g) if k == 1 else (lambda g: g**k)
+            move = power if x in self else (lambda g: power(g).conjugate_by(x))
+            row[cid] = self._image_class(cid, move)
         return row[cid]
 
     def _image_class(self, cid: int, move: Callable[[Permutation], Permutation]) -> int:

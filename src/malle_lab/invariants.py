@@ -84,12 +84,12 @@ class TwistSpec:
 
 
 def twist_class(c: ConjugacyClass, spec: TwistSpec) -> ConjugacyClass:
-    """The class of t_e(g), for g in c: G's power row for q, then its
-    conjugation row for tau^{-e}.  Each entry is filled, and checked to be
-    well defined on classes, the first time it is read.
+    """The class of t_e(g), for g in c: one read of G's class row for
+    (q, tau^{-e}).  Each entry is filled, and checked to be well defined
+    on classes, the first time it is read.
     """
     G = spec.ctx.G
-    return G.conjugacy_classes()[G.conjugate_class(G.power_class(c.class_id, spec.q), spec.conjugator)]
+    return G.conjugacy_classes()[G.class_image(c.class_id, spec.q, spec.conjugator)]
 
 
 @dataclass(frozen=True)
@@ -260,11 +260,8 @@ def _phi_orbit_count(G: FiniteGroup, M: int, phi: Mapping[int, Permutation]) -> 
                 f"{c.representative.order()} of a minimal-index element"
             )
     # phi is a homomorphism, so (Z/M)* acts on the classes through its
-    # lifts: u powers by u, then conjugates by phi(u)^{-1}
-    steps = [
-        lambda cid, u=u, y=x.inverse(): G.conjugate_class(G.power_class(cid, u), y)
-        for u, x in phi.items()
-    ]
+    # lifts: u powers by u, then conjugates by phi(u)^{-1}, one row read
+    steps = [lambda cid, u=u, y=x.inverse(): G.class_image(cid, u, y) for u, x in phi.items()]
     return len(_class_orbits(minimal, steps))
 
 

@@ -12,13 +12,12 @@ once").
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping
 
-from .errors import UnknownPreset
+from .errors import UnknownPreset, UnknownSubgroup
 from .groups import (
     FiniteGroup,
     GNContext,
@@ -26,7 +25,7 @@ from .groups import (
     find_cyclic_complement,
     normal_subgroups_with_cyclic_quotient,
 )
-from .perms import Permutation, format_cycles, parse_cycles
+from .perms import parse_cycles
 
 # Memo bound: each memo holds at most this many entries, least recently
 # used first out.  A sweep of CLI jobs over the presets and two relabelled
@@ -82,7 +81,7 @@ class GroupSpecFile:
 
     def _named(self, name: str) -> tuple[str, ...]:
         if name not in self.named_subgroups:
-            raise KeyError(f"no named subgroup {name!r}")
+            raise UnknownSubgroup(f"no named subgroup {name!r}")
         return tuple(self.named_subgroups[name])
 
 
@@ -93,28 +92,6 @@ class Preset:
     q_values: tuple[int, ...]
     expected: Mapping[str, object]
     description: str = ""
-
-
-def _regular_representation(orders: tuple[int, ...]) -> tuple[int, list[str]]:
-    """Generators of a direct product of cyclic groups acting on itself.
-
-    Points are 1-based indices of the mixed-radix tuples; one generator
-    per cyclic factor.
-    """
-    n = 1
-    for o in orders:
-        n *= o
-    points = list(itertools.product(*[range(o) for o in orders]))
-    position = {p: i + 1 for i, p in enumerate(points)}
-    gens = []
-    for axis, o in enumerate(orders):
-        images = [0] * n
-        for p in points:
-            shifted = list(p)
-            shifted[axis] = (shifted[axis] + 1) % o
-            images[position[p] - 1] = position[tuple(shifted)]
-        gens.append(format_cycles(Permutation(tuple(images))))
-    return n, gens
 
 
 # Klüners' example: N = (<(123)> + <(456)>) : <(14)(25)(36)> inside S6.
@@ -177,20 +154,17 @@ _WREATH = GroupSpecFile(
 _S3 = GroupSpecFile(degree=3, generators=("(1 2)", "(1 2 3)"))
 
 
-def _abelian_specs() -> dict[str, GroupSpecFile]:
-    out = {}
-    for label, orders in (
-        ("C2xC2", (2, 2)),
-        ("C4", (4,)),
-        ("C6", (6,)),
-        ("C3xC3", (3, 3)),
-    ):
-        n, gens = _regular_representation(orders)
-        out[label] = GroupSpecFile(degree=n, generators=tuple(gens))
-    return out
-
-
-_ABELIAN = _abelian_specs()
+# The abelian suite, each group in its regular representation: the points
+# are the group's elements in mixed-radix order, one generator per cyclic
+# factor.
+_ABELIAN = {
+    "C2xC2": GroupSpecFile(degree=4, generators=("(1 3)(2 4)", "(1 2)(3 4)")),
+    "C4": GroupSpecFile(degree=4, generators=("(1 2 3 4)",)),
+    "C6": GroupSpecFile(degree=6, generators=("(1 2 3 4 5 6)",)),
+    "C3xC3": GroupSpecFile(
+        degree=9, generators=("(1 4 7)(2 5 8)(3 6 9)", "(1 2 3)(4 5 6)(7 8 9)")
+    ),
+}
 
 # Admissible q per abelian group: gcd(q, |G|) = 1 among small primes.
 _ABELIAN_Q = {

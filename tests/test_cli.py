@@ -94,6 +94,14 @@ class TestValidationErrors:
         assert code == 2
         assert "UnknownPreset" in err
 
+    def test_unknown_subgroup_name(self, capsys):
+        code, out, err = run(
+            capsys, "invariants", "--preset", "klueners-s6", "--normal", "G9", "--q", "5"
+        )
+        assert (code, out) == (2, "")
+        # the message once, not the quoted repr that str() of a KeyError gives
+        assert json.loads(err) == {"error": "no named subgroup 'G9'", "code": "UnknownSubgroup"}
+
     def test_q_not_coprime(self, capsys):
         code, _, err = run(
             capsys, "invariants", "--preset", "klueners-s6", "--normal", "G1", "--q", "3"

@@ -18,6 +18,7 @@ from malle_lab.errors import (
     NotSplit,
 )
 from malle_lab.groups import (
+    FiniteGroup,
     a_invariant,
     closure,
     find_cyclic_complement,
@@ -585,7 +586,7 @@ def every_pair():
 
 
 class TestTwistRows:
-    """twist_class and the phi action read G's power and conjugation rows."""
+    """twist_class and the phi action read G's class rows, one per (power, conjugator)."""
 
     def test_the_rows_agree_with_the_twist_of_every_member(self, monkeypatch):
         pairs = every_pair()
@@ -604,7 +605,8 @@ class TestTwistRows:
                         for m in c.members:
                             assert G.class_of((m**q).conjugate_by(x)) is image
         # the phi action reads the same rows: _phi_orbit_count's step for
-        # the unit u sends class c to the class of phi(u) g^u phi(u)^{-1}
+        # the unit u reads the row for (u, phi(u)^{-1}), which sends class c
+        # to the class of phi(u) g^u phi(u)^{-1}
         import malle_lab.invariants as inv
 
         class_orbits, steps_seen = inv._class_orbits, []
@@ -644,8 +646,8 @@ class TestTwistRows:
 
         monkeypatch.setattr(Permutation, "__pow__", counted)
         b = b_phi(ctx.N, ctx.G, 5, phi)
-        # one power row per unit u != 1, one entry per minimal class, and
-        # C5's 4 minimal classes are single elements
+        # one row per unit u != 1 (its lift lies outside G), one entry per
+        # minimal class, and C5's 4 minimal classes are single elements
         assert len(powers) == 3 * 4
         powers.clear()
         assert b_phi(ctx.N, ctx.G, 5, phi) == b
@@ -661,10 +663,26 @@ class TestTwistRows:
             return power(g, k)
 
         monkeypatch.setattr(Permutation, "__pow__", counted)
-        # 23 = 5 mod |G1| = 9, so it reads the same power row
+        # 23 = 5 mod |G1| = 9, so it reads the same class row
         for q in (5, 23):
             assert orbit_blocks(TwistSpec(q=q, e=1, ctx=ctx), restrict_minimal=False) == blocks
         assert powers == []
+
+    def test_each_twisted_class_is_filled_once(self, monkeypatch):
+        fill, fills = FiniteGroup._image_class, []
+
+        def counted(G, cid, move):
+            fills.append(cid)
+            return fill(G, cid, move)
+
+        monkeypatch.setattr(FiniteGroup, "_image_class", counted)
+        # G1 = C3 x C3 in Kluners' N: d' = 2, so e = 1 only, and the t_1
+        # orbits run over G1's 4 minimal classes; one (q, tau^{-1}) row
+        # holds the power and the conjugation, so each class is one fill
+        ctx = get_preset("klueners-s6").spec.pair("G1")
+        b_table(ctx, 5)
+        assert sorted(fills) == [c.class_id for c in minimal_index_classes(ctx.G)]
+        assert len(fills) == 4
 
     def test_a_replaced_context_twists_by_its_own_tau(self):
         # C5 in F20: tau has order 4
@@ -686,13 +704,15 @@ class TestTwistRows:
         G1 = klueners_g1(N)
         ctx = find_cyclic_complement(N, G1)
         # G1 is abelian, so each class is one element; class 1 is made to
-        # hold class 2's element too, and neither row maps them together
+        # hold class 2's element too, and no row maps them together
         classes = G1.conjugacy_classes()
         classes[1] = replace(classes[1], members=classes[1].members + classes[2].members)
         with pytest.raises(InvariantViolation, match="not well defined on classes"):
             twist_class(classes[1], TwistSpec(q=5, e=1, ctx=ctx))
         with pytest.raises(InvariantViolation, match="not well defined on classes"):
-            G1.conjugate_class(1, ctx.conjugator(1))
+            G1.class_image(1, 1, ctx.conjugator(1))
         # the rows stay unfilled: each read checks again
         with pytest.raises(InvariantViolation, match="not well defined on classes"):
-            G1.power_class(1, 5)
+            G1.class_image(1, 5, ctx.conjugator(1))
+        with pytest.raises(InvariantViolation, match="not well defined on classes"):
+            G1.class_image(1, 5, G1.identity)

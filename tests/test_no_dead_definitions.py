@@ -8,9 +8,8 @@ numbered in one table, fails here.
 """
 
 import ast
-from pathlib import Path
 
-SOURCE_DIR = Path(__file__).parent.parent / "src" / "malle_lab"
+from library_sources import library_modules
 
 
 def definitions(tree: ast.Module) -> list[ast.AST]:
@@ -67,10 +66,6 @@ def unread_definitions(modules: dict[str, ast.Module]) -> list[str]:
 
 
 def test_every_definition_is_used_or_exported():
-    modules = {
-        path.name: ast.parse(path.read_text(), filename=str(path))
-        for path in sorted(SOURCE_DIR.glob("*.py"))
-    }
-    assert modules, f"no modules found under {SOURCE_DIR}"
+    modules = library_modules()
     exported = exported_names(modules.pop("__init__.py"))
     assert [d for d in unread_definitions(modules) if d.split()[-1] not in exported] == []

@@ -9,19 +9,8 @@ which owns the class rows, or in the bounded memos.
 """
 
 import ast
-from pathlib import Path
 
-SOURCE_DIR = Path(__file__).parent.parent / "src" / "malle_lab"
-
-
-def _name(node: ast.expr) -> str | None:
-    if isinstance(node, ast.Call):
-        node = node.func
-    if isinstance(node, ast.Attribute):
-        return node.attr
-    if isinstance(node, ast.Name):
-        return node.id
-    return None
+from library_sources import library_modules, ref_name
 
 
 def _keyword(call: ast.Call, name: str) -> ast.expr | None:
@@ -30,7 +19,7 @@ def _keyword(call: ast.Call, name: str) -> ast.expr | None:
 
 def _is_frozen_dataclass(cls: ast.ClassDef) -> bool:
     for d in cls.decorator_list:
-        if isinstance(d, ast.Call) and _name(d) == "dataclass":
+        if isinstance(d, ast.Call) and ref_name(d) == "dataclass":
             frozen = _keyword(d, "frozen")
             if isinstance(frozen, ast.Constant) and frozen.value is True:
                 return True
@@ -50,7 +39,7 @@ def lazy_fields(tree: ast.Module) -> list[tuple[int, str]]:
             call = stmt.value
             init = _keyword(call, "init")
             if (
-                _name(call) == "field"
+                ref_name(call) == "field"
                 and isinstance(init, ast.Constant)
                 and init.value is False
                 and _keyword(call, "default_factory") is not None
@@ -87,10 +76,7 @@ class FrozenFalse:
 
 
 def test_no_frozen_dataclass_in_the_library_has_a_lazy_field():
-    sources = sorted(SOURCE_DIR.glob("*.py"))
-    assert sources, f"no modules found under {SOURCE_DIR}"
     found = []
-    for path in sources:
-        tree = ast.parse(path.read_text(), filename=str(path))
-        found += [f"{path.name}:{line} {name}" for line, name in lazy_fields(tree)]
+    for module, tree in library_modules().items():
+        found += [f"{module}:{line} {name}" for line, name in lazy_fields(tree)]
     assert found == []

@@ -9,10 +9,9 @@ name for `__init__`), so two functions of one name share their callers.
 """
 
 import ast
-from pathlib import Path
 
-ROOT = Path(__file__).parent.parent
-SOURCE_DIR = ROOT / "src" / "malle_lab"
+from library_sources import ROOT, SOURCE_DIR, library_modules
+
 CALLER_DIRS = [SOURCE_DIR, ROOT / "bench", ROOT / "demos"]
 
 
@@ -98,10 +97,6 @@ def test_a_default_no_caller_sets_is_reported():
 
 
 def test_every_default_has_a_caller_that_sets_it():
-    sources = {
-        path.name: ast.parse(path.read_text(), filename=str(path))
-        for path in sorted(SOURCE_DIR.glob("*.py"))
-    }
-    assert sources, f"no modules found under {SOURCE_DIR}"
+    sources = library_modules()
     calls = calls_in(path for d in CALLER_DIRS for path in sorted(d.rglob("*.py")))
     assert single_value_parameters(sources, calls) == []

@@ -11,17 +11,7 @@ import importlib
 from pathlib import Path
 from typing import Mapping
 
-SOURCE_DIR = Path(__file__).parent.parent / "src" / "malle_lab"
-
-
-def _name(node: ast.expr) -> str | None:
-    if isinstance(node, ast.Call):
-        node = node.func
-    if isinstance(node, ast.Attribute):
-        return node.attr
-    if isinstance(node, ast.Name):
-        return node.id
-    return None
+from library_sources import library_modules, ref_name
 
 
 def _maxsize(call: ast.Call, constants: Mapping[str, object]) -> object:
@@ -46,18 +36,18 @@ def unbounded_caches(tree: ast.Module, constants: Mapping[str, object]) -> list[
         a = fn.args
         takes_parameters = bool(a.posonlyargs or a.args or a.vararg or a.kwonlyargs or a.kwarg)
         for d in fn.decorator_list:
-            if _name(d) == "cache" and takes_parameters:
+            if ref_name(d) == "cache" and takes_parameters:
                 found.append((d.lineno, f"cache on {fn.name}, which takes parameters"))
-            elif _name(d) == "lru_cache" and not isinstance(d, ast.Call):
+            elif ref_name(d) == "lru_cache" and not isinstance(d, ast.Call):
                 found.append((d.lineno, "lru_cache without maxsize"))
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
             continue
-        if _name(node) == "lru_cache":
+        if ref_name(node) == "lru_cache":
             size = _maxsize(node, constants)
             if type(size) is not int:
                 found.append((node.lineno, f"lru_cache with maxsize {size!r}"))
-        elif _name(node) == "cache":  # `@cache` is no call; `cache(f)` is
+        elif ref_name(node) == "cache":  # `@cache` is no call; `cache(f)` is
             found.append((node.lineno, "cache called on a function"))
     return sorted(found)
 
@@ -107,12 +97,9 @@ bad_cache_call = cache(ok_constant)
 
 
 def test_every_cache_in_the_library_is_bounded():
-    sources = sorted(SOURCE_DIR.glob("*.py"))
-    assert sources, f"no modules found under {SOURCE_DIR}"
     found = []
-    for path in sources:
-        name = "malle_lab" if path.stem == "__init__" else f"malle_lab.{path.stem}"
-        module = importlib.import_module(name)
-        tree = ast.parse(path.read_text(), filename=str(path))
-        found += [f"{path.name}:{line} {why}" for line, why in unbounded_caches(tree, vars(module))]
+    for file_name, tree in library_modules().items():
+        stem = Path(file_name).stem
+        module = importlib.import_module("malle_lab" if stem == "__init__" else f"malle_lab.{stem}")
+        found += [f"{file_name}:{line} {why}" for line, why in unbounded_caches(tree, vars(module))]
     assert found == []

@@ -6,9 +6,8 @@ used.
 """
 
 import ast
-from pathlib import Path
 
-SOURCE_DIR = Path(__file__).parent.parent / "src" / "malle_lab"
+from library_sources import library_modules
 
 
 def imported_names(tree: ast.Module) -> dict[str, int]:
@@ -51,11 +50,10 @@ def test_string_annotations_count_as_used():
 
 
 def test_no_unused_imports_in_the_library():
-    sources = sorted(p for p in SOURCE_DIR.glob("*.py") if p.name != "__init__.py")
-    assert sources, f"no modules found under {SOURCE_DIR}"
+    modules = library_modules()
+    del modules["__init__.py"]
     found = {}
-    for path in sources:
-        tree = ast.parse(path.read_text(), filename=str(path))
+    for module, tree in modules.items():
         used = used_names(tree)
         unused = sorted(
             f"{name} (line {line})"
@@ -63,5 +61,5 @@ def test_no_unused_imports_in_the_library():
             if name not in used
         )
         if unused:
-            found[path.name] = unused
+            found[module] = unused
     assert found == {}

@@ -5,6 +5,7 @@ import contextlib
 import gc
 import io
 import weakref
+from math import lcm
 
 import pytest
 
@@ -165,3 +166,18 @@ class TestRepeatedCliRuns:
         clear_memos()
         for argv in [*self.ARGVS, *reversed(self.ARGVS), *self.ARGVS]:
             assert self.stdout(argv) == fresh[argv], argv
+
+
+class TestAbelianSuite:
+    def test_each_group_is_regular_and_abelian_with_the_exponent_its_label_names(self):
+        # label -> (order, exponent)
+        named = {"C2xC2": (4, 2), "C4": (4, 4), "C6": (6, 6), "C3xC3": (9, 3)}
+        suite = abelian_suite()
+        assert sorted(suite) == sorted(named)
+        for label, spec in suite.items():
+            G = spec.group()
+            # regular: transitive, with as many elements as points
+            assert {g.images[0] for g in G} == set(range(1, spec.degree + 1)), label
+            assert G.order == spec.degree == named[label][0], label
+            assert all(a * b == b * a for a in G.generators for b in G.generators), label
+            assert lcm(*(g.order() for g in G)) == named[label][1], label
