@@ -8,7 +8,7 @@ subgroups, complements — is deterministic across runs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from fractions import Fraction
 from math import gcd
 from operator import itemgetter
@@ -27,6 +27,12 @@ from .perms import Permutation
 # _orbit, so closure and braid's generation test, raises OrderCapExceeded
 # past this many points
 ORDER_CAP = 10**6
+
+# Memo bound: each memo keyed by a group, or by the strings of a group
+# spec (presets), holds at most this many entries, least recently used
+# first out.  A sweep of CLI jobs over the presets and two relabelled
+# group files touches 14 groups and 11 (N, G) pairs.
+GROUP_CACHE_SIZE = 32
 
 Images = tuple[int, ...]  # Permutation.images: images[i - 1] is the image of i
 
@@ -450,6 +456,30 @@ def find_cyclic_complement(N: FiniteGroup, G: FiniteGroup) -> GNContext:
     meet = sum(1 for x in cen.elements if x in G)
     d_prime = N.order * meet // (G.order * cen.order)
     return GNContext(N=N, G=G, d=d, tau=tau, d_prime=d_prime, split=split)
+
+
+@lru_cache(maxsize=GROUP_CACHE_SIZE)
+def _abelian_lattice(
+    N: FiniteGroup,
+) -> tuple[tuple[FiniteGroup, Fraction | None, GNContext | None], ...]:
+    """(G, a(G), find_cyclic_complement(N, G)) for each G of
+    normal_subgroups_with_abelian_quotient(N), in its order (G = N first).
+
+    a(G) is None for the trivial G, and the context None when N/G is not
+    cyclic.  All of it depends on N alone, so every field that revised_b
+    is asked about, and GroupSpecFile.cyclic_pairs, read the same G
+    objects and fill their class rows once.  The key is N itself: a hit
+    on the same object is an identity check (docs/decisions.md, "A
+    group's abelian-quotient lattice is built once").
+    """
+    rows = []
+    for G in normal_subgroups_with_abelian_quotient(N):
+        try:
+            ctx = find_cyclic_complement(N, G)
+        except NonCyclicQuotient:
+            ctx = None
+        rows.append((G, a_invariant(G) if G.order > 1 else None, ctx))
+    return tuple(rows)
 
 
 def a_invariant(G: FiniteGroup) -> Fraction:

@@ -19,7 +19,6 @@ from typing import Callable, Mapping
 from .errors import (
     BadModulus,
     InvariantViolation,
-    NonCyclicQuotient,
     NotAHomomorphism,
     NotSplit,
     TrivialGroup,
@@ -28,11 +27,10 @@ from .groups import (
     ConjugacyClass,
     FiniteGroup,
     GNContext,
+    _abelian_lattice,
     _cosets,
     _orbit,
     a_invariant,
-    find_cyclic_complement,
-    normal_subgroups_with_abelian_quotient,
 )
 from .perms import Permutation
 
@@ -330,22 +328,21 @@ def revised_b(N: FiniteGroup, fieldspec: FieldSpec) -> RevisedBReport:
     fields: max of b_phi over surjective phi at the configured cyclotomic
     level.
     """
-    candidates = normal_subgroups_with_abelian_quotient(N)
-    a_N = a_invariant(N)
+    lattice = _abelian_lattice(N)
+    # G = N comes first; its a is None only for the trivial N, where
+    # a_invariant raises TrivialGroup
+    a_N = lattice[0][1] or a_invariant(N)
     rows: list[RevisedBRow] = []
     warnings: list[str] = []
-    for G in candidates:
+    for G, a_G, ctx in lattice:
         quotient_order = N.order // G.order
-        a_G = a_invariant(G) if G.order > 1 else None
         if a_G != a_N:
             rows.append(
                 RevisedBRow(G.order, a_G or Fraction(0), quotient_order, "skipped-a", None)
             )
             continue
         if isinstance(fieldspec, FunctionField):
-            try:
-                ctx = find_cyclic_complement(N, G)
-            except NonCyclicQuotient:
+            if ctx is None:
                 rows.append(RevisedBRow(G.order, a_G, quotient_order, "skipped-noncyclic", None))
                 continue
             if not ctx.split:

@@ -3,11 +3,11 @@
 Each preset is a group-spec record (degree, generators, named subgroups)
 plus expected golden values for `verify`.  Groups are stored as
 cycle-notation strings so the same data round-trips through group-spec
-files on disk.  The group those strings close to, the (N, G) context of
-a named subgroup and the contexts of every normal subgroup with cyclic
-quotient are built once per process and kept in three bounded memos
-keyed by the strings (docs/decisions.md, "Groups from one spec are built
-once").
+files on disk.  The group those strings close to and the (N, G) context
+of a named subgroup are built once per process and kept in two bounded
+memos keyed by the strings (docs/decisions.md, "Groups from one spec are
+built once"); the contexts of every normal subgroup with cyclic quotient
+come from the group's abelian-quotient lattice, kept by groups.
 """
 
 from __future__ import annotations
@@ -19,18 +19,14 @@ from typing import Mapping
 
 from .errors import UnknownPreset, UnknownSubgroup
 from .groups import (
+    GROUP_CACHE_SIZE,
     FiniteGroup,
     GNContext,
+    _abelian_lattice,
     closure,
     find_cyclic_complement,
-    normal_subgroups_with_cyclic_quotient,
 )
 from .perms import parse_cycles
-
-# Memo bound: each memo holds at most this many entries, least recently
-# used first out.  A sweep of CLI jobs over the presets and two relabelled
-# group files touches 14 groups and 11 (N, G) pairs.
-GROUP_CACHE_SIZE = 32
 
 
 @lru_cache(maxsize=GROUP_CACHE_SIZE)
@@ -43,14 +39,6 @@ def _closed(degree: int, generators: tuple[str, ...]) -> FiniteGroup:
 def _paired(degree: int, generators: tuple[str, ...], sub_generators: tuple[str, ...]) -> GNContext:
     """find_cyclic_complement(N, G) for the groups the two string tuples generate."""
     return find_cyclic_complement(_closed(degree, generators), _closed(degree, sub_generators))
-
-
-@lru_cache(maxsize=GROUP_CACHE_SIZE)
-def _cyclic_pairs(degree: int, generators: tuple[str, ...]) -> tuple[GNContext, ...]:
-    """find_cyclic_complement(N, G) for every normal G with cyclic quotient
-    in the group N the strings generate, in canonical order (G = N first)."""
-    N = _closed(degree, generators)
-    return tuple(find_cyclic_complement(N, G) for G in normal_subgroups_with_cyclic_quotient(N))
 
 
 @dataclass(frozen=True)
@@ -76,8 +64,9 @@ class GroupSpecFile:
 
     def cyclic_pairs(self) -> tuple[GNContext, ...]:
         """The (N, G) context of every normal G with cyclic quotient in the
-        main group N, G = N and G = 1 included when they qualify."""
-        return _cyclic_pairs(self.degree, tuple(self.generators))
+        main group N, G = N and G = 1 included when they qualify, in the
+        order of normal_subgroups_with_cyclic_quotient."""
+        return tuple(ctx for _, _, ctx in _abelian_lattice(self.group()) if ctx is not None)
 
     def _named(self, name: str) -> tuple[str, ...]:
         if name not in self.named_subgroups:

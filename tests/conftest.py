@@ -1,15 +1,14 @@
 import pytest
 
-from malle_lab import presets
+from library_sources import clear_library_memos
 
 
 @pytest.fixture(autouse=True)
-def fresh_group_memos():
-    """Each test starts with empty spec memos, so a test that lowers a cap
-    (say groups.ORDER_CAP) sees a fresh closure, not a memo hit."""
-    presets._closed.cache_clear()
-    presets._paired.cache_clear()
-    presets._cyclic_pairs.cache_clear()
+def fresh_library_memos():
+    """Each test starts with every library memo empty (library_memos finds
+    them), so a test that lowers a cap (say groups.ORDER_CAP) sees a fresh
+    closure or lattice, not a memo hit."""
+    clear_library_memos()
     yield
 
 

@@ -10,6 +10,8 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from library_sources import clear_library_memos, library_module, library_modules
+from malle_lab import groups
 from malle_lab.braid import braid_orbits, class_vector_of
 from malle_lab.errors import (
     BadModulus,
@@ -337,6 +339,67 @@ class TestRevisedB:
             rep = revised_b(N, fieldspec)
             assert [r.status for r in rep.rows if r.G_order == N.order] == ["ok"]
             assert rep.value == max(r.b for r in rep.rows if r.status == "ok")
+
+
+class TestOneLatticePerN:
+    """revised_b reads each group's abelian-quotient lattice, a-values and
+    cyclic complements from one memo, so each field adds only its b."""
+
+    @staticmethod
+    def cases():
+        """(N, field) for Klüners S6, wreath-s18 and the abelian suite at
+        each q in {5, 7, 11, 13} prime to |N| and each M in {3, 9} that
+        raises no BadModulus, interleaved: the groups vary fastest."""
+        suite = abelian_suite()
+        Ns = [get_preset(name).spec.group() for name in ("klueners-s6", "wreath-s18")]
+        Ns += [suite[label].group() for label in sorted(suite)]
+        fields = [FunctionField(q) for q in (5, 7, 11, 13)] + [RationalNumberField(M=M) for M in (3, 9)]
+        out = []
+        for fieldspec in fields:
+            for N in Ns:
+                if isinstance(fieldspec, FunctionField) and gcd(fieldspec.q, N.order) != 1:
+                    continue
+                try:
+                    revised_b(N, fieldspec)
+                except BadModulus:
+                    continue
+                out.append((N, fieldspec))
+        return Ns, out
+
+    def test_each_report_matches_a_fresh_call_and_each_n_builds_one_lattice(self, monkeypatch):
+        Ns, cases = self.cases()
+        assert {f.M for _, f in cases if isinstance(f, RationalNumberField)} == {3, 9}
+        fresh = []
+        for N, fieldspec in cases:
+            clear_library_memos()
+            fresh.append(revised_b(N, fieldspec))
+        clear_library_memos()
+
+        lattices = self.count_calls(monkeypatch, groups.normal_subgroups_with_abelian_quotient)
+        complements = self.count_calls(monkeypatch, groups.find_cyclic_complement)
+        for (N, fieldspec), report in zip(cases, fresh):
+            assert revised_b(N, fieldspec) == report, (N, fieldspec)
+        assert sorted(id(N) for N, in lattices) == sorted(map(id, Ns))
+        # one complement search per (N, G), G over the lattice of N
+        assert len(complements) == sum(len(normal_subgroups_with_abelian_quotient(N)) for N in Ns)
+        assert len({(id(N), G.elements) for N, G in complements}) == len(complements)
+
+    @staticmethod
+    def count_calls(monkeypatch, fn) -> list[tuple]:
+        """The arguments of each call to fn, made through any library
+        module that binds it, from now to the end of the test."""
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return fn(*args)
+
+        for file_name in library_modules():
+            module = library_module(file_name)
+            for name, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, name, counted)
+        return calls
 
 
 # ---------------------------------------------------------------------------

@@ -7,11 +7,9 @@ parameters, which has a single entry.
 """
 
 import ast
-import importlib
-from pathlib import Path
 from typing import Mapping
 
-from library_sources import library_modules, ref_name
+from library_sources import library_module, library_modules, ref_name
 
 
 def _maxsize(call: ast.Call, constants: Mapping[str, object]) -> object:
@@ -99,7 +97,6 @@ bad_cache_call = cache(ok_constant)
 def test_every_cache_in_the_library_is_bounded():
     found = []
     for file_name, tree in library_modules().items():
-        stem = Path(file_name).stem
-        module = importlib.import_module("malle_lab" if stem == "__init__" else f"malle_lab.{stem}")
+        module = library_module(file_name)
         found += [f"{file_name}:{line} {why}" for line, why in unbounded_caches(tree, vars(module))]
     assert found == []

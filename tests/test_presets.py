@@ -1,5 +1,6 @@
-"""The spec memos: one group, one (N, G) context and one tuple of cyclic-quotient
-contexts per spec strings, bounded."""
+"""The spec memos and the lattice memo: one group and one (N, G) context per
+spec strings, one abelian-quotient lattice per group, all bounded, and
+conftest.py empties every library memo before each test."""
 
 import contextlib
 import gc
@@ -9,18 +10,13 @@ from math import lcm
 
 import pytest
 
+from library_sources import clear_library_memos, library_memos
 from malle_lab import cli, groups, presets
 from malle_lab.errors import OrderCapExceeded
-from malle_lab.groups import normal_subgroups_with_cyclic_quotient
-from malle_lab.invariants import b_table
+from malle_lab.groups import GROUP_CACHE_SIZE, normal_subgroups_with_cyclic_quotient
+from malle_lab.invariants import FunctionField, b_table, revised_b
 from malle_lab.perms import format_cycles, parse_cycles
-from malle_lab.presets import GROUP_CACHE_SIZE, GroupSpecFile, abelian_suite, get_preset
-
-
-def clear_memos():
-    presets._closed.cache_clear()
-    presets._paired.cache_clear()
-    presets._cyclic_pairs.cache_clear()
+from malle_lab.presets import GroupSpecFile, abelian_suite, get_preset
 
 
 def relabelled(spec: GroupSpecFile, sigma: str) -> GroupSpecFile:
@@ -59,7 +55,7 @@ class TestOneObjectPerSpec:
         spec = abelian_suite()["C6"]
         N = spec.group()
         pairs = spec.cyclic_pairs()
-        assert spec.cyclic_pairs() is pairs
+        assert all(again is ctx for again, ctx in zip(spec.cyclic_pairs(), pairs, strict=True))
         assert [ctx.G for ctx in pairs] == normal_subgroups_with_cyclic_quotient(N)
         assert all(ctx.N is N for ctx in pairs)
         # C6 is cyclic: G = N first, the trivial group last
@@ -99,6 +95,8 @@ class TestBounded:
         first = cyclic_spec(2)
         group, ctx = weakref.ref(first.group()), weakref.ref(first.pair())
         pairs = [weakref.ref(c) for c in first.cyclic_pairs()]
+        lattice = [weakref.ref(G) for G, _, _ in groups._abelian_lattice(first.group())]
+        assert len(lattice) == 2
         # fill the power row on the group and a conjugation row on each
         # pair but the last, whose G is trivial
         b_table(first.pair(), 3)
@@ -110,10 +108,11 @@ class TestBounded:
             for n in range(3, GROUP_CACHE_SIZE + 3):
                 spec = cyclic_spec(n)
                 assert spec.group() is spec.pair().N is spec.cyclic_pairs()[0].N
-            for memo in (presets._closed, presets._paired, presets._cyclic_pairs):
+            for memo in (presets._closed, presets._paired, groups._abelian_lattice):
                 assert memo.cache_info().currsize == GROUP_CACHE_SIZE
             assert ctx() is None
             assert [p() for p in pairs] == [None, None]
+            assert [G() for G in lattice] == [None, None]
             assert group() is None
         finally:
             gc.enable()
@@ -137,6 +136,40 @@ class TestEachTestStartsEmpty:
         with pytest.raises(OrderCapExceeded):
             get_preset("wreath-s18").spec.group()
 
+    def test_a_preset_lattice_is_built(self):
+        assert revised_b(get_preset("wreath-s18").spec.group(), FunctionField(5)).value == 1
+
+    def test_a_lowered_cap_sees_a_fresh_lattice(self, monkeypatch):
+        # a group equal to the last test's N would hit a lattice kept from
+        # it; [N, N] has order 9, so its closure passes no cap below that
+        N = get_preset("wreath-s18").spec.group()
+        monkeypatch.setattr(groups, "ORDER_CAP", 8)
+        with pytest.raises(OrderCapExceeded):
+            revised_b(N, FunctionField(5))
+
+
+class TestEveryMemoIsFound:
+    """conftest.py empties every memo library_memos finds; these run in order."""
+
+    def test_the_memos_conftest_clears(self):
+        assert sorted(library_memos()) == [
+            "braid._indexed",
+            "cli.build_parser",
+            "groups._abelian_lattice",
+            "presets._closed",
+            "presets._paired",
+        ]
+
+    def test_a_braid_run_and_revised_b_fill_each_memo(self):
+        argv = ("braid", "--preset", "s3-clebsch", "--classes", "(1 2),(1 2),(1 2),(1 2)")
+        TestRepeatedCliRuns.stdout(argv)
+        revised_b(get_preset("s3-clebsch").spec.group(), FunctionField(5))
+        assert all(memo.cache_info().currsize for memo in library_memos().values())
+
+    def test_each_starts_empty(self):
+        sizes = {name: memo.cache_info().currsize for name, memo in library_memos().items()}
+        assert set(sizes.values()) == {0}, sizes
+
 
 class TestRepeatedCliRuns:
     ARGVS = (
@@ -149,6 +182,10 @@ class TestRepeatedCliRuns:
         ("verify", "--preset", "klueners-s6"),
         ("verify", "--preset", "wreath-s18"),
         ("verify", "--preset", "abelian-suite"),
+        ("conjecture", "--preset", "klueners-s6", "--q", "5"),
+        ("conjecture", "--preset", "klueners-s6", "--q", "7"),
+        ("conjecture", "--preset", "klueners-s6", "--q", "11"),
+        ("verify", "--preset", "klueners-q"),
     )
 
     @staticmethod
@@ -161,9 +198,9 @@ class TestRepeatedCliRuns:
     def test_memo_hits_print_what_a_fresh_run_prints(self):
         fresh = {}
         for argv in self.ARGVS:
-            clear_memos()
+            clear_library_memos()
             fresh[argv] = self.stdout(argv)
-        clear_memos()
+        clear_library_memos()
         for argv in [*self.ARGVS, *reversed(self.ARGVS), *self.ARGVS]:
             assert self.stdout(argv) == fresh[argv], argv
 
