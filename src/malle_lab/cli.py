@@ -38,6 +38,7 @@ VALIDATION_ERRORS = (
     err.UnknownPreset,
     err.BadModulus,
     err.NotASubgroup,
+    err.NonCyclicQuotient,
     err.TrivialClassPresent,
     err.UnknownSubgroup,
     ValueError,

@@ -327,10 +327,6 @@ def _cosets(
     return coset, reps, orders
 
 
-def quotient_is_cyclic(N: FiniteGroup, G: FiniteGroup) -> bool:
-    return N.order // G.order in _cosets(N, G)[2]
-
-
 def _subgroups_between(N: FiniteGroup, D: FiniteGroup) -> list[FiniteGroup]:
     """All subgroups H with D <= H <= N, for D normal with abelian quotient.
 
@@ -387,13 +383,10 @@ def normal_subgroups_with_abelian_quotient(N: FiniteGroup) -> list[FiniteGroup]:
 def normal_subgroups_with_cyclic_quotient(N: FiniteGroup) -> list[FiniteGroup]:
     """All normal G <= N with N/G cyclic, including G = N.
 
-    Canonical order: descending group order, then element list.
+    Canonical order: descending group order, then element list.  These
+    are the lattice's own G, the ones revised_b and cyclic_pairs read.
     """
-    return [
-        H
-        for H in normal_subgroups_with_abelian_quotient(N)
-        if quotient_is_cyclic(N, H)
-    ]
+    return [G for G, _, ctx in _abelian_lattice(N) if ctx is not None]
 
 
 @dataclass(frozen=True)
@@ -466,9 +459,10 @@ def _abelian_lattice(
     normal_subgroups_with_abelian_quotient(N), in its order (G = N first).
 
     a(G) is None for the trivial G, and the context None when N/G is not
-    cyclic.  All of it depends on N alone, so every field that revised_b
-    is asked about, and GroupSpecFile.cyclic_pairs, read the same G
-    objects and fill their class rows once.  The key is N itself: a hit
+    cyclic: the one test of cyclicity.  All of it depends on N alone, so
+    every field that revised_b is asked about, GroupSpecFile.cyclic_pairs
+    and normal_subgroups_with_cyclic_quotient read the same G objects,
+    whose class rows are filled once.  The key is N itself: a hit
     on the same object is an identity check (docs/decisions.md, "A
     group's abelian-quotient lattice is built once").
     """

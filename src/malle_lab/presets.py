@@ -7,7 +7,9 @@ files on disk.  The group those strings close to and the (N, G) context
 of a named subgroup are built once per process and kept in two bounded
 memos keyed by the strings (docs/decisions.md, "Groups from one spec are
 built once"); the contexts of every normal subgroup with cyclic quotient
-come from the group's abelian-quotient lattice, kept by groups.
+come from the group's abelian-quotient lattice, kept by groups, which
+normal_subgroups_with_cyclic_quotient reads too, so both hand out the
+same G objects.
 """
 
 from __future__ import annotations

@@ -139,6 +139,23 @@ class TestValidationErrors:
         assert (code, out) == (2, "")
         assert "not allowed with" in err
 
+    def test_normal_subgroup_with_non_cyclic_quotient(self, capsys, tmp_path):
+        # V4 is normal in S4 with S4/V4 = S3: the input fails the same
+        # precondition as a subgroup that is not normal, which exits 2
+        path = tmp_path / "s4.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "degree": 4,
+                    "generators": ["(1 2 3 4)", "(1 2)"],
+                    "named_subgroups": {"V": ["(1 2)(3 4)", "(1 3)(2 4)"]},
+                }
+            )
+        )
+        code, out, err = run(capsys, "invariants", "--group", str(path), "--normal", "V", "--q", "5")
+        assert (code, out) == (2, "")
+        assert json.loads(err)["code"] == "NonCyclicQuotient"
+
     @pytest.mark.parametrize(
         "data",
         [

@@ -248,16 +248,36 @@ def oracle_subgroups_between(N, D):
     return list(seen.values())
 
 
+def oracle_generates_quotient(N, H, x):
+    """Whether the cosets x^k H, k = 0..[N:H]-1, cover N, from products
+    and element sets alone; a coset met twice ends the walk."""
+    covered, y = set(), N.identity
+    for _ in range(N.order // H.order):
+        if y in covered:
+            return False
+        covered |= {y * h for h in H.elements}
+        y = y * x
+    return covered == N._element_set
+
+
 def check_lattice_against_oracles(N):
-    D = derived_subgroup(N)
-    assert D._element_set == oracle_derived_subgroup(N)._element_set
+    D, oracle_D = derived_subgroup(N), oracle_derived_subgroup(N)
+    assert D._element_set == oracle_D._element_set
     subs = _subgroups_between(N, D)
-    expected = {H._element_set for H in oracle_subgroups_between(N, D)}
+    oracle = oracle_subgroups_between(N, oracle_D)
+    expected = {H._element_set for H in oracle}
     assert len(subs) == len(expected)
     assert {H._element_set for H in subs} == expected
     # later steps close from the generators, so they must generate
     for H in [D, *subs]:
         assert closure(H.generators, N.degree)._element_set == H._element_set
+    # N/H is cyclic when one coset's powers cover N; this decides it
+    # without the coset table that find_cyclic_complement reads
+    cyclic = [H for H in oracle if any(oracle_generates_quotient(N, H, x) for x in N.elements)]
+    cyclic.sort(key=lambda H: (-H.order, H.elements))
+    assert [H._element_set for H in normal_subgroups_with_cyclic_quotient(N)] == [
+        H._element_set for H in cyclic
+    ]
 
 
 # S4: the commutators of its two generators alone generate a C3, not A4.
@@ -504,5 +524,5 @@ class TestGatherKernels:
         assert centralizer(T, T) == T
         assert groups._cosets(T, T) == ({(1,): 0}, [T.identity], [1])
         assert _subgroups_between(T, T) == [T]
-        assert groups.quotient_is_cyclic(T, T)
+        assert normal_subgroups_with_cyclic_quotient(T) == [T]
         assert find_cyclic_complement(T, T).split

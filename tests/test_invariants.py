@@ -384,6 +384,18 @@ class TestOneLatticePerN:
         assert len(complements) == sum(len(normal_subgroups_with_abelian_quotient(N)) for N in Ns)
         assert len({(id(N), G.elements) for N, G in complements}) == len(complements)
 
+    def test_the_cyclic_quotients_are_a_read_of_the_lattice(self, monkeypatch):
+        # after revised_b, the cyclic quotients are a read of N's lattice:
+        # no subgroup, commutator closure or complement is built again
+        spec = get_preset("klueners-s6").spec
+        N = spec.group()
+        revised_b(N, FunctionField(5))
+        fns = (groups.closure, groups.derived_subgroup, groups.find_cyclic_complement)
+        calls = [self.count_calls(monkeypatch, fn) for fn in fns]
+        subs = normal_subgroups_with_cyclic_quotient(N)
+        assert calls == [[], [], []]
+        assert [id(G) for G in subs] == [id(ctx.G) for ctx in spec.cyclic_pairs()]
+
     @staticmethod
     def count_calls(monkeypatch, fn) -> list[tuple]:
         """The arguments of each call to fn, made through any library
@@ -698,7 +710,10 @@ class TestTwistRows:
                     checked.add((G.order, ctx.N.order, M))
         # C5 in F20 at M = 5: N/G = C4, where phi(u) and phi(u)^{-1} differ
         assert (5, 20, 5) in checked
-        # a second b_phi on the same G reads the filled rows and takes no power
+        # a second b_phi on the same G reads the filled rows and takes no power;
+        # the lattice of F20 kept the G whose rows the loops above filled, so
+        # a fresh G comes after the memos are cleared
+        clear_library_memos()
         ctx = next(ctx for ctx in twisted_pairs() if ctx.G.order == 5)
         phi = _surjective_phis(ctx.N, ctx.G, 5)[0]
         power, powers = Permutation.__pow__, []
