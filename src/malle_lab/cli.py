@@ -41,6 +41,7 @@ VALIDATION_ERRORS = (
     err.NonCyclicQuotient,
     err.TrivialClassPresent,
     err.UnknownSubgroup,
+    err.NotAPrimePower,
     ValueError,
 )
 
@@ -78,13 +79,12 @@ def resolve_spec(args) -> GroupSpecFile:
 
 
 def resolve_pair(args) -> GNContext:
-    spec = resolve_spec(args)
-    if args.normal and not spec.subgroup(args.normal).is_normal_in(spec.group()):
-        raise err.NotASubgroup(f"{args.normal!r} is not normal in the main group")
-    return spec.pair(args.normal)
+    # pair raises NotASubgroup if the named subgroup is not normal
+    return resolve_spec(args).pair(args.normal)
 
 
 def require_q(args, N: FiniteGroup) -> int:
+    inv.require_prime_power(args.q)
     if math.gcd(args.q, N.order) != 1:
         raise err.ParseError(
             f"q = {args.q} shares a factor with |N| = {N.order}; "
@@ -212,7 +212,7 @@ def cmd_series(args) -> dict:
         "a": pole.a,
         "b": pole.b,
         "oracle_match": oracle_ok,
-        "coefficients": {str(r): v for r, v in sorted(table.values.items())},
+        "coefficients": table.values,
     }
     if R >= 40:
         outputs["fit"] = asdict(ser.tauberian_fit(table, pole))
@@ -358,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
         if name != "conjecture":
             sub[name].add_argument("--normal", help="name of a named subgroup to use as G")
         sub[name].add_argument(
-            "--q", type=int, required=name != "braid", help="field size, coprime to |N|"
+            "--q", type=int, required=name != "braid", help="field size, a prime power coprime to |N|"
         )
     sub["braid"].add_argument(
         "--classes", required=True, help="comma-separated cycle-notation class-vector entries"

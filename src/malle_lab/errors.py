@@ -37,6 +37,10 @@ class BadModulus(MalleLabError):
     """The cyclotomic level is too small for the classes acted on."""
 
 
+class NotAPrimePower(MalleLabError):
+    """A field size q is not a prime power, so F_q does not exist."""
+
+
 class EnumerationCapExceeded(MalleLabError):
     """Tuple enumeration grew past the configured cap."""
 

@@ -20,6 +20,7 @@ from .errors import (
     BadModulus,
     InvariantViolation,
     NotAHomomorphism,
+    NotAPrimePower,
     NotSplit,
     TrivialGroup,
 )
@@ -49,6 +50,24 @@ def minimal_index_classes(G: FiniteGroup) -> list[ConjugacyClass]:
     return [c for i, c in indexed if i == m]
 
 
+def require_prime_power(q: int) -> None:
+    """Raise NotAPrimePower unless q = p^k for a prime p and k >= 1, the
+    size of a finite field F_q.  By trial division: the least divisor
+    p > 1 of q is prime, and q is a power of p iff dividing out p leaves 1."""
+    if q >= 2:
+        p = 2
+        while q % p and p * p < q:
+            p += 1
+        if q % p:  # no divisor up to sqrt(q): q is prime
+            return
+        rest = q
+        while rest % p == 0:
+            rest //= p
+        if rest == 1:
+            return
+    raise NotAPrimePower(f"q = {q} is not a prime power, so F_q does not exist")
+
+
 @dataclass(frozen=True)
 class TwistSpec:
     """The data (q, e) for the twisted class action on ctx.G."""
@@ -60,8 +79,7 @@ class TwistSpec:
     conjugator: Permutation = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.q < 2:
-            raise ValueError(f"q must be at least 2, got {self.q}")
+        require_prime_power(self.q)
         if gcd(self.q, self.ctx.N.order) != 1:
             raise ValueError(f"q = {self.q} is not coprime to |N| = {self.ctx.N.order}")
         # raises ValueError unless e is admissible
@@ -201,6 +219,9 @@ class FunctionField:
     """k = F_q(t)."""
 
     q: int
+
+    def __post_init__(self):
+        require_prime_power(self.q)
 
 
 @dataclass(frozen=True)

@@ -109,6 +109,41 @@ class TestValidationErrors:
         assert code == 2
         assert "coprime" in err
 
+    @pytest.mark.parametrize("command", ["invariants", "conjecture", "braid", "series"])
+    @pytest.mark.parametrize("q", ["35", "10", "1"])
+    def test_q_not_a_prime_power(self, capsys, command, q):
+        # F_35, F_10 and F_1 do not exist; 35 and 1 are prime to |N| = 18, and
+        # 10 is refused as no field before its factor 2 of 18 is looked at
+        pair = ["--preset", "klueners-s6"] + ([] if command == "conjecture" else ["--normal", "G1"])
+        classes = ["--classes", "(1 2 3),(1 3 2)"] if command == "braid" else []
+        code, out, err = run(capsys, command, *pair, *classes, "--q", q)
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {
+            "error": f"q = {q} is not a prime power, so F_q does not exist",
+            "code": "NotAPrimePower",
+        }
+
+    def test_prime_power_q_is_accepted(self, capsys):
+        code, out, _ = run(
+            capsys, "invariants", "--preset", "klueners-s6", "--normal", "G1", "--q", "25"
+        )
+        assert code == 0
+        assert json.loads(out)["inputs"]["q"] == 25
+
+    @pytest.mark.parametrize("command", ["invariants", "braid", "series"])
+    def test_named_subgroup_that_is_not_normal(self, capsys, tmp_path, command):
+        # <(1 2)> is a subgroup of S3 but not a normal one
+        path = tmp_path / "s3.json"
+        path.write_text(
+            json.dumps(
+                {"degree": 3, "generators": ["(1 2 3)", "(1 2)"], "named_subgroups": {"H": ["(1 2)"]}}
+            )
+        )
+        args = {"invariants": ["--q", "5"], "braid": ["--classes", "(1 2)"], "series": ["--q", "5"]}
+        code, out, err = run(capsys, command, "--group", str(path), "--normal", "H", *args[command])
+        assert (code, out) == (2, "")
+        assert json.loads(err)["code"] == "NotASubgroup"
+
     def test_bad_group_file(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{notjson")

@@ -17,6 +17,7 @@ from malle_lab.errors import (
     BadModulus,
     InvariantViolation,
     NotAHomomorphism,
+    NotAPrimePower,
     NotSplit,
 )
 from malle_lab.groups import (
@@ -45,6 +46,7 @@ from malle_lab.invariants import (
     minimal_index_classes,
     orbit_blocks,
     render_growth,
+    require_prime_power,
     revised_b,
     twist_class,
 )
@@ -162,6 +164,28 @@ class TestTwist:
         ctx = find_cyclic_complement(N, G1)
         with pytest.raises(ValueError):
             TwistSpec(q=3, e=1, ctx=ctx)
+
+    def test_q_not_a_prime_power_rejected(self):
+        # F_35 does not exist, though 35 is prime to |N| = 18
+        N = klueners()
+        ctx = find_cyclic_complement(N, klueners_g1(N))
+        for q in (35, 1, 0, -5):
+            with pytest.raises(NotAPrimePower):
+                TwistSpec(q=q, e=1, ctx=ctx)
+            with pytest.raises(NotAPrimePower):
+                revised_b(N, FunctionField(q))
+        assert TwistSpec(q=25, e=1, ctx=ctx).q == 25
+        assert revised_b(N, FunctionField(25)).value == 2
+
+    def test_prime_powers_are_the_integers_with_one_prime_divisor(self):
+        from test_acceptance import is_prime_power
+
+        for q in range(-3, 400):
+            if is_prime_power(q):
+                require_prime_power(q)
+            else:
+                with pytest.raises(NotAPrimePower, match=f"q = {q} is not a prime power"):
+                    require_prime_power(q)
 
 
 class TestBConstant:
