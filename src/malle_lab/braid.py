@@ -19,13 +19,21 @@ meets the slice, the tuples whose key sequence is sorted, and the orbits
 correspond one to one to the orbits on the slice of H, the preimage in
 B_k of the Young subgroup fixing the sorted sequence.  An orbit O has
 k!/prod(k_b!) times as many members as it has in the slice, k_b being
-the key multiplicities.  H is generated by the Q_i inside one block of
-equal keys and, for each pair of blocks a < b, the pure braid
+the key multiplicities.  H is generated by two moves per block of equal
+keys and one pure braid per pair of blocks (docs/decisions.md, "Braid
+orbits on the slice").  A block's moves are its last Q_i and its rotation
+
+    (x_s, ..., x_e) -> (P x_e P^{-1}, x_s, ..., x_{e-1}),   P = x_s ... x_{e-1},
+
+the composite Q_s ... Q_{e-1}, rightmost first; a block of length 2
+needs only its Q.  They generate the block's braid group B_m, since
+B_m = <sigma_{m-1}, delta> for delta = sigma_1 ... sigma_{m-1}, which
+conjugates sigma_i to sigma_{i+1} (Kassel, Turaev, "Braid Groups",
+GTM 247, 1.1).  The pure braid of blocks a < b is
 
     A_ij = Q_{j-1} ... Q_{i+1} Q_i^2 Q_{i+1}^{-1} ... Q_{j-1}^{-1},
 
-with i the last position of block a and j the first of block b
-(docs/decisions.md, "Braid orbits on the slice").  Composed from the
+with i the last position of a and j the first of b.  Composed from the
 moves, rightmost first, A_ij conjugates x_i and x_j by c = x_i x_j and
 each entry between them by d = x_i x_j x_i^{-1} x_j^{-1}.
 
@@ -33,10 +41,13 @@ The search applies these moves forward only.  N-conjugation commutes with
 every move, so each move permutes the finite set of canonical tuples, and
 a permutation of a finite set has finite order: its inverse is a positive
 power of it.  The forward closure of a slice seed is therefore already its
-whole orbit on the slice.  If the slice is one orbit, so are all the
-seeds.  Otherwise each seed is sorted into the slice by Q_i moves,
-canonicalised once at the end (the moves commute with N-conjugation), and
-joins the orbit of that slice tuple.
+whole orbit on the slice.  The seeds are placed in one pass: each is
+sorted into the slice by Q_i moves, canonicalised once at the end if a
+move was made (the moves commute with N-conjugation; a seed already in
+the slice is canonical), and looked up; a slice tuple not yet seen seeds
+the search of a new orbit.  The slice holds len(seeds) prod(k_b!)/k!
+canonical tuples, so an orbit holding that many holds every seed, and
+the pass ends there.
 
 The canonical form of a tuple is its least image under simultaneous
 N-conjugation, found as a minimal image (Jefferson, Jonauskyte, Pfeiffer,
@@ -471,10 +482,10 @@ def _orbit_partition(
 ) -> list[set[tuple[int, ...]]]:
     """Partition of the canonical seeds into braid orbits, searched on the slice.
 
-    seeds must be every canonical form of one class vector's tuples.  The
-    search runs on the seeds whose N-class sequence is sorted, under the
-    moves of the module docstring; each other seed joins the orbit of its
-    image sorted by Q_i moves.
+    seeds must be every canonical form of one class vector's tuples.  Each
+    seed is sorted into the slice by Q_i moves and looked up; an unseen
+    slice tuple seeds the search of a new orbit, under the moves of the
+    module docstring.  An orbit holding the whole slice holds every seed.
     """
     if not seeds:
         return []
@@ -483,25 +494,42 @@ def _orbit_partition(
     visited_cap = VISITED_CAP
     keys = sorted(key[g] for g in seeds[0])
     k = len(keys)
-    inner = [i for i in range(k - 1) if keys[i] == keys[i + 1]]
-    starts = [i for i in range(1, k) if keys[i - 1] != keys[i]]
+    starts = [0] + [i for i in range(1, k) if keys[i - 1] != keys[i]]
+    # (s, e): the first and last position of each block of equal keys
+    blocks = list(zip(starts, [s - 1 for s in starts[1:]] + [k - 1]))
+    # each block's last Q_i, and its rotation where that is not the same move
+    last = [e - 1 for s, e in blocks if e > s]
+    rotations = [(s, e) for s, e in blocks if e > s + 1]
     # (e(a), s(b)) for each pair of blocks a < b
-    cross = [(starts[a] - 1, starts[b]) for a in range(len(starts)) for b in range(a, len(starts))]
-    orbit_of: dict[tuple[int, ...], int] = {}
-    slices: list[set[tuple[int, ...]]] = []
-    for seed in seeds:
-        if seed in orbit_of or list(map(key.__getitem__, seed)) != keys:
-            continue
+    cross = [(e, s) for a, (_, e) in enumerate(blocks) for s, _ in blocks[a + 1 :]]
+    # each orbit has k!/prod(k_b!) times as many members as slice tuples
+    arrangements = factorial(k)
+    for s, e in blocks:
+        arrangements //= factorial(e - s + 1)
+    slice_total, rest = divmod(len(seeds), arrangements)
+    if rest:
+        raise InvariantViolation(
+            f"{len(seeds)} seeds do not split into fibres over the "
+            f"{arrangements} arrangements of the keys"
+        )
+
+    def search(seed: tuple[int, ...]) -> set[tuple[int, ...]]:
+        # the forward closure of a canonical slice tuple: its orbit on the slice
         members = {seed}
         frontier = [least_image(seed)]
         while frontier:
             new = []
             for t, j in frontier:
                 moved = []
-                for i in inner:
+                for i in last:
                     a, b = t[i], t[i + 1]
                     if a != b:  # Q_i fixes t if a == b
                         moved.append((i, t[:i] + (conj[a][b], a) + t[i + 2 :]))
+                for s, e in rotations:
+                    p = t[s]
+                    for g in t[s + 1 : e]:
+                        p = mul[p][g]
+                    moved.append((s, t[:s] + (conj[p][t[e]],) + t[s:e] + t[e + 1 :]))
                 for i, l in cross:
                     a, b = t[i], t[l]
                     c = mul[a][b]
@@ -526,27 +554,33 @@ def _orbit_partition(
                                 f"orbit grew past {visited_cap} canonical tuples"
                             )
             frontier = new
-        for t in members:
-            orbit_of[t] = len(slices)
-        slices.append(members)
-    if len(slices) == 1:
-        orbits = [set(seeds)]
-    else:
-        orbits = [set() for _ in slices]
-        for seed in seeds:
-            n = orbit_of.get(seed)
-            if n is None:
-                t = list(seed)
-                swapped = True
-                while swapped:
-                    swapped = False
-                    for i in range(k - 1):
-                        a, b = t[i], t[i + 1]
-                        if key[a] > key[b]:
-                            t[i], t[i + 1] = conj[a][b], a  # Q_i swaps the N-classes
-                            swapped = True
-                n = orbit_of[ctx.canonical(tuple(t))]
-            orbits[n].add(seed)
+        return members
+
+    orbit_of: dict[tuple[int, ...], int] = {}
+    orbits: list[set[tuple[int, ...]]] = []
+    for seed in seeds:
+        u = seed
+        if list(map(key.__getitem__, seed)) != keys:
+            t = list(seed)
+            swapped = True
+            while swapped:
+                swapped = False
+                for i in range(k - 1):
+                    a, b = t[i], t[i + 1]
+                    if key[a] > key[b]:
+                        t[i], t[i + 1] = conj[a][b], a  # Q_i swaps the N-classes
+                        swapped = True
+            # the moves commute with N-conjugation: canonicalise once, sorted
+            u = ctx.canonical(tuple(t))
+        n = orbit_of.get(u)
+        if n is None:
+            members = search(u)
+            if len(members) == slice_total:
+                return [set(seeds)]
+            n = len(orbits)
+            orbit_of.update(dict.fromkeys(members, n))
+            orbits.append(set())
+        orbits[n].add(seed)
     return orbits
 
 

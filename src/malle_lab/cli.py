@@ -42,6 +42,7 @@ VALIDATION_ERRORS = (
     err.TrivialClassPresent,
     err.UnknownSubgroup,
     err.NotAPrimePower,
+    err.FieldSizeOutOfRange,
     ValueError,
 )
 

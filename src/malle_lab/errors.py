@@ -41,6 +41,10 @@ class NotAPrimePower(MalleLabError):
     """A field size q is not a prime power, so F_q does not exist."""
 
 
+class FieldSizeOutOfRange(MalleLabError):
+    """A field size q is a power of a number too large to test for primality."""
+
+
 class EnumerationCapExceeded(MalleLabError):
     """Tuple enumeration grew past the configured cap."""
 

@@ -18,6 +18,7 @@ from typing import Callable, Mapping
 
 from .errors import (
     BadModulus,
+    FieldSizeOutOfRange,
     InvariantViolation,
     NotAHomomorphism,
     NotAPrimePower,
@@ -50,22 +51,84 @@ def minimal_index_classes(G: FiniteGroup) -> list[ConjugacyClass]:
     return [c for i, c in indexed if i == m]
 
 
+# The first 13 primes as Miller-Rabin bases decide primality exactly below
+# MILLER_RABIN_LIMIT (Sorenson, Webster, "Strong pseudoprimes to twelve
+# prime bases", Math. Comp. 86 (2017)).
+MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MILLER_RABIN_LIMIT = 3317044064679887385961981
+
+
 def require_prime_power(q: int) -> None:
     """Raise NotAPrimePower unless q = p^k for a prime p and k >= 1, the
-    size of a finite field F_q.  By trial division: the least divisor
-    p > 1 of q is prime, and q is a power of p iff dividing out p leaves 1."""
+    size of a finite field F_q.
+
+    By trial division below 2^16: the least divisor p > 1 of q is prime,
+    and q is a power of p iff dividing out p leaves 1; a q < 2^32 with no
+    divisor up to sqrt(q) is prime.  A larger q with no divisor below 2^16
+    can only be p^k for a prime p above it, so k <= log2(q) / 16.  Then p
+    is the least exact integer root of q, and q is a prime power iff that
+    root is prime, which Miller-Rabin decides.  A root that passes at or
+    above MILLER_RABIN_LIMIT raises FieldSizeOutOfRange.
+    """
     if q >= 2:
+        limit = q if q < 1 << 32 else 1 << 32
         p = 2
-        while q % p and p * p < q:
+        while q % p and p * p < limit:
             p += 1
-        if q % p:  # no divisor up to sqrt(q): q is prime
-            return
-        rest = q
-        while rest % p == 0:
-            rest //= p
-        if rest == 1:
-            return
+        if q % p:
+            if p * p >= q:  # no divisor up to sqrt(q): q is prime
+                return
+            # the least integer root of q: the exact k-th root for the largest k
+            # (k = 1 always is one); every other exact root is a power of it
+            for k in range((q.bit_length() - 1) // 16, 0, -1):
+                root = _integer_root(q, k)
+                if root**k == q:
+                    break
+            if _passes_miller_rabin(root):
+                if root >= MILLER_RABIN_LIMIT:
+                    raise FieldSizeOutOfRange(
+                        f"q = {q} is a power of {root}, at or above {MILLER_RABIN_LIMIT}, "
+                        "where the primality test is no longer exact"
+                    )
+                return
+        else:
+            rest = q
+            while rest % p == 0:
+                rest //= p
+            if rest == 1:
+                return
     raise NotAPrimePower(f"q = {q} is not a prime power, so F_q does not exist")
+
+
+def _integer_root(n: int, k: int) -> int:
+    """The largest r with r**k <= n, for n >= 1: Newton's method from above."""
+    r = 1 << -(-n.bit_length() // k)
+    while True:
+        s = ((k - 1) * r + n // r ** (k - 1)) // k
+        if s >= r:
+            return r
+        r = s
+
+
+def _passes_miller_rabin(n: int) -> bool:
+    """Is the odd n > 41 a strong probable prime to every base of
+    MILLER_RABIN_BASES?  Exactly when n is prime, for n < MILLER_RABIN_LIMIT;
+    a False is a proof that n is composite at any size."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in MILLER_RABIN_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 @dataclass(frozen=True)

@@ -671,12 +671,29 @@ PINNED_SLICE_VECTORS = [
     ("A5", {1: 2, 3: 1, 4: 1}, [60, 144]),
     # two orbits: the seeds off the slice must be sorted into it
     ("S4", {2: 2, 4: 2}, [12, 36]),
+    # one orbit each: rotations over blocks of 6 and 4, longer than any above
+    ("S3", {1: 6, 2: 2}, [4536]),
+    ("S3", {1: 4, 2: 3}, [1260]),
 ]
 
 
 def slice_case(pair, counts):
     G, N = (make() for make in SLICE_PAIRS[pair])
     return G, N, ClassVector.from_counts(G, counts)
+
+
+class ReadCountingList(list):
+    """A list that records how many items each pass over it read."""
+
+    def __init__(self, items):
+        super().__init__(items)
+        self.reads = []
+
+    def __iter__(self):
+        self.reads.append(0)
+        for item in super().__iter__():
+            self.reads[-1] += 1
+            yield item
 
 
 class TestSliceSearch:
@@ -700,6 +717,24 @@ class TestSliceSearch:
     def test_pinned_vector(self, pair, counts, sizes):
         orbits = check_orbits_against_oracles(*slice_case(pair, counts))
         assert [o.size for o in orbits] == sizes
+
+    def test_an_orbit_holding_the_whole_slice_ends_the_pass(self):
+        # one orbit of 4536 canonical tuples, 4536 / (8!/(6! 2!)) = 162 in the slice
+        G, N, cv = slice_case("S3", {1: 6, 2: 2})
+        ctx = braid._indexed(G, N)
+        seeds = ReadCountingList(braid._enumerate_idx(ctx, cv))
+        assert braid._orbit_partition(ctx, seeds) == [set(seeds)]
+        # the pass read one seed; building the one part read them all
+        assert seeds.reads[0] == 1
+
+    def test_a_seed_list_short_of_a_whole_fibre_is_refused(self):
+        # 12 canonical tuples over 4!/(2! 2!) = 6 key arrangements: 11 leave a remainder
+        G, N, cv = slice_case("S3", {1: 2, 2: 2})
+        ctx = braid._indexed(G, N)
+        seeds = braid._enumerate_idx(ctx, cv)
+        assert len(seeds) == 12
+        with pytest.raises(InvariantViolation, match="11 seeds do not split"):
+            braid._orbit_partition(ctx, seeds[1:])
 
     def test_visited_cap_counts_every_member_of_one_orbit(self, monkeypatch):
         # one orbit of 45 canonical tuples, 9 of them in the slice

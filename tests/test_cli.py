@@ -123,6 +123,15 @@ class TestValidationErrors:
             "code": "NotAPrimePower",
         }
 
+    def test_q_above_the_primality_limit(self, capsys):
+        # 2^89 - 1 is prime, but above the limit where the test is exact
+        q = str(2**89 - 1)
+        code, out, err = run(
+            capsys, "invariants", "--preset", "klueners-s6", "--normal", "G1", "--q", q
+        )
+        assert (code, out) == (2, "")
+        assert json.loads(err)["code"] == "FieldSizeOutOfRange"
+
     def test_prime_power_q_is_accepted(self, capsys):
         code, out, _ = run(
             capsys, "invariants", "--preset", "klueners-s6", "--normal", "G1", "--q", "25"

@@ -12,9 +12,11 @@ from hypothesis import strategies as st
 
 from library_sources import clear_library_memos, library_module, library_modules
 from malle_lab import groups
+from malle_lab import invariants
 from malle_lab.braid import braid_orbits, class_vector_of
 from malle_lab.errors import (
     BadModulus,
+    FieldSizeOutOfRange,
     InvariantViolation,
     NotAHomomorphism,
     NotAPrimePower,
@@ -186,6 +188,88 @@ class TestTwist:
             else:
                 with pytest.raises(NotAPrimePower, match=f"q = {q} is not a prime power"):
                     require_prime_power(q)
+
+
+def smallest_prime_factors(n: int) -> list[int]:
+    """spf[m] for 0 <= m < n, the least prime dividing m, by a sieve; 0 for m < 2."""
+    spf = [0] * n
+    for p in range(2, n):
+        if spf[p] == 0:
+            for m in range(p, n, p):
+                if spf[m] == 0:
+                    spf[m] = p
+    return spf
+
+
+# 2^89 - 1, a Mersenne prime above MILLER_RABIN_LIMIT
+M89 = 2**89 - 1
+
+
+class TestPrimePower:
+    """require_prime_power: trial division below 2^16, then Miller-Rabin on
+    the least integer root of q."""
+
+    def test_every_q_below_1e5_against_a_sieve(self):
+        spf = smallest_prime_factors(10**5)
+        wrong = []
+        for q in range(-3, 10**5):
+            rest = q
+            while q >= 2 and rest % spf[q] == 0:
+                rest //= spf[q]
+            try:
+                require_prime_power(q)
+                accepted = True
+            except NotAPrimePower:
+                accepted = False
+            if accepted != (q >= 2 and rest == 1):
+                wrong.append(q)
+        assert wrong == []
+
+    def test_miller_rabin_against_a_sieve(self):
+        spf = smallest_prime_factors(10**5)
+        wrong = [n for n in range(43, 10**5, 2) if invariants._passes_miller_rabin(n) != (spf[n] == n)]
+        assert wrong == []
+
+    def test_the_limit_is_a_strong_pseudoprime_to_every_base(self):
+        # 3317044064679887385961981 = 1287836182261 * 2575672364521
+        assert invariants.MILLER_RABIN_LIMIT == 1287836182261 * 2575672364521
+        assert invariants._passes_miller_rabin(invariants.MILLER_RABIN_LIMIT)
+
+    def test_integer_root(self):
+        cases = [(n, k) for n in range(1, 3000) for k in range(1, 13)]
+        cases += [(r**k + d, k) for r in (2**40, 3**50, M89) for k in (1, 2, 3, 7) for d in (-1, 0, 1)]
+        for n, k in cases:
+            r = invariants._integer_root(n, k)
+            assert r**k <= n < (r + 1) ** k, (n, k)
+
+    @pytest.mark.parametrize("q", [
+        10**14 + 31,  # prime; trial division up to sqrt(q) takes about 1 s
+        4294967291,  # the largest prime below 2^32, by trial division
+        4294967311,  # the least prime above 2^32, by Miller-Rabin
+        65537**2, 65537**3, 65539**5,  # p^k for primes just above 2^16
+        2**61 - 1, (2**61 - 1) ** 2, (2**31 - 1) ** 3,
+        2**100, 3**60,
+    ])
+    def test_prime_powers_above_2_32(self, q):
+        require_prime_power(q)
+
+    @pytest.mark.parametrize("q", [
+        561, 1105, 1729,  # Carmichael numbers with factors below 2^16
+        65851 * 131701 * 197551,  # a Carmichael number with none
+        65537 * 65539, 65537**2 * 65539, (2**61 - 1) * (2**31 - 1),
+        # strong pseudoprime to the first 12 prime bases; the 13th, 41, finds it
+        318665857834031151167461,
+        3 * 2**100, 2**100 + 1,
+        M89 * (2**61 - 1),  # composite above the limit: a witness proves it
+    ])
+    def test_not_prime_powers_above_2_32(self, q):
+        with pytest.raises(NotAPrimePower, match=f"q = {q} is not a prime power"):
+            require_prime_power(q)
+
+    @pytest.mark.parametrize("q", [M89, M89**2, invariants.MILLER_RABIN_LIMIT])
+    def test_a_base_at_or_above_the_limit_is_refused(self, q):
+        with pytest.raises(FieldSizeOutOfRange, match="primality test is no longer exact"):
+            require_prime_power(q)
 
 
 class TestBConstant:

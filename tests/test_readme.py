@@ -59,6 +59,7 @@ def test_limits_state_the_module_constants():
         "VISITED_CAP",
         "PAIR_CACHE_SIZE",
         "GROUP_CACHE_SIZE",
+        "MILLER_RABIN_LIMIT",
     }
     for module, name, value in stated:
         actual = getattr(importlib.import_module(f"malle_lab.{module}"), name)
