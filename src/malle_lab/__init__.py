@@ -9,8 +9,6 @@ from .braid import (
     BraidOrbit,
     ClassVector,
     NielsenTuple,
-    braid_generator,
-    braid_generator_inverse,
     braid_orbits,
     class_vector_of,
     conway_parker_probe,

@@ -123,12 +123,11 @@ from typing import Callable, Collection, Mapping, Sequence
 
 from .errors import (
     EnumerationCapExceeded,
-    IndexOutOfRange,
     InvariantViolation,
     NotASubgroup,
     TrivialClassPresent,
 )
-from .groups import FiniteGroup, _orbit, closure
+from .groups import GROUP_CACHE_SIZE, FiniteGroup, _orbit, closure
 from .invariants import TwistSpec
 from .perms import Permutation, product
 
@@ -136,9 +135,6 @@ from .perms import Permutation, product
 # one orbit.  Each search reads its cap once per call.
 NODE_CAP = 10**8
 VISITED_CAP = 10**7
-# Pair cache bound: h2_desk_scale calls braid_orbits once per class vector
-# on the same (G, N), so the tables of recent pairs are reused.
-PAIR_CACHE_SIZE = 16
 # The identity's position in G.elements: they are sorted, and the
 # identity is the least permutation.
 _IDENTITY = 0
@@ -240,40 +236,6 @@ class NielsenTuple:
         if not product(self.entries, self.group.degree).is_identity:
             raise ValueError("entries do not multiply to the identity")
 
-    @property
-    def length(self) -> int:
-        return len(self.entries)
-
-
-def braid_generator(t: NielsenTuple, i: int) -> NielsenTuple:
-    """Q_i: replace (g_i, g_{i+1}) by (g_i g_{i+1} g_i^{-1}, g_i); 1-based."""
-    k = t.length
-    if not 1 <= i <= k - 1:
-        raise IndexOutOfRange(f"braid index {i} outside 1..{k - 1}")
-    g = list(t.entries)
-    a, b = g[i - 1], g[i]
-    g[i - 1], g[i] = a * b * a.inverse(), a
-    out = NielsenTuple(t.group, tuple(g))
-    if _closure_order(t.group, _indices(t)) != _closure_order(t.group, _indices(out)):
-        raise InvariantViolation("a braid move changed the subgroup the entries generate")
-    return out
-
-
-def _indices(t: NielsenTuple) -> set[int]:
-    index = t.group.index
-    return {index[g] for g in t.entries}
-
-
-def braid_generator_inverse(t: NielsenTuple, i: int) -> NielsenTuple:
-    """Q_i^{-1}: replace (g_i, g_{i+1}) by (g_{i+1}, g_{i+1}^{-1} g_i g_{i+1})."""
-    k = t.length
-    if not 1 <= i <= k - 1:
-        raise IndexOutOfRange(f"braid index {i} outside 1..{k - 1}")
-    g = list(t.entries)
-    a, b = g[i - 1], g[i]
-    g[i - 1], g[i] = b, b.inverse() * a * b
-    return NielsenTuple(t.group, tuple(g))
-
 
 # ---------------------------------------------------------------------------
 # integer-index machinery
@@ -349,7 +311,7 @@ def _closure_order(G: FiniteGroup, entries: Collection[int]) -> int:
     return len(_orbit(_IDENTITY, [G.mul[g].__getitem__ for g in entries]))
 
 
-@lru_cache(maxsize=PAIR_CACHE_SIZE)
+@lru_cache(maxsize=GROUP_CACHE_SIZE)
 def _indexed(G: FiniteGroup, N: FiniteGroup) -> _IndexedPair:
     return _IndexedPair(G, N)
 

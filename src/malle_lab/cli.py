@@ -9,15 +9,15 @@ name (`malle-lab COMMAND --help` lists them):
   verify      run a named golden scenario and diff against expected values
   presets     list shipped scenarios
 
-Exit codes: 0 success, 1 computation error, 2 usage error (argparse prints
-its usage line) or parse/validation error, 3 golden mismatch.
+Exit codes: 0 success, 1 computation error, 2 usage error (a flag argparse
+refuses, with its usage line, or an --out path that cannot be written) or
+parse/validation error, 3 golden mismatch.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import asdict
 from functools import cache
@@ -84,17 +84,6 @@ def resolve_pair(args) -> GNContext:
     return resolve_spec(args).pair(args.normal)
 
 
-def require_q(args, N: FiniteGroup) -> int:
-    inv.require_prime_power(args.q)
-    if math.gcd(args.q, N.order) != 1:
-        raise err.ParseError(
-            f"q = {args.q} shares a factor with |N| = {N.order}; "
-            "q must be coprime to the group order",
-            position=0,
-        )
-    return args.q
-
-
 def ctx_inputs(ctx: GNContext, q=None) -> dict:
     out = {
         "n": ctx.N.degree,
@@ -111,11 +100,10 @@ def ctx_inputs(ctx: GNContext, q=None) -> dict:
 
 def cmd_invariants(args) -> dict:
     ctx = resolve_pair(args)
-    q = require_q(args, ctx.N)
     warnings = []
     if not ctx.split:
         warnings.append(inv.NON_SPLIT_WARNING)
-    report = inv.b_table(ctx, q)
+    report = inv.b_table(ctx, args.q)
     a = a_invariant(ctx.G)
     outputs = {
         "a": a,
@@ -128,14 +116,13 @@ def cmd_invariants(args) -> dict:
             format_cycles(c.representative) for c in inv.minimal_index_classes(ctx.G)
         ),
     }
-    return build_report("invariants", ctx_inputs(ctx, q), outputs, warnings)
+    return build_report("invariants", ctx_inputs(ctx, args.q), outputs, warnings)
 
 
 def cmd_conjecture(args) -> dict:
     spec = resolve_spec(args)
     N = spec.group()
-    q = require_q(args, N)
-    report = inv.revised_b(N, inv.FunctionField(q))
+    report = inv.revised_b(N, inv.FunctionField(args.q))
     a = a_invariant(N)
     rows = [
         {
@@ -153,7 +140,7 @@ def cmd_conjecture(args) -> dict:
         "asymptotic": inv.render_growth(a, report.value),
         "rows": rows,
     }
-    inputs = {"n": N.degree, "order_N": N.order, "q": q}
+    inputs = {"n": N.degree, "order_N": N.order, "q": args.q}
     return build_report("conjecture", inputs, outputs, list(report.warnings))
 
 
@@ -185,8 +172,7 @@ def cmd_braid(args) -> dict:
         "tuple_count": sum(o.size for o in orbits),
     }
     if args.q is not None:
-        q = require_q(args, ctx.N)
-        spec = inv.TwistSpec(q=q, e=args.e, ctx=ctx)
+        spec = inv.TwistSpec(q=args.q, e=args.e, ctx=ctx)
         stable = braid_mod.frobenius_stable_orbits(orbits, spec)
         outputs["stable_orbit_count"] = len(stable)
         warnings.append(braid_mod.FROBENIUS_MODEL_WARNING)
@@ -195,7 +181,7 @@ def cmd_braid(args) -> dict:
 
 def cmd_series(args) -> dict:
     ctx = resolve_pair(args)
-    q = require_q(args, ctx.N)
+    q = args.q
     R = args.terms
     spec = inv.TwistSpec(q=q, e=args.e, ctx=ctx)
     warnings = []
@@ -373,6 +359,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def report_error(exc: Exception, exit_code: int) -> int:
+    """Write exc to stderr as one JSON line and return exit_code."""
+    print(json.dumps({"error": str(exc), "code": type(exc).__name__}), file=sys.stderr)
+    return exit_code
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -382,15 +374,17 @@ def main(argv: list[str] | None = None) -> int:
     try:
         report = COMMANDS[args.command](args)
     except (*VALIDATION_ERRORS, err.MalleLabError) as exc:
-        print(json.dumps({"error": str(exc), "code": type(exc).__name__}), file=sys.stderr)
-        return 2 if isinstance(exc, VALIDATION_ERRORS) else 1
+        return report_error(exc, 2 if isinstance(exc, VALIDATION_ERRORS) else 1)
     exit_code = report.pop("exit_hint", 0)
     text = dump_report(report)
-    if args.out:
+    if not args.out:
+        sys.stdout.write(text)
+        return exit_code
+    try:
         with open(args.out, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:  # an --out path that cannot be written is a usage error
+        return report_error(exc, 2)
     return exit_code
 
 

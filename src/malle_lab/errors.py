@@ -57,10 +57,6 @@ class InvariantViolation(MalleLabError):
     """A computed result broke an invariant that the algorithm guarantees."""
 
 
-class IndexOutOfRange(MalleLabError, IndexError):
-    """A braid generator index is outside 1..k-1."""
-
-
 class TrivialClassPresent(MalleLabError):
     """A block built from the identity class was passed downstream."""
 

@@ -28,10 +28,10 @@ from .perms import Permutation
 # past this many points
 ORDER_CAP = 10**6
 
-# Memo bound: each memo keyed by a group, or by the strings of a group
-# spec (presets), holds at most this many entries, least recently used
-# first out.  A sweep of CLI jobs over the presets and two relabelled
-# group files touches 14 groups and 11 (N, G) pairs.
+# Memo bound: each memo keyed by a group, a pair of groups (braid), or
+# the strings of a group spec (presets), holds at most this many entries,
+# least recently used first out.  A sweep of CLI jobs over the presets and
+# two relabelled group files touches 14 groups and 11 (N, G) pairs.
 GROUP_CACHE_SIZE = 32
 
 Images = tuple[int, ...]  # Permutation.images: images[i - 1] is the image of i

@@ -15,8 +15,6 @@ from malle_lab import braid, series
 from malle_lab.braid import (
     ClassVector,
     NielsenTuple,
-    braid_generator,
-    braid_generator_inverse,
     braid_orbits,
     class_vector_of,
     conway_parker_probe,
@@ -25,12 +23,11 @@ from malle_lab.braid import (
 )
 from malle_lab.errors import (
     EnumerationCapExceeded,
-    IndexOutOfRange,
     InvariantViolation,
     NotASubgroup,
     TrivialClassPresent,
 )
-from malle_lab.groups import closure, derived_subgroup, find_cyclic_complement
+from malle_lab.groups import GROUP_CACHE_SIZE, closure, derived_subgroup, find_cyclic_complement
 from malle_lab.invariants import TwistSpec
 from malle_lab.perms import Permutation, parse_cycles, product
 from malle_lab.presets import abelian_q, abelian_suite, get_preset
@@ -124,53 +121,55 @@ class TestNielsenTuple:
         t = parse_cycles("(1 2)", 3)
         with pytest.raises(NotASubgroup):
             NielsenTuple(a3(), (t, t))
-        assert NielsenTuple(s3(), (t, t)).length == 2
+        assert len(NielsenTuple(s3(), (t, t)).entries) == 2
+
+
+def braid_generator(t: tuple[Permutation, ...], i: int) -> tuple[Permutation, ...]:
+    """Q_i: replace (g_i, g_{i+1}) by (g_i g_{i+1} g_i^{-1}, g_i); 1-based.
+
+    The Permutation-level definition of the move that braid's orbit search
+    applies on element indices; the oracles below are built on it.
+    """
+    g = list(t)
+    a, b = g[i - 1], g[i]
+    g[i - 1], g[i] = a * b * a.inverse(), a
+    return tuple(g)
+
+
+def braid_generator_inverse(t: tuple[Permutation, ...], i: int) -> tuple[Permutation, ...]:
+    """Q_i^{-1}: replace (g_i, g_{i+1}) by (g_{i+1}, g_{i+1}^{-1} g_i g_{i+1})."""
+    g = list(t)
+    a, b = g[i - 1], g[i]
+    g[i - 1], g[i] = b, b.inverse() * a * b
+    return tuple(g)
 
 
 class TestBraidMoves:
     def test_braid_move_formula(self):
-        G = s3()
         a = parse_cycles("(1 2)", 3)
         b = parse_cycles("(1 3)", 3)
-        t = NielsenTuple(G, (a, b, b, a))
+        t = (a, b, b, a)
         moved = braid_generator(t, 1)
-        assert moved.entries[0] == a * b * a.inverse()
-        assert moved.entries[1] == a
-        assert moved.entries[2:] == t.entries[2:]
+        assert moved[0] == a * b * a.inverse()
+        assert moved[1] == a
+        assert moved[2:] == t[2:]
 
     def test_move_preserves_product_and_classes(self):
+        # and the subgroup the entries generate
         G = s3()
-        for t in map(lambda e: NielsenTuple(G, e), transposition_tuples(G, 4)):
+        for t in transposition_tuples(G, 4):
             for i in (1, 2, 3):
                 m = braid_generator(t, i)
-                assert product(m.entries, 3).is_identity
-                assert class_vector_of(G, m.entries) == class_vector_of(G, t.entries)
+                assert product(m, 3).is_identity
+                assert class_vector_of(G, m) == class_vector_of(G, t)
+                assert closure(list(m), 3).order == closure(list(t), 3).order
 
     def test_inverse_move(self):
         G = s3()
-        for t in map(lambda e: NielsenTuple(G, e), transposition_tuples(G, 4)):
+        for t in transposition_tuples(G, 4):
             for i in (1, 2, 3):
                 assert braid_generator_inverse(braid_generator(t, i), i) == t
                 assert braid_generator(braid_generator_inverse(t, i), i) == t
-
-    def test_index_out_of_range(self):
-        G = s3()
-        a = parse_cycles("(1 2)", 3)
-        t = NielsenTuple(G, (a, a))
-        with pytest.raises(IndexOutOfRange):
-            braid_generator(t, 0)
-        with pytest.raises(IndexOutOfRange):
-            braid_generator(t, 2)
-
-    def test_changed_generated_subgroup_is_a_typed_error(self, monkeypatch):
-        # raised, not asserted, so the check survives python -O
-        G = s3()
-        a, b = parse_cycles("(1 2)", 3), parse_cycles("(1 3)", 3)
-        t = NielsenTuple(G, (a, b, b, a))
-        orders = iter((G.order, closure([a], 3).order))
-        monkeypatch.setattr(braid, "_closure_order", lambda G, entries: next(orders))
-        with pytest.raises(InvariantViolation):
-            braid_generator(t, 1)
 
     @pytest.mark.parametrize("k", [4, 5])
     def test_braid_relations_on_full_tuple_set(self, k):
@@ -181,13 +180,7 @@ class TestBraidMoves:
         # never multiply to the identity)
         G = s3()
         ts = [g for g in G if g.index() == 1]
-
-        def q(t, i):
-            g = list(t)
-            a, b = g[i - 1], g[i]
-            g[i - 1], g[i] = a * b * a.inverse(), a
-            return tuple(g)
-
+        q = braid_generator
         tuples = list(iproduct(ts, repeat=k))
         assert len(tuples) == 3**k
         for t in tuples:
@@ -254,9 +247,8 @@ def union_find_orbits(G, N, tuples):
             parent[rx] = ry
 
     for t in tuples:
-        nt = NielsenTuple(G, t)
         for i in range(1, len(t)):
-            union(idx[t], idx[braid_generator(nt, i).entries])
+            union(idx[t], idx[braid_generator(t, i)])
         for h in N:
             conj = tuple(g.conjugate_by(h) for g in t)
             union(idx[t], idx[conj])
@@ -1290,7 +1282,7 @@ class TestCaps:
 
 
 def test_caches_are_bounded():
-    assert braid._indexed.cache_info().maxsize == braid.PAIR_CACHE_SIZE == 16
+    assert braid._indexed.cache_info().maxsize == GROUP_CACHE_SIZE == 32
 
 
 def test_evicted_pairs_are_freed():
@@ -1300,9 +1292,9 @@ def test_evicted_pairs_are_freed():
     G = s3()
     braid_orbits(G, G, class_vector_of(G, [parse_cycles("(1 2)", 3)] * 4))
     pair = weakref.ref(braid._indexed(G, G))
-    # distinct <(a b c)> in S6, one per 3-subset of the points
-    for a, b, c in islice(combinations(range(1, 7), 3), braid.PAIR_CACHE_SIZE):
-        H = closure([parse_cycles(f"({a} {b} {c})", 6)], 6)
+    # distinct <(a b c)> in S7, one per 3-subset of the points
+    for a, b, c in islice(combinations(range(1, 8), 3), GROUP_CACHE_SIZE):
+        H = closure([parse_cycles(f"({a} {b} {c})", 7)], 7)
         braid._indexed(H, H)
     gc.collect()
     assert pair() is None

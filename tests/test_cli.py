@@ -82,6 +82,17 @@ class TestInvariantsCommand:
         assert code == 0 and out == ""
         assert json.loads(dest.read_text())["outputs"]["b"] == 2
 
+    @pytest.mark.parametrize("kind", ["FileNotFoundError", "IsADirectoryError"])
+    def test_out_path_that_cannot_be_written(self, capsys, tmp_path, kind):
+        # a usage error: one JSON line on stderr, exit 2, nothing on stdout
+        dest = tmp_path / "missing" / "x.json" if kind == "FileNotFoundError" else tmp_path
+        code, out, err = run(capsys, "presets", "--out", str(dest))
+        assert (code, out) == (2, "")
+        with pytest.raises(OSError) as expected:
+            open(dest, "w")
+        assert type(expected.value).__name__ == kind
+        assert json.loads(err) == {"error": str(expected.value), "code": kind}
+
 
 class TestValidationErrors:
     def test_missing_group_and_preset(self, capsys):
@@ -103,11 +114,16 @@ class TestValidationErrors:
         assert json.loads(err) == {"error": "no named subgroup 'G9'", "code": "UnknownSubgroup"}
 
     def test_q_not_coprime(self, capsys):
-        code, _, err = run(
-            capsys, "invariants", "--preset", "klueners-s6", "--normal", "G1", "--q", "3"
-        )
-        assert code == 2
-        assert "coprime" in err
+        # TwistSpec refuses it; conjecture makes one on its G = N row
+        for command in ("invariants", "conjecture", "braid", "series"):
+            pair = ["--preset", "klueners-s6"] + ([] if command == "conjecture" else ["--normal", "G1"])
+            classes = ["--classes", "(1 2 3),(1 3 2)"] if command == "braid" else []
+            code, out, err = run(capsys, command, *pair, *classes, "--q", "3")
+            assert (code, out) == (2, ""), command
+            assert json.loads(err) == {
+                "error": "q = 3 is not coprime to |N| = 18",
+                "code": "ValueError",
+            }, command
 
     @pytest.mark.parametrize("command", ["invariants", "conjecture", "braid", "series"])
     @pytest.mark.parametrize("q", ["35", "10", "1"])

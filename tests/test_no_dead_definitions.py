@@ -2,14 +2,18 @@
 
 A definition counts as used when its name is read anywhere in the library
 outside its own body (as a name, an attribute or inside a string
-annotation), or when `__init__.py` re-exports it.  A helper whose last
+annotation).  A re-export from `__init__.py` counts only when a reader
+outside the library and its tests reads the name: `bench/*.py`,
+`demos/*.py` or the README's `## Library tour` block.  A helper whose last
 caller is gone, such as a `coset_order` left behind once the cosets are
-numbered in one table, fails here.
+numbered in one table, fails here, and so does an export that only a test
+reads: that code belongs in the tests.
 """
 
 import ast
 
-from library_sources import library_modules
+from library_sources import ROOT, library_modules
+from test_readme import tour_block
 
 
 def definitions(tree: ast.Module) -> list[ast.AST]:
@@ -65,7 +69,32 @@ def unread_definitions(modules: dict[str, ast.Module]) -> list[str]:
     ]
 
 
+def unused_definitions(modules: dict[str, ast.Module], outside: set[str]) -> list[str]:
+    """The unread definitions of modules that `__init__.py` does not export
+    to a reader of the names in outside."""
+    modules = dict(modules)
+    exported = exported_names(modules.pop("__init__.py")) & outside
+    return [d for d in unread_definitions(modules) if d.split()[-1] not in exported]
+
+
+def outside_reads() -> set[str]:
+    """The names that bench/*.py, demos/*.py and the README's library tour read."""
+    paths = [path for d in ("bench", "demos") for path in sorted((ROOT / d).glob("*.py"))]
+    texts = [path.read_text() for path in paths]
+    assert len(texts) > 2, "no bench or demo scripts found"
+    return set().union(*(read_names(ast.parse(text)) for text in texts + [tour_block()]))
+
+
+def test_an_export_counts_only_when_read_outside_the_library_and_its_tests():
+    modules = {
+        "__init__.py": ast.parse("from .m import f, g, h\n"),
+        "m.py": ast.parse("def f():\n    pass\n\n\ndef g():\n    pass\n\n\ndef h():\n    pass\n"),
+    }
+    # bench, demos and the tour read g and h; only a test reads f
+    outside = read_names(ast.parse("from malle_lab import g, m\ng()\nm.h()\n"))
+    assert unused_definitions(modules, outside) == ["m.py:1 f"]
+    assert unused_definitions(modules, outside | {"f"}) == []
+
+
 def test_every_definition_is_used_or_exported():
-    modules = library_modules()
-    exported = exported_names(modules.pop("__init__.py"))
-    assert [d for d in unread_definitions(modules) if d.split()[-1] not in exported] == []
+    assert unused_definitions(library_modules(), outside_reads()) == []

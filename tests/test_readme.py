@@ -57,7 +57,6 @@ def test_limits_state_the_module_constants():
         "ORDER_CAP",
         "NODE_CAP",
         "VISITED_CAP",
-        "PAIR_CACHE_SIZE",
         "GROUP_CACHE_SIZE",
         "MILLER_RABIN_LIMIT",
     }
