@@ -173,60 +173,34 @@ def format_cycles(p: Permutation) -> str:
     return "".join("(" + " ".join(str(pt) for pt in c) + ")" for c in cycles)
 
 
-_TOKEN = re.compile(r"\s*(\(|\)|\d+|id)")
-
-
 def parse_cycles(text: str, degree: int) -> Permutation:
-    """Parse cycle notation like "(1 2 3)(4 5 6)" into a Permutation.
+    r"""Parse cycle notation like "(1 2 3)(4 5 6)" into a Permutation.
 
-    Whitespace-insensitive; digits inside a cycle may also be run together
-    when all points are single digits, e.g. "(123)(456)".  "id" and "()"
-    denote the identity.  Cycles need not be disjoint and compose left to
-    right.  Raises ParseError (with position) or PointOutOfRange.
+    The grammar is one regex: the whole text must match
+    ``(?:\s*(?:id|\([\d\s]*\)))*\s*`` and must not be blank, or
+    ParseError names the offset where the match stops.  It is checked
+    before any point is read.  Each parenthesised group is then one
+    cycle; at degree <= 9 its points are read digit by digit, so
+    "(123)(456)" works, and above that they are whitespace-separated.
+    "id" and "()" denote the identity.  Cycles need not be disjoint and
+    compose left to right.  A point outside 1..degree raises
+    PointOutOfRange, and a point repeated within a cycle raises
+    ParseError at the cycle's offset.
     """
-    pos = 0
-    cycles: list[list[int]] = []
-    current: list[int] | None = None
-    saw_id = False
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            if text[pos:].strip() == "":
-                break
-            raise ParseError(f"unexpected character {text[pos:].lstrip()[0]!r}", pos)
-        token = m.group(1)
-        pos = m.end()
-        if token == "(":
-            if current is not None:
-                raise ParseError("nested '('", pos - 1)
-            current = []
-        elif token == ")":
-            if current is None:
-                raise ParseError("')' without '('", pos - 1)
-            cycles.append(current)
-            current = None
-        elif token == "id":
-            if current is not None:
-                raise ParseError("'id' inside a cycle", pos - len(token))
-            saw_id = True
-        else:
-            if current is None:
-                raise ParseError(f"number {token} outside a cycle", pos - len(token))
-            if degree <= 9 and len(token) > 1:
-                points = [int(ch) for ch in token]
-            else:
-                points = [int(token)]
-            for point in points:
-                if not 1 <= point <= degree:
-                    raise PointOutOfRange(f"point {point} outside 1..{degree}")
-                if point in current:
-                    raise ParseError(f"point {point} repeated in cycle", pos - len(token))
-                current.append(point)
-    if current is not None:
-        raise ParseError("unclosed '('", len(text))
-    if not cycles and not saw_id and text.strip() == "":
-        raise ParseError("empty input", 0)
-    return Permutation.from_cycles([c for c in cycles if c], degree)
+    end = re.match(r"(?:\s*(?:id|\([\d\s]*\)))*\s*", text).end()
+    if end < len(text) or not text.strip():
+        raise ParseError(f"expected 'id' or a cycle, got {text[end:end + 1]!r}", end)
+    cycles = []
+    for m in re.finditer(r"\(([\d\s]*)\)", text):
+        body = m.group(1)
+        cycle = [int(t) for t in ("".join(body.split()) if degree <= 9 else body.split())]
+        for i, point in enumerate(cycle):
+            if not 1 <= point <= degree:
+                raise PointOutOfRange(f"point {point} outside 1..{degree}")
+            if point in cycle[:i]:
+                raise ParseError(f"point {point} repeated in cycle", m.start())
+        cycles.append(cycle)
+    return Permutation.from_cycles(cycles, degree)
 
 
 def product(perms: Sequence[Permutation], degree: int | None = None) -> Permutation:

@@ -85,26 +85,21 @@ def euler_product(blocks: Sequence[OrbitBlock], q: int) -> RationalGF:
 
 
 def expand(gf: RationalGF, R: int) -> CoefficientTable:
-    """Exact coefficients of u^r for r <= R, by iterated convolution."""
+    """Exact coefficients of u^r for r <= R, dividing by each factor in place.
+
+    Dividing a series by (1 - q^c u^r) is the recurrence
+    coeffs[k] += q^c * coeffs[k - r] for k ascending from r: coeffs[k - r]
+    already holds the quotient, so each factor costs one pass of R - r + 1
+    steps.
+    """
     if R < 0:
         raise ValueError("R must be nonnegative")
-    coeffs = [0] * (R + 1)
-    coeffs[0] = 1
+    coeffs = [1] + [0] * R
     for c, r in gf.factors:
-        # multiply by the geometric series sum_m q^{cm} u^{rm}
         qc = gf.q**c
-        new = [0] * (R + 1)
-        for k in range(R + 1):
-            if coeffs[k] == 0:
-                continue
-            m = 0
-            qpow = 1
-            while k + m * r <= R:
-                new[k + m * r] += coeffs[k] * qpow
-                m += 1
-                qpow *= qc
-        coeffs = new
-    return CoefficientTable(q=gf.q, values={r: v for r, v in enumerate(coeffs)})
+        for k in range(r, R + 1):
+            coeffs[k] += qc * coeffs[k - r]
+    return CoefficientTable(q=gf.q, values=dict(enumerate(coeffs)))
 
 
 def brute_force_h3(blocks: Sequence[OrbitBlock], q: int, R: int) -> CoefficientTable:
@@ -117,9 +112,11 @@ def brute_force_h3(blocks: Sequence[OrbitBlock], q: int, R: int) -> CoefficientT
     turn; for r ascending from w, each multiset counted in rows[r - w]
     gives one more of weight r with c more classes by taking the block
     once more.  Ascending r lets a block repeat any number of times, and
-    w >= 1 keeps the row read apart from the row written.  The counts are
-    plain integers, weighted by q^size only at the end, while expand
-    multiplies q-power geometric series: the two share only the factors.
+    w >= 1 keeps the row read apart from the row written.  expand runs
+    the same ascending recurrence but not on the same state: here each
+    (weight, size) cell holds a plain integer count, weighted by q^size
+    only at the end, while expand keeps one q-weighted coefficient per
+    weight.
     """
     if R < 0:
         raise ValueError("R must be nonnegative")

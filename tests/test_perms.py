@@ -1,9 +1,10 @@
 """Permutation arithmetic and cycle-notation parsing."""
 
+import re
 from itertools import count
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from malle_lab.errors import DegreeMismatch, ParseError, PointOutOfRange
@@ -18,6 +19,78 @@ def perm_strategy(n: int):
 
 # degrees 1-4, so the identity turns up often
 small_perms = st.integers(1, 4).flatmap(perm_strategy)
+
+# the cycle-notation grammar, as parse_cycles' docstring states it
+GRAMMAR = re.compile(r"(?:\s*(?:id|\([\d\s]*\)))*\s*")
+
+# digit runs (0 and the Arabic-Indic three too); brackets, id, stray
+# letters, a comma and the whitespace that str.split also splits on
+DIGIT_RUNS = ["0", "1", "2", "3", "9", "12", "18", "123", "\u0663"]
+TEXT_TOKENS = DIGIT_RUNS + ["(", ")", "()", "id", "i", "d", ",", " ", "\t", "\n", "\x1c"]
+
+# cycles of digit runs, run together or not
+cycle_texts = st.builds(
+    lambda sep, runs: "(" + sep.join(runs) + ")",
+    st.sampled_from(["", " ", "\t\n"]),
+    st.lists(st.sampled_from(DIGIT_RUNS), max_size=4),
+)
+texts = st.lists(cycle_texts | st.sampled_from(TEXT_TOKENS), max_size=6).map("".join)
+
+
+ORACLE_TOKEN = re.compile(r"\s*(\(|\)|\d+|id)")
+
+
+def oracle_parse_cycles(text: str, degree: int) -> Permutation:
+    """The token state machine that parse_cycles' grammar regex replaced.
+
+    Whitespace-insensitive; digits inside a cycle may also be run together
+    when all points are single digits, e.g. "(123)(456)".  "id" and "()"
+    denote the identity.  Cycles need not be disjoint and compose left to
+    right.  Raises ParseError (with position) or PointOutOfRange.
+    """
+    pos = 0
+    cycles: list[list[int]] = []
+    current: list[int] | None = None
+    saw_id = False
+    while pos < len(text):
+        m = ORACLE_TOKEN.match(text, pos)
+        if m is None:
+            if text[pos:].strip() == "":
+                break
+            raise ParseError(f"unexpected character {text[pos:].lstrip()[0]!r}", pos)
+        token = m.group(1)
+        pos = m.end()
+        if token == "(":
+            if current is not None:
+                raise ParseError("nested '('", pos - 1)
+            current = []
+        elif token == ")":
+            if current is None:
+                raise ParseError("')' without '('", pos - 1)
+            cycles.append(current)
+            current = None
+        elif token == "id":
+            if current is not None:
+                raise ParseError("'id' inside a cycle", pos - len(token))
+            saw_id = True
+        else:
+            if current is None:
+                raise ParseError(f"number {token} outside a cycle", pos - len(token))
+            if degree <= 9 and len(token) > 1:
+                points = [int(ch) for ch in token]
+            else:
+                points = [int(token)]
+            for point in points:
+                if not 1 <= point <= degree:
+                    raise PointOutOfRange(f"point {point} outside 1..{degree}")
+                if point in current:
+                    raise ParseError(f"point {point} repeated in cycle", pos - len(token))
+                current.append(point)
+    if current is not None:
+        raise ParseError("unclosed '('", len(text))
+    if not cycles and not saw_id and text.strip() == "":
+        raise ParseError("empty input", 0)
+    return Permutation.from_cycles([c for c in cycles if c], degree)
 
 
 class TestBasics:
@@ -124,13 +197,58 @@ class TestParsing:
         p = parse_cycles("(1 14)", 18)
         assert p(1) == 14
 
-    @given(perm_strategy(6))
-    def test_round_trip(self, p):
-        assert parse_cycles(format_cycles(p), 6) == p
+    @given(
+        st.sampled_from([1, 6]).flatmap(perm_strategy),
+        st.lists(st.text(" \t\n\x1c", max_size=3), min_size=3, max_size=3),
+    )
+    def test_round_trip(self, p, gaps):
+        # degree 1 prints as "id"; whitespace may stand between the cycles
+        lead, between, trail = gaps
+        text = lead + format_cycles(p).replace(")(", ")" + between + "(") + trail
+        assert parse_cycles(text, p.degree) == p
 
     @given(perm_strategy(12))
     def test_round_trip_large(self, p):
         assert parse_cycles(format_cycles(p), 12) == p
+
+    @pytest.mark.parametrize(
+        "text, degree, cycles",
+        [
+            (text, 9, None)  # outside the grammar
+            for text in ["(1 (2))", ")", "1 2", "(id)", "(1,2)", "(1 2", "i d", "", "  ", "(1 2)x"]
+        ]
+        + [
+            ("id()", 9, []),
+            ("()(1 2)\tid", 9, [(1, 2)]),
+            ("(12)", 9, [(1, 2)]),  # digit by digit at degree <= 9
+            ("(12)", 12, [(12,)]),  # the single point 12 above that
+        ],
+    )
+    def test_grammar_table(self, text, degree, cycles):
+        if cycles is None:
+            with pytest.raises(ParseError) as exc:
+                parse_cycles(text, degree)
+            assert type(exc.value.position) is int
+            assert 0 <= exc.value.position <= len(text)
+        else:
+            assert parse_cycles(text, degree) == Permutation.from_cycles(cycles, degree)
+
+    @settings(max_examples=400)
+    @given(st.sampled_from([1, 3, 9, 10, 18]), texts)
+    def test_agrees_with_the_token_oracle(self, degree, text):
+        def outcome(parse):
+            try:
+                return parse(text, degree)
+            except (ParseError, PointOutOfRange) as exc:
+                return type(exc)
+
+        got, want = outcome(parse_cycles), outcome(oracle_parse_cycles)
+        if not GRAMMAR.fullmatch(text) or not text.strip():
+            # the grammar is checked before any point is read
+            assert got is ParseError
+            assert want in (ParseError, PointOutOfRange)
+        else:
+            assert got == want
 
 
 class TestAlgebra:
