@@ -41,13 +41,11 @@ The search applies these moves forward only.  N-conjugation commutes with
 every move, so each move permutes the finite set of canonical tuples, and
 a permutation of a finite set has finite order: its inverse is a positive
 power of it.  The forward closure of a slice seed is therefore already its
-whole orbit on the slice.  The seeds are placed in one pass: each is
-sorted into the slice by Q_i moves, canonicalised once at the end if a
-move was made (the moves commute with N-conjugation; a seed already in
-the slice is canonical), and looked up; a slice tuple not yet seen seeds
-the search of a new orbit.  The slice holds len(seeds) prod(k_b!)/k!
-canonical tuples, so an orbit holding that many holds every seed, and
-the pass ends there.
+whole orbit on the slice.  When every canonical tuple is enumerated, the
+seeds are placed in one pass: each is sorted into the slice by Q_i moves,
+canonicalised once at the end if a move was made (the moves commute with
+N-conjugation; a seed already in the slice is canonical), and looked up;
+a slice tuple not yet seen seeds the search of a new orbit.
 
 The canonical form of a tuple is its least image under simultaneous
 N-conjugation, found as a minimal image (Jefferson, Jonauskyte, Pfeiffer,
@@ -85,6 +83,23 @@ distinct automorphisms of G, and a row that fixes every entry of a
 generating tuple fixes G pointwise, so it is the identity row.  Each
 canonical tuple thus stands for len(conj_rows) distinct tuples, and
 with N = G these are every tuple of cv (enumerate_nielsen).
+
+So the orbits of a non-abelian G are counted before they are searched
+(docs/decisions.md, "Count before search").  nielsen_count gives the
+tuples of cv by P. Hall's Möbius inversion; each N-image of cv has as
+many, so the canonical tuples number T = nielsen_count * |images| /
+len(conj_rows), and a remainder raises InvariantViolation.  T = 0 means
+no orbit, and no tuple is searched for.  Otherwise a first-hit search,
+the enumeration stopped at each image's least tuple, gives the least
+canonical tuple, and its orbit is searched on the slice.  The slice
+holds T prod(k_b!)/k! canonical tuples, so if that orbit holds that
+many it is the one orbit: its size is T, its representative that least
+tuple, and a tuple is a member iff, sorted into the slice and
+canonicalised (even when no move was made: the tuple need not be
+canonical), it is one of the orbit's slice tuples.  Only otherwise is
+every canonical tuple enumerated; fewer or more than T raise
+InvariantViolation.  NODE_CAP bounds the first-hit search and the full
+enumeration alike.
 
 An abelian G needs neither the search nor the enumeration: its one orbit
 is counted.  In abelian G, Q_i maps (..., a, b, ...) to (..., b, a, ...),
@@ -316,11 +331,33 @@ def _indexed(G: FiniteGroup, N: FiniteGroup) -> _IndexedPair:
     return _IndexedPair(G, N)
 
 
-def _enumerate_idx(ctx: _IndexedPair, cv: ClassVector) -> list[tuple[int, ...]]:
-    """The canonical forms of the generating product-one tuples of cv, unsorted.
+def _class_vector_images(ctx: _IndexedPair, cv: ClassVector) -> list[tuple[tuple[int, int], ...]]:
+    """The distinct N-images of cv, each as its sorted multiplicities, in ascending order.
+
+    N permutes the classes of G: each row sends the class of a
+    representative to the class of its image.
+    """
+    G = ctx.G
+    class_ids, index, classes = G.class_ids, G.index, G.conjugacy_classes()
+    reps = {cid: index[classes[cid].representative] for cid in cv.counts}
+    return sorted({
+        tuple(sorted((class_ids[row[reps[cid]]], m) for cid, m in cv.multiplicities))
+        for row in ctx.conj_rows
+    })
+
+
+class _FirstHit(Exception):
+    """Ends a first-hit search at the first canonical tuple of an image."""
+
+
+def _enumerate_idx(ctx: _IndexedPair, cv: ClassVector, first: bool = False) -> list[tuple[int, ...]]:
+    """Canonical generating product-one tuples of cv, ascending within each N-image.
 
     These are exactly the canonical tuples whose class multiset is an
-    N-image of cv (module docstring).
+    N-image of cv (module docstring).  The search tries the entries of
+    each position in ascending order, so an image's tuples come out in
+    ascending order; with first, it keeps only each image's first tuple,
+    its least, and stops there.
     """
     k = cv.length
     out: list[tuple[int, ...]] = []
@@ -332,19 +369,14 @@ def _enumerate_idx(ctx: _IndexedPair, cv: ClassVector) -> list[tuple[int, ...]]:
     generates: dict[frozenset[int], bool] = {}
     classes = G.conjugacy_classes()
     members = [[index[m] for m in c.members] for c in classes]
-    # N permutes the classes of G: each row sends the class of a
-    # representative to the class of its image
-    reps = {cid: index[classes[cid].representative] for cid in cv.counts}
-    images = sorted({
-        tuple(sorted((class_ids[row[reps[cid]]], m) for cid, m in cv.multiplicities))
-        for row in ctx.conj_rows
-    })
     nodes, node_cap = 0, NODE_CAP
     entries: list[int] = []
 
     def dfs(pos: int, prefix: int, fixing: list[tuple[int, ...]]):
-        # fixing: the rows that fix entries[:pos] pointwise; counts and
-        # order: the classes left of the image being searched.  The entry at
+        # fixing: the rows that fix entries[:pos] pointwise; counts: the
+        # entries left of each class of the image being searched, by class
+        # id (the trivial class has none, so the last entry is never the
+        # identity); pool: that image's elements, ascending.  The entry at
         # pos is placed here, and at pos = k - 2 the product fixes the last
         nonlocal nodes
         nodes += 1
@@ -355,46 +387,121 @@ def _enumerate_idx(ctx: _IndexedPair, cv: ClassVector) -> list[tuple[int, ...]]:
             )
         row = mul[prefix]
         leaf = pos == k - 2
-        for cid in order:
-            if counts[cid] == 0:
+        for g in pool:
+            cid = class_ids[g]
+            if not counts[cid]:
                 continue
+            if pos == 0:
+                stabiliser = ctx.min_rows[g]
+                if stabiliser[0][g] != g:
+                    continue
+            elif len(fixing) > 1:
+                if any(r[g] < g for r in fixing):
+                    continue
+                stabiliser = [r for r in fixing if r[g] == g]
+            else:
+                stabiliser = fixing
             counts[cid] -= 1
-            for g in members[cid]:
-                if pos == 0:
-                    stabiliser = ctx.min_rows[g]
-                    if stabiliser[0][g] != g:
-                        continue
-                elif len(fixing) > 1:
-                    if any(r[g] < g for r in fixing):
-                        continue
-                    stabiliser = [r for r in fixing if r[g] == g]
-                else:
-                    stabiliser = fixing
-                entries.append(g)
-                if not leaf:
-                    dfs(pos + 1, row[g], stabiliser)
-                else:
-                    last = inv[row[g]]
-                    if (
-                        counts.get(class_ids[last], 0) > 0
-                        and last != _IDENTITY
-                        and (len(stabiliser) == 1 or all(r[last] >= last for r in stabiliser))
-                    ):
-                        entries.append(last)
-                        key = frozenset(entries)
-                        if key not in generates:
-                            generates[key] = _closure_order(G, key) == G.order
-                        if generates[key]:
-                            out.append(tuple(entries))
-                        entries.pop()
-                entries.pop()
+            entries.append(g)
+            if not leaf:
+                dfs(pos + 1, row[g], stabiliser)
+            else:
+                last = inv[row[g]]
+                if counts[class_ids[last]] and (
+                    len(stabiliser) == 1 or all(r[last] >= last for r in stabiliser)
+                ):
+                    entries.append(last)
+                    key = frozenset(entries)
+                    if key not in generates:
+                        generates[key] = _closure_order(G, key) == G.order
+                    if generates[key]:
+                        out.append(tuple(entries))
+                        if first:
+                            raise _FirstHit
+                    entries.pop()
+            entries.pop()
             counts[cid] += 1
 
-    for image in images:
-        counts = dict(image)
-        order = sorted(counts)
-        dfs(0, _IDENTITY, ctx.conj_rows)
+    for image in _class_vector_images(ctx, cv):
+        counts = [0] * len(classes)
+        for cid, m in image:
+            counts[cid] = m
+        pool = sorted(g for cid, _ in image for g in members[cid])
+        entries.clear()
+        try:
+            dfs(0, _IDENTITY, ctx.conj_rows)
+        except _FirstHit:
+            pass
     return out
+
+
+@lru_cache(maxsize=GROUP_CACHE_SIZE)
+def _mobius(G: FiniteGroup) -> tuple[tuple[frozenset[int], int], ...]:
+    """(H, mu(H, G)) for every subgroup H of G, as a set of element indices.
+
+    Every subgroup is the join of the cyclic subgroups of its elements, so
+    joining cyclic subgroups onto the subgroups found so far, from the
+    cyclic ones up, reaches them all.  mu(G, G) = 1 and mu(H, G) is minus
+    the sum of mu(K, G) over the K > H, so the table runs largest first.
+    """
+    mul = G.mul
+
+    def generated(gens: tuple[int, ...]) -> frozenset[int]:
+        return frozenset(_orbit(_IDENTITY, [mul[g].__getitem__ for g in gens]))
+
+    cyclic = {generated((g,)): g for g in range(G.order)}
+    gens = {C: (g,) for C, g in cyclic.items()}  # subgroup -> generators
+    frontier = list(gens)
+    while frontier:
+        new = []
+        for H in frontier:
+            for C, g in cyclic.items():
+                if not C <= H:
+                    J = generated(gens[H] + (g,))
+                    if J not in gens:
+                        gens[J] = gens[H] + (g,)
+                        new.append(J)
+        frontier = new
+    table: list[tuple[frozenset[int], int]] = []
+    for H in sorted(gens, key=len, reverse=True):
+        mu = 1 if len(H) == G.order else -sum(m for K, m in table if m and H < K)
+        table.append((H, mu))
+    return tuple(table)
+
+
+def nielsen_count(G: FiniteGroup, cv: ClassVector) -> int:
+    """The number of generating product-one tuples of G with class multiset cv.
+
+    By P. Hall's Möbius inversion ("The Eulerian functions of a group",
+    Quart. J. Math. 7 (1936)) it is the sum over the subgroups H of
+    mu(H, G) P_H, P_H the product-one tuples with every entry in H.  P_H
+    is the same for every order of the classes (docs/decisions.md, "Count
+    before search"), so it is the number of arrangements of cv times one
+    pass over partial products in H, in class-id order.  No tuple is built.
+    """
+    _check_group(G, cv)
+    mul, index, classes = G.mul, G.index, G.conjugacy_classes()
+    members = {cid: [index[g] for g in classes[cid].members] for cid in cv.counts}
+    arrangements = factorial(cv.length)
+    for _, m in cv.multiplicities:
+        arrangements //= factorial(m)
+    total = 0
+    for H, mu in _mobius(G):
+        if not mu:
+            continue
+        ways = {_IDENTITY: 1}  # partial product -> number of prefixes
+        for cid, m in cv.multiplicities:
+            entries = [g for g in members[cid] if g in H]
+            for _ in range(m):
+                step: dict[int, int] = {}
+                for x, w in ways.items():
+                    row = mul[x]
+                    for g in entries:
+                        y = row[g]
+                        step[y] = step.get(y, 0) + w
+                ways = step
+        total += mu * ways.get(_IDENTITY, 0)
+    return arrangements * total
 
 
 def _check_group(G: FiniteGroup, cv: ClassVector) -> None:
@@ -426,8 +533,8 @@ class BraidOrbit:
     The tuples lie in canonical_rep.group (G) and ambient is N.  An orbit
     equals only itself.  _contains(t) says whether a tuple t of element
     indices of G is N-conjugate to a member: a lookup of t's canonical
-    form in a searched orbit, the row-image rule in a counted one (module
-    docstring).
+    form in an orbit of several, the slice rule in the one orbit of a
+    non-abelian G, the row-image rule in a counted one (module docstring).
     """
 
     ambient: FiniteGroup
@@ -439,44 +546,48 @@ class BraidOrbit:
         return f"BraidOrbit(size={self.size}, rep={self.canonical_rep.entries!r})"
 
 
-def _orbit_partition(
-    ctx: _IndexedPair, seeds: Sequence[tuple[int, ...]]
-) -> list[set[tuple[int, ...]]]:
-    """Partition of the canonical seeds into braid orbits, searched on the slice.
+class _Slice:
+    """The slice of one sorted key sequence: the moves that generate H on it and their search.
 
-    seeds must be every canonical form of one class vector's tuples.  Each
-    seed is sorted into the slice by Q_i moves and looked up; an unseen
-    slice tuple seeds the search of a new orbit, under the moves of the
-    module docstring.  An orbit holding the whole slice holds every seed.
+    keys are the N-class keys of a class vector's entries, sorted.
     """
-    if not seeds:
-        return []
-    conj, mul, inv = ctx.conj, ctx.G.mul, ctx.G.inv
-    least_image, key = ctx.least_image, ctx.nclass
-    visited_cap = VISITED_CAP
-    keys = sorted(key[g] for g in seeds[0])
-    k = len(keys)
-    starts = [0] + [i for i in range(1, k) if keys[i - 1] != keys[i]]
-    # (s, e): the first and last position of each block of equal keys
-    blocks = list(zip(starts, [s - 1 for s in starts[1:]] + [k - 1]))
-    # each block's last Q_i, and its rotation where that is not the same move
-    last = [e - 1 for s, e in blocks if e > s]
-    rotations = [(s, e) for s, e in blocks if e > s + 1]
-    # (e(a), s(b)) for each pair of blocks a < b
-    cross = [(e, s) for a, (_, e) in enumerate(blocks) for s, _ in blocks[a + 1 :]]
-    # each orbit has k!/prod(k_b!) times as many members as slice tuples
-    arrangements = factorial(k)
-    for s, e in blocks:
-        arrangements //= factorial(e - s + 1)
-    slice_total, rest = divmod(len(seeds), arrangements)
-    if rest:
-        raise InvariantViolation(
-            f"{len(seeds)} seeds do not split into fibres over the "
-            f"{arrangements} arrangements of the keys"
-        )
 
-    def search(seed: tuple[int, ...]) -> set[tuple[int, ...]]:
-        # the forward closure of a canonical slice tuple: its orbit on the slice
+    def __init__(self, ctx: _IndexedPair, keys: Sequence[int]):
+        self.ctx = ctx
+        k = len(keys)
+        starts = [0] + [i for i in range(1, k) if keys[i - 1] != keys[i]]
+        # (s, e): the first and last position of each block of equal keys
+        blocks = list(zip(starts, [s - 1 for s in starts[1:]] + [k - 1]))
+        # each block's last Q_i, and its rotation where that is not the same move
+        self.last = [e - 1 for s, e in blocks if e > s]
+        self.rotations = [(s, e) for s, e in blocks if e > s + 1]
+        # (e(a), s(b)) for each pair of blocks a < b
+        self.cross = [(e, s) for a, (_, e) in enumerate(blocks) for s, _ in blocks[a + 1 :]]
+        # each orbit has k!/prod(k_b!) times as many members as slice tuples
+        self.arrangements = factorial(k)
+        for s, e in blocks:
+            self.arrangements //= factorial(e - s + 1)
+
+    def place(self, t: tuple[int, ...]) -> tuple[int, ...]:
+        """t moved into the slice by Q_i moves, which swap the keys; not canonicalised."""
+        conj, key = self.ctx.conj, self.ctx.nclass
+        t = list(t)
+        swapped = True
+        while swapped:
+            swapped = False
+            for i in range(len(t) - 1):
+                a, b = t[i], t[i + 1]
+                if key[a] > key[b]:
+                    t[i], t[i + 1] = conj[a][b], a
+                    swapped = True
+        return tuple(t)
+
+    def search(self, seed: tuple[int, ...]) -> set[tuple[int, ...]]:
+        """The forward closure of a canonical slice tuple: its orbit on the slice."""
+        ctx = self.ctx
+        conj, mul, inv = ctx.conj, ctx.G.mul, ctx.G.inv
+        least_image, last, rotations, cross = ctx.least_image, self.last, self.rotations, self.cross
+        visited_cap = VISITED_CAP
         members = {seed}
         frontier = [least_image(seed)]
         while frontier:
@@ -518,29 +629,38 @@ def _orbit_partition(
             frontier = new
         return members
 
+
+def _orbit_partition(
+    ctx: _IndexedPair, seeds: Sequence[tuple[int, ...]]
+) -> list[set[tuple[int, ...]]]:
+    """Partition of the canonical seeds into braid orbits, searched on the slice.
+
+    seeds must be every canonical form of one class vector's tuples.  Each
+    seed is sorted into the slice by Q_i moves and looked up; an unseen
+    slice tuple seeds the search of a new orbit, under the moves of the
+    module docstring.
+    """
+    if not seeds:
+        return []
+    key = ctx.nclass
+    keys = sorted(key[g] for g in seeds[0])
+    slice_ = _Slice(ctx, keys)
+    if len(seeds) % slice_.arrangements:
+        raise InvariantViolation(
+            f"{len(seeds)} seeds do not split into fibres over the "
+            f"{slice_.arrangements} arrangements of the keys"
+        )
     orbit_of: dict[tuple[int, ...], int] = {}
     orbits: list[set[tuple[int, ...]]] = []
     for seed in seeds:
         u = seed
         if list(map(key.__getitem__, seed)) != keys:
-            t = list(seed)
-            swapped = True
-            while swapped:
-                swapped = False
-                for i in range(k - 1):
-                    a, b = t[i], t[i + 1]
-                    if key[a] > key[b]:
-                        t[i], t[i + 1] = conj[a][b], a  # Q_i swaps the N-classes
-                        swapped = True
             # the moves commute with N-conjugation: canonicalise once, sorted
-            u = ctx.canonical(tuple(t))
+            u = ctx.canonical(slice_.place(seed))
         n = orbit_of.get(u)
         if n is None:
-            members = search(u)
-            if len(members) == slice_total:
-                return [set(seeds)]
             n = len(orbits)
-            orbit_of.update(dict.fromkeys(members, n))
+            orbit_of.update(dict.fromkeys(slice_.search(u), n))
             orbits.append(set())
         orbits[n].add(seed)
     return orbits
@@ -562,17 +682,7 @@ def braid_orbits(G: FiniteGroup, N: FiniteGroup, cv: ClassVector) -> list[BraidO
             for rep, size in _count_abelian_orbit(ctx, cv)
         ]
     else:
-        canonical = _enumerate_idx(ctx, cv)
-        found = _orbit_partition(ctx, canonical)
-        covered = sum(len(members) for members in found)
-        if covered != len(canonical):
-            raise InvariantViolation(
-                f"orbit sizes sum to {covered}, not to the {len(canonical)} canonical tuples"
-            )
-        parts = [
-            (min(members), len(members), lambda t, m=members: ctx.canonical(t) in m)
-            for members in sorted(found, key=min)
-        ]
+        parts = _searched_orbits(ctx, cv)
     # the slice search caps its own work; every orbit, searched or counted, is capped here
     visited_cap = VISITED_CAP
     if any(size > visited_cap for _, size, _ in parts):
@@ -585,6 +695,52 @@ def braid_orbits(G: FiniteGroup, N: FiniteGroup, cv: ClassVector) -> list[BraidO
             _contains=contains,
         )
         for rep, size, contains in parts
+    ]
+
+
+def _searched_orbits(
+    ctx: _IndexedPair, cv: ClassVector
+) -> list[tuple[tuple[int, ...], int, Callable[[tuple[int, ...]], bool]]]:
+    """[(least member, size, membership)] of each orbit of cv, counted before searched.
+
+    The count gives T, the number of canonical tuples (module docstring).
+    T = 0: no orbit.  Else the orbit of the least canonical tuple is
+    searched on the slice; if it holds T / arrangements slice tuples it is
+    the only one.  Only otherwise is every canonical tuple enumerated.
+    """
+    rows = len(ctx.conj_rows)
+    count = nielsen_count(ctx.G, cv) * len(_class_vector_images(ctx, cv))
+    total, rest = divmod(count, rows)
+    if rest:
+        raise InvariantViolation(
+            f"{count} tuples over the N-images of the class vector do not "
+            f"split into orbits of the {rows} conjugation rows"
+        )
+    if not total:
+        return []
+    hits = _enumerate_idx(ctx, cv, first=True)
+    if not hits:
+        raise InvariantViolation(f"{total} canonical tuples counted, but none found")
+    rep = min(hits)
+    slice_ = _Slice(ctx, sorted(ctx.nclass[g] for g in rep))
+    members = slice_.search(ctx.canonical(slice_.place(rep)))
+    if len(members) * slice_.arrangements == total:
+        # the slice rule: sort into the slice, canonicalise, look up
+        return [(rep, total, lambda t: ctx.canonical(slice_.place(t)) in members)]
+    canonical = _enumerate_idx(ctx, cv)
+    if len(canonical) != total:
+        raise InvariantViolation(
+            f"{len(canonical)} canonical tuples enumerated, not the {total} counted"
+        )
+    found = _orbit_partition(ctx, canonical)
+    covered = sum(len(members) for members in found)
+    if covered != len(canonical):
+        raise InvariantViolation(
+            f"orbit sizes sum to {covered}, not to the {len(canonical)} canonical tuples"
+        )
+    return [
+        (min(members), len(members), lambda t, m=members: ctx.canonical(t) in m)
+        for members in sorted(found, key=min)
     ]
 
 

@@ -185,12 +185,15 @@ def parse_cycles(text: str, degree: int) -> Permutation:
     "id" and "()" denote the identity.  Cycles need not be disjoint and
     compose left to right.  A point outside 1..degree raises
     PointOutOfRange, and a point repeated within a cycle raises
-    ParseError at the cycle's offset.
+    ParseError at the cycle's offset.  These are the only checks: the
+    cycles are composed in place, without from_cycles' second range check
+    and bijection test.
     """
     end = re.match(r"(?:\s*(?:id|\([\d\s]*\)))*\s*", text).end()
     if end < len(text) or not text.strip():
         raise ParseError(f"expected 'id' or a cycle, got {text[end:end + 1]!r}", end)
-    cycles = []
+    images = list(range(1, degree + 1))  # images[p - 1]: the image of p so far
+    source = list(range(degree + 1))  # source[v]: the point whose image is v so far
     for m in re.finditer(r"\(([\d\s]*)\)", text):
         body = m.group(1)
         cycle = [int(t) for t in ("".join(body.split()) if degree <= 9 else body.split())]
@@ -199,8 +202,14 @@ def parse_cycles(text: str, degree: int) -> Permutation:
                 raise PointOutOfRange(f"point {point} outside 1..{degree}")
             if point in cycle[:i]:
                 raise ParseError(f"point {point} repeated in cycle", m.start())
-        cycles.append(cycle)
-    return Permutation.from_cycles(cycles, degree)
+        # apply the cycle after the ones before it: the point whose image
+        # is a now goes to the cycle's successor of a.  A cycle that
+        # repeats no point is a bijection, so the product is one
+        points = [source[a] for a in cycle]
+        for p, b in zip(points, cycle[1:] + cycle[:1]):
+            images[p - 1] = b
+            source[b] = p
+    return Permutation._unchecked(tuple(images))
 
 
 def product(perms: Sequence[Permutation], degree: int | None = None) -> Permutation:

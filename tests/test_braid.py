@@ -308,10 +308,10 @@ class TestOrbits:
         assert [sorted(filter(o._contains, seeds)) for o in orbits] == a
 
     def test_orbit_sizes_must_cover_every_canonical_tuple(self, monkeypatch):
-        G = s3()
-        t = parse_cycles("(1 2)", 3)
-        c = parse_cycles("(1 2 3)", 3)
-        cv = class_vector_of(G, [t, t, c])
+        # two orbits (12 and 36), so the count sends braid_orbits on to the
+        # full enumeration and the partition; a vector of one orbit stops
+        # before it
+        G, _, cv = slice_case("S4", {2: 2, 4: 2})
         partition = braid._orbit_partition
         monkeypatch.setattr(braid, "_orbit_partition", lambda ctx, seeds: partition(ctx, seeds)[1:])
         with pytest.raises(InvariantViolation, match="orbit sizes sum to"):
@@ -674,20 +674,6 @@ def slice_case(pair, counts):
     return G, N, ClassVector.from_counts(G, counts)
 
 
-class ReadCountingList(list):
-    """A list that records how many items each pass over it read."""
-
-    def __init__(self, items):
-        super().__init__(items)
-        self.reads = []
-
-    def __iter__(self):
-        self.reads.append(0)
-        for item in super().__iter__():
-            self.reads[-1] += 1
-            yield item
-
-
 class TestSliceSearch:
     """The slice search against the all-tuples BFS of the oracle.
 
@@ -710,14 +696,27 @@ class TestSliceSearch:
         orbits = check_orbits_against_oracles(*slice_case(pair, counts))
         assert [o.size for o in orbits] == sizes
 
-    def test_an_orbit_holding_the_whole_slice_ends_the_pass(self):
-        # one orbit of 4536 canonical tuples, 4536 / (8!/(6! 2!)) = 162 in the slice
+    def test_an_orbit_holding_the_whole_slice_ends_the_pass(self, monkeypatch):
+        # one orbit of 4536 canonical tuples, 4536 / (8!/(6! 2!)) = 162 in the
+        # slice: the count says so, and the one search from the least
+        # canonical tuple finds all 162, so nothing is enumerated
         G, N, cv = slice_case("S3", {1: 6, 2: 2})
         ctx = braid._indexed(G, N)
-        seeds = ReadCountingList(braid._enumerate_idx(ctx, cv))
-        assert braid._orbit_partition(ctx, seeds) == [set(seeds)]
-        # the pass read one seed; building the one part read them all
-        assert seeds.reads[0] == 1
+        seeds = braid._enumerate_idx(ctx, cv)
+        searches = []
+        search = braid._Slice.search
+
+        def counting(self, seed):
+            members = search(self, seed)
+            searches.append((seed, len(members)))
+            return members
+
+        monkeypatch.setattr(braid._Slice, "search", counting)
+        refuse_full_enumeration(monkeypatch)
+        [orbit] = braid_orbits(G, N, cv)
+        assert searches == [(min(seeds), 162)]
+        assert (orbit.size, tuple(G.index[g] for g in orbit.canonical_rep.entries)) == (4536, min(seeds))
+        assert all(map(orbit._contains, seeds))
 
     def test_a_seed_list_short_of_a_whole_fibre_is_refused(self):
         # 12 canonical tuples over 4!/(2! 2!) = 6 key arrangements: 11 leave a remainder
@@ -745,9 +744,11 @@ class SearchRan(Exception):
 class TestAbelianOneOrbit:
     @pytest.fixture
     def no_search(self, monkeypatch):
-        def refuse(ctx, seeds):
+        # every orbit search, one-orbit or partition, runs _Slice.search
+        def refuse(*args):
             raise SearchRan
         monkeypatch.setattr(braid, "_orbit_partition", refuse)
+        monkeypatch.setattr(braid._Slice, "search", refuse)
 
     @pytest.mark.parametrize("case", ["wreath-d6", "klueners-pool8"])
     def test_abelian_g_needs_no_search(self, case, no_search):
@@ -763,8 +764,21 @@ class TestAbelianOneOrbit:
             braid_orbits(G, G, class_vector_of(G, [parse_cycles("(1 2)", 3)] * 4))
 
 
-def refuse_enumeration(ctx, cv):
+def refuse_enumeration(*args):
     raise SearchRan
+
+
+def refuse_full_enumeration(monkeypatch):
+    """Let _enumerate_idx run only as a first-hit search, and _orbit_partition not at all."""
+    enumerate_idx = braid._enumerate_idx
+
+    def first_hit_only(ctx, cv, first=False):
+        if not first:
+            raise SearchRan
+        return enumerate_idx(ctx, cv, first)
+
+    monkeypatch.setattr(braid, "_enumerate_idx", first_hit_only)
+    monkeypatch.setattr(braid, "_orbit_partition", refuse_enumeration)
 
 
 def stable_by_members(ctx, spec, orbit, members):
@@ -944,6 +958,14 @@ def count_product_one(G, cv, allowed):
     return ways(tuple(cv.counts[cid] for cid in cids), identity)
 
 
+def mobius_values(G, subgroups):
+    """mu(H, G) for each subgroup H, from the top down."""
+    mu = {}
+    for H in sorted(subgroups, key=len, reverse=True):
+        mu[H] = 1 if len(H) == G.order else -sum(m for K, m in mu.items() if H < K)
+    return mu
+
+
 def count_nielsen(G, cv, subgroups):
     """Generating product-one tuples with class multiset cv.
 
@@ -952,9 +974,7 @@ def count_nielsen(G, cv, subgroups):
     generating ones number sum_H mu(H, G) N(H) (P. Hall, "The Eulerian
     functions of a group", Quart. J. Math. 7 (1936)).
     """
-    mu = {}
-    for H in sorted(subgroups, key=len, reverse=True):
-        mu[H] = 1 if len(H) == G.order else -sum(m for K, m in mu.items() if H < K)
+    mu = mobius_values(G, subgroups)
     return sum(m * count_product_one(G, cv, H) for H, m in mu.items() if m)
 
 
@@ -1045,6 +1065,121 @@ class TestCountingOracle:
             got = braid._enumerate_idx(ctx, cv)
             expect = count_nielsen(G, cv, subgroups_by_cyclic_joins(G))
             assert len(got) * len(ctx.conj_rows) == expect * len(class_vector_images(G, N, cv))
+
+
+# ---------------------------------------------------------------------------
+# count before search: braid.nielsen_count against the counting oracle, and
+# braid_orbits' use of it
+
+
+def canonical_total(G, N, cv):
+    """T: the canonical tuples of cv, from the count (module docstring of braid)."""
+    rows = len(braid._indexed(G, N).conj_rows)
+    total, rest = divmod(braid.nielsen_count(G, cv) * len(class_vector_images(G, N, cv)), rows)
+    assert rest == 0
+    return total
+
+
+class TestCountBeforeSearch:
+    @pytest.mark.parametrize("make,size", [(s3, 6), (klueners_g1, 6), (klueners, 14), (s4, 30)])
+    def test_mobius_tables(self, make, size):
+        # every subgroup, with the oracle's mu: S3 and C3 x C3 have 6
+        # subgroups, Klüners' N = C3 wr C2 has 14 and S4 has 30
+        G = make()
+        table = braid._mobius(G)
+        assert len(table) == size
+        assert dict(table) == mobius_values(G, subgroups_by_cyclic_joins(G))
+
+    @pytest.mark.parametrize("make,max_length", [
+        (s3, 6), (klueners, 6), (klueners_g1, 6), (s4, 5), (a4, 5), (a5, 4),
+    ])
+    def test_count_is_the_oracle_count(self, make, max_length):
+        G = make()
+        subgroups = subgroups_by_cyclic_joins(G)
+        nonzero = 0
+        for length in range(1, max_length + 1):
+            for cv in class_vectors(G, length):
+                expect = count_nielsen(G, cv, subgroups)
+                assert braid.nielsen_count(G, cv) == expect, cv
+                nonzero += expect > 0
+        assert nonzero
+
+    @pytest.mark.parametrize("label,max_length", [
+        ("C2xC2", 8), ("C4", 8), ("C6", 7), ("C3xC3", 5), ("G1-in-N", 6),
+    ])
+    def test_the_counted_abelian_orbit_holds_t(self, label, max_length):
+        # the abelian path counts its orbit from the row images of cv's
+        # multiset; the Möbius count must agree with it
+        if label == "G1-in-N":
+            G, N = klueners_g1(), klueners()
+        else:
+            G = N = abelian_suite()[label].group()
+        found = 0
+        for length in range(1, max_length + 1):
+            for cv in class_vectors(G, length):
+                sizes = [o.size for o in braid_orbits(G, N, cv)]
+                assert sum(sizes) == canonical_total(G, N, cv), cv
+                found += len(sizes)
+        assert found
+
+    @pytest.mark.parametrize("pair,counts", [
+        ("S3", {1: 3}),  # odd: no product one
+        ("S3", {2: 3}),  # products one, but in A3 only
+        ("S4", {3: 2}),  # products one, in a Klein four-group only
+        ("S3", {1: 4, 2: 1}),  # one orbit of 45
+        ("A5", {1: 2, 3: 1}),  # one orbit of 3
+        ("A4-in-S4", {1: 3, 3: 1}),  # one orbit of 16; N fuses the 3-cycle classes
+    ])
+    def test_empty_and_one_orbit_vectors_are_not_enumerated(self, pair, counts, monkeypatch):
+        G, N, cv = slice_case(pair, counts)
+        ctx = braid._indexed(G, N)
+        canonical = braid._enumerate_idx(ctx, cv)
+        parts = braid._orbit_partition(ctx, canonical)
+        other = another_class_vector(G, N, cv)
+        refused = braid._enumerate_idx(ctx, other) if other else []
+        refuse_full_enumeration(monkeypatch)
+        if not parts:
+            # an empty vector is not searched at all, not even for a first hit
+            monkeypatch.setattr(braid, "_enumerate_idx", refuse_enumeration)
+        orbits = braid_orbits(G, N, cv)
+        assert len(parts) <= 1
+        assert [(o.size, o.canonical_rep.entries) for o in orbits] == [
+            (len(m), tuple(G.elements[i] for i in min(m))) for m in parts
+        ]
+        # the slice rule on every member, and on their images under a row
+        check_membership(ctx, orbits, [sorted(m) for m in parts], refused)
+        assert refused or not orbits
+
+    def test_a_vector_of_several_orbits_is_enumerated_and_checked(self, monkeypatch):
+        # the count decides nothing here: the least tuple's orbit holds 60 of
+        # the 204 canonical tuples, so every one is enumerated, and a count
+        # that disagrees with the enumeration is refused
+        G, N, cv = slice_case("A5", {1: 2, 3: 1, 4: 1})
+        assert [o.size for o in braid_orbits(G, N, cv)] == [60, 144]
+        count = braid.nielsen_count
+        monkeypatch.setattr(braid, "nielsen_count", lambda G, cv: count(G, cv) + len(G.elements))
+        with pytest.raises(InvariantViolation, match="205 counted"):
+            braid_orbits(G, N, cv)
+
+    def test_a_count_with_no_tuple_behind_it_is_refused(self, monkeypatch):
+        # three 3-cycles of S3 generate A3 at most: no tuple.  A count of 6
+        # (one canonical tuple over S3's 6 rows) sends the first-hit search
+        # looking for it
+        G, N, cv = slice_case("S3", {2: 3})
+        assert braid_orbits(G, N, cv) == []
+        monkeypatch.setattr(braid, "nielsen_count", lambda G, cv: 6)
+        with pytest.raises(InvariantViolation, match="1 canonical tuples counted, but none found"):
+            braid_orbits(G, N, cv)
+
+    def test_h2_of_klueners_n_in_n_to_r_20(self):
+        # 2,319 class vectors, 2,092 of them empty and the rest of one orbit:
+        # none is enumerated in full.  The table is the one that enumerating
+        # every vector gives
+        N = klueners()
+        spec = TwistSpec(q=7, e=1, ctx=find_cyclic_complement(N, N))
+        assert series.h2_desk_scale(N, N, spec, 20) == {
+            10: 3087, 12: 43904, 14: 218834, 16: 2996448, 18: 29441062, 20: 172828782,
+        }
 
 
 @pytest.mark.parametrize("pair", ["s4", "a4-in-s4", "a5-in-s5", "klueners-g1", "wreath-d", "c3"])
@@ -1231,9 +1366,20 @@ def s3_probe_input():
     return G, class_vector_of(G, [t] * 4), class_vector_of(G, [t, t, c])
 
 
+def a5_probe_input():
+    # base (3 4 5)^2 (1 2 3 4 5): one orbit of 3, and a first-hit search of
+    # 2 prefix states; base + pad: two orbits (1500 and 1125), a first-hit
+    # search of 5 prefix states and a full enumeration of 395
+    G = a5()
+    c, f = parse_cycles("(3 4 5)", 5), parse_cycles("(1 2 3 4 5)", 5)
+    return G, class_vector_of(G, [c, c, f]), class_vector_of(G, [c, c])
+
+
 class TestCaps:
     def test_node_cap_raises_with_canonical_partial(self, monkeypatch):
-        G, base, pad = s3_probe_input()
+        # the first-hit search passes under the cap; the full enumeration
+        # that the two orbits need hits it
+        G, base, pad = a5_probe_input()
         cv = base + pad
         ctx = braid._indexed(G, G)
         full = set(braid._enumerate_idx(ctx, cv))
@@ -1267,7 +1413,7 @@ class TestCaps:
 
     @pytest.mark.parametrize("node_cap", [5, 60, 200])
     def test_probe_truncates_at_the_node_cap(self, node_cap, monkeypatch):
-        G, base, pad = s3_probe_input()
+        G, base, pad = a5_probe_input()
         monkeypatch.setattr(braid, "NODE_CAP", node_cap)
         probe = conway_parker_probe(G, G, base, pad, max_m=2)
         assert probe.truncated

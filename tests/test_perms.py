@@ -127,6 +127,21 @@ class TestBasics:
         with pytest.raises(PointOutOfRange):
             Permutation.from_cycles([(1, 2), (3, 5)], 4)
 
+    def test_from_cycles_keeps_its_checks_that_parse_cycles_skips(self, monkeypatch):
+        # parse_cycles checks each point once and composes the cycles
+        # itself; from_cycles, for direct callers, still refuses a point out
+        # of range and cycles that compose to no bijection
+        def refuse(cls, cycles, degree):
+            raise AssertionError("parse_cycles called from_cycles")
+
+        with monkeypatch.context() as m:
+            m.setattr(Permutation, "from_cycles", classmethod(refuse))
+            assert parse_cycles("(1 2 3)(3 4)", 4).images == (2, 4, 1, 3)
+        with pytest.raises(PointOutOfRange, match="point 0 outside 1..4"):
+            Permutation.from_cycles([(1, 2), (0, 3)], 4)
+        with pytest.raises(ValueError, match="not a bijection"):
+            Permutation.from_cycles([(1, 3, 1)], 4)
+
     @given(st.lists(st.lists(st.integers(1, 8), min_size=1, max_size=8, unique=True), max_size=6))
     def test_from_cycles_is_the_product_of_its_cycles(self, cycles):
         # cycles may overlap; each one is built here without from_cycles

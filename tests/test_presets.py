@@ -154,6 +154,7 @@ class TestEveryMemoIsFound:
     def test_the_memos_conftest_clears(self):
         assert sorted(library_memos()) == [
             "braid._indexed",
+            "braid._mobius",
             "cli.build_parser",
             "groups._abelian_lattice",
             "presets._closed",

@@ -528,8 +528,11 @@ class TestPropMain:
 
 class TestCaps:
     # S3 at q = 7: h2 = {4: 2744, 6: 136857, 8: 6722800, 10: 329534849} to
-    # R = 10; with 60 prefix states per search the first weight-7 block
-    # combination hits the cap
+    # R = 10.  Vectors with no tuples (every odd weight) are counted, not
+    # searched; every other one has one orbit, whose least tuple a k-entry
+    # vector's first-hit search finds in k - 1 prefix states.  The block
+    # combinations of one weight run by length, so with 6 prefix states the
+    # last weight-8 combination, eight transpositions, hits the cap
     def s3_spec(self):
         G = closure([parse_cycles("(1 2)", 3), parse_cycles("(1 2 3)", 3)], 3)
         return G, TwistSpec(q=7, e=1, ctx=find_cyclic_complement(G, G))
@@ -537,7 +540,7 @@ class TestCaps:
     def test_h2_partial_is_the_table_so_far(self, monkeypatch):
         G, spec = self.s3_spec()
         full = h2_desk_scale(G, G, spec, R=10)
-        monkeypatch.setattr(braid, "NODE_CAP", 60)
+        monkeypatch.setattr(braid, "NODE_CAP", 6)
         with pytest.raises(EnumerationCapExceeded) as info:
             h2_desk_scale(G, G, spec, R=10)
         assert info.value.partial == {4: 2744, 6: 136857}
@@ -545,17 +548,18 @@ class TestCaps:
         assert isinstance(info.value.__cause__, EnumerationCapExceeded)
 
     def test_h2_partial_drops_the_weight_that_hit_the_cap(self, monkeypatch):
-        # with 20 prefix states a weight-6 combination hits the cap after
-        # another weight-6 combination was summed: weight 6 is incomplete
+        # with 4 prefix states the last weight-6 combination, six
+        # transpositions, hits the cap after the other two were summed:
+        # weight 6 is incomplete
         G, spec = self.s3_spec()
-        monkeypatch.setattr(braid, "NODE_CAP", 20)
+        monkeypatch.setattr(braid, "NODE_CAP", 4)
         with pytest.raises(EnumerationCapExceeded) as info:
             h2_desk_scale(G, G, spec, R=10)
         assert info.value.partial == {4: 2744}
 
     def test_prop_main_lets_the_cap_error_through(self, monkeypatch):
         G, spec = self.s3_spec()
-        monkeypatch.setattr(braid, "NODE_CAP", 60)
+        monkeypatch.setattr(braid, "NODE_CAP", 6)
         with pytest.raises(EnumerationCapExceeded) as info:
             prop_main_check(G, G, spec, R=10)
         assert info.value.partial == {4: 2744, 6: 136857}
