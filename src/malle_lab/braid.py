@@ -93,13 +93,17 @@ no orbit, and no tuple is searched for.  Otherwise a first-hit search,
 the enumeration stopped at each image's least tuple, gives the least
 canonical tuple, and its orbit is searched on the slice.  The slice
 holds T prod(k_b!)/k! canonical tuples, so if that orbit holds that
-many it is the one orbit: its size is T, its representative that least
-tuple, and a tuple is a member iff, sorted into the slice and
-canonicalised (even when no move was made: the tuple need not be
-canonical), it is one of the orbit's slice tuples.  Only otherwise is
-every canonical tuple enumerated; fewer or more than T raise
-InvariantViolation.  NODE_CAP bounds the first-hit search and the full
-enumeration alike.
+many it is the one orbit.  Only otherwise is every canonical tuple
+enumerated (fewer or more than T raise InvariantViolation) and sorted
+into the orbits, the first one's slice not searched again.  Every orbit
+is kept as its slice tuples: its size is their number times
+k!/prod(k_b!), its representative its least canonical tuple, and a
+tuple is a member iff, sorted into the slice and canonicalised (even
+when no move was made: the tuple need not be canonical), it is one of
+them.  NODE_CAP bounds the first-hit search and the full enumeration
+alike.  The count needs G's subgroup lattice, built under LATTICE_CAP;
+a group whose lattice passes it is enumerated in full first, and T is
+the number of tuples found.
 
 An abelian G needs neither the search nor the enumeration: its one orbit
 is counted.  In abelian G, Q_i maps (..., a, b, ...) to (..., b, a, ...),
@@ -133,8 +137,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
+from itertools import groupby
 from math import factorial
-from typing import Callable, Collection, Mapping, Sequence
+from typing import Callable, Collection, Iterable, Mapping, Sequence
 
 from .errors import (
     EnumerationCapExceeded,
@@ -147,9 +152,11 @@ from .invariants import TwistSpec
 from .perms import Permutation, product
 
 # Search caps: prefix states of one tuple enumeration, canonical tuples of
-# one orbit.  Each search reads its cap once per call.
+# one orbit, elements that the joins building one subgroup lattice visit.
+# Each search reads its cap once per call.
 NODE_CAP = 10**8
 VISITED_CAP = 10**7
+LATTICE_CAP = 10**6
 # The identity's position in G.elements: they are sorted, and the
 # identity is the least permutation.
 _IDENTITY = 0
@@ -351,13 +358,13 @@ class _FirstHit(Exception):
 
 
 def _enumerate_idx(ctx: _IndexedPair, cv: ClassVector, first: bool = False) -> list[tuple[int, ...]]:
-    """Canonical generating product-one tuples of cv, ascending within each N-image.
+    """The canonical forms of the generating product-one tuples of cv.
 
     These are exactly the canonical tuples whose class multiset is an
     N-image of cv (module docstring).  The search tries the entries of
-    each position in ascending order, so an image's tuples come out in
-    ascending order; with first, it keeps only each image's first tuple,
-    its least, and stops there.
+    each position class by class; with first, it tries them in ascending
+    order instead, keeps only each image's first tuple, its least, and
+    stops there.
     """
     k = cv.length
     out: list[tuple[int, ...]] = []
@@ -376,8 +383,9 @@ def _enumerate_idx(ctx: _IndexedPair, cv: ClassVector, first: bool = False) -> l
         # fixing: the rows that fix entries[:pos] pointwise; counts: the
         # entries left of each class of the image being searched, by class
         # id (the trivial class has none, so the last entry is never the
-        # identity); pool: that image's elements, ascending.  The entry at
-        # pos is placed here, and at pos = k - 2 the product fixes the last
+        # identity); runs: that image's elements, as (class id, elements)
+        # runs.  The entry at pos is placed here, and at pos = k - 2 the
+        # product fixes the last
         nonlocal nodes
         nodes += 1
         if nodes > node_cap:
@@ -387,46 +395,51 @@ def _enumerate_idx(ctx: _IndexedPair, cv: ClassVector, first: bool = False) -> l
             )
         row = mul[prefix]
         leaf = pos == k - 2
-        for g in pool:
-            cid = class_ids[g]
+        for cid, run in runs:
             if not counts[cid]:
                 continue
-            if pos == 0:
-                stabiliser = ctx.min_rows[g]
-                if stabiliser[0][g] != g:
-                    continue
-            elif len(fixing) > 1:
-                if any(r[g] < g for r in fixing):
-                    continue
-                stabiliser = [r for r in fixing if r[g] == g]
-            else:
-                stabiliser = fixing
             counts[cid] -= 1
-            entries.append(g)
-            if not leaf:
-                dfs(pos + 1, row[g], stabiliser)
-            else:
-                last = inv[row[g]]
-                if counts[class_ids[last]] and (
-                    len(stabiliser) == 1 or all(r[last] >= last for r in stabiliser)
-                ):
-                    entries.append(last)
-                    key = frozenset(entries)
-                    if key not in generates:
-                        generates[key] = _closure_order(G, key) == G.order
-                    if generates[key]:
-                        out.append(tuple(entries))
-                        if first:
-                            raise _FirstHit
-                    entries.pop()
-            entries.pop()
+            for g in run:
+                if pos == 0:
+                    stabiliser = ctx.min_rows[g]
+                    if stabiliser[0][g] != g:
+                        continue
+                elif len(fixing) > 1:
+                    if any(r[g] < g for r in fixing):
+                        continue
+                    stabiliser = [r for r in fixing if r[g] == g]
+                else:
+                    stabiliser = fixing
+                entries.append(g)
+                if not leaf:
+                    dfs(pos + 1, row[g], stabiliser)
+                else:
+                    last = inv[row[g]]
+                    if counts[class_ids[last]] and (
+                        len(stabiliser) == 1 or all(r[last] >= last for r in stabiliser)
+                    ):
+                        entries.append(last)
+                        key = frozenset(entries)
+                        if key not in generates:
+                            generates[key] = _closure_order(G, key) == G.order
+                        if generates[key]:
+                            out.append(tuple(entries))
+                            if first:
+                                raise _FirstHit
+                        entries.pop()
+                entries.pop()
             counts[cid] += 1
 
     for image in _class_vector_images(ctx, cv):
         counts = [0] * len(classes)
         for cid, m in image:
             counts[cid] = m
-        pool = sorted(g for cid, _ in image for g in members[cid])
+        if first:
+            # the image's elements ascending, each run of one class in one piece
+            pool = sorted(g for cid, _ in image for g in members[cid])
+            runs = [(cid, list(run)) for cid, run in groupby(pool, class_ids.__getitem__)]
+        else:
+            runs = [(cid, members[cid]) for cid, _ in image]
         entries.clear()
         try:
             dfs(0, _IDENTITY, ctx.conj_rows)
@@ -436,15 +449,18 @@ def _enumerate_idx(ctx: _IndexedPair, cv: ClassVector, first: bool = False) -> l
 
 
 @lru_cache(maxsize=GROUP_CACHE_SIZE)
-def _mobius(G: FiniteGroup) -> tuple[tuple[frozenset[int], int], ...]:
+def _mobius(G: FiniteGroup) -> tuple[tuple[frozenset[int], int], ...] | None:
     """(H, mu(H, G)) for every subgroup H of G, as a set of element indices.
 
     Every subgroup is the join of the cyclic subgroups of its elements, so
     joining cyclic subgroups onto the subgroups found so far, from the
     cyclic ones up, reaches them all.  mu(G, G) = 1 and mu(H, G) is minus
     the sum of mu(K, G) over the K > H, so the table runs largest first.
+    None once the joins have built more than LATTICE_CAP elements in all:
+    G then has no count, and that answer is kept like a table.
     """
     mul = G.mul
+    built, lattice_cap = 0, LATTICE_CAP
 
     def generated(gens: tuple[int, ...]) -> frozenset[int]:
         return frozenset(_orbit(_IDENTITY, [mul[g].__getitem__ for g in gens]))
@@ -458,6 +474,9 @@ def _mobius(G: FiniteGroup) -> tuple[tuple[frozenset[int], int], ...]:
             for C, g in cyclic.items():
                 if not C <= H:
                     J = generated(gens[H] + (g,))
+                    built += len(J)
+                    if built > lattice_cap:
+                        return None
                     if J not in gens:
                         gens[J] = gens[H] + (g,)
                         new.append(J)
@@ -478,20 +497,29 @@ def nielsen_count(G: FiniteGroup, cv: ClassVector) -> int:
     is the same for every order of the classes (docs/decisions.md, "Count
     before search"), so it is the number of arrangements of cv times one
     pass over partial products in H, in class-id order.  No tuple is built.
+    A group whose subgroup lattice passes LATTICE_CAP has no count:
+    EnumerationCapExceeded.
     """
     _check_group(G, cv)
+    table = _mobius(G)
+    if table is None:
+        raise EnumerationCapExceeded(
+            f"the subgroup lattice of a group of order {G.order} passed {LATTICE_CAP} elements"
+        )
     mul, index, classes = G.mul, G.index, G.conjugacy_classes()
     members = {cid: [index[g] for g in classes[cid].members] for cid in cv.counts}
     arrangements = factorial(cv.length)
     for _, m in cv.multiplicities:
         arrangements //= factorial(m)
     total = 0
-    for H, mu in _mobius(G):
+    for H, mu in table:
         if not mu:
             continue
+        parts = [([g for g in members[cid] if g in H], m) for cid, m in cv.multiplicities]
+        if not all(entries for entries, _ in parts):
+            continue  # a class of cv that misses H leaves no tuple in H
         ways = {_IDENTITY: 1}  # partial product -> number of prefixes
-        for cid, m in cv.multiplicities:
-            entries = [g for g in members[cid] if g in H]
+        for entries, m in parts:
             for _ in range(m):
                 step: dict[int, int] = {}
                 for x, w in ways.items():
@@ -532,9 +560,9 @@ class BraidOrbit:
 
     The tuples lie in canonical_rep.group (G) and ambient is N.  An orbit
     equals only itself.  _contains(t) says whether a tuple t of element
-    indices of G is N-conjugate to a member: a lookup of t's canonical
-    form in an orbit of several, the slice rule in the one orbit of a
-    non-abelian G, the row-image rule in a counted one (module docstring).
+    indices of G is N-conjugate to a member: the slice rule in an orbit of
+    a non-abelian G, the row-image rule in a counted one (module
+    docstring).
     """
 
     ambient: FiniteGroup
@@ -547,7 +575,7 @@ class BraidOrbit:
 
 
 class _Slice:
-    """The slice of one sorted key sequence: the moves that generate H on it and their search.
+    """The slice of one sorted key sequence: the moves that generate H on it, their search, membership.
 
     keys are the N-class keys of a class vector's entries, sorted.
     """
@@ -581,6 +609,12 @@ class _Slice:
                     t[i], t[i + 1] = conj[a][b], a
                     swapped = True
         return tuple(t)
+
+    def holds(self, members: Collection[tuple[int, ...]], t: tuple[int, ...]) -> bool:
+        """Is t in the orbit with these slice tuples?  t is sorted into the
+        slice and canonicalised, even when no move was made: it need not be
+        canonical."""
+        return self.ctx.canonical(self.place(t)) in members
 
     def search(self, seed: tuple[int, ...]) -> set[tuple[int, ...]]:
         """The forward closure of a canonical slice tuple: its orbit on the slice."""
@@ -631,39 +665,36 @@ class _Slice:
 
 
 def _orbit_partition(
-    ctx: _IndexedPair, seeds: Sequence[tuple[int, ...]]
-) -> list[set[tuple[int, ...]]]:
-    """Partition of the canonical seeds into braid orbits, searched on the slice.
+    ctx: _IndexedPair,
+    slice_: _Slice,
+    seeds: Iterable[tuple[int, ...]],
+    orbits: Sequence[tuple[tuple[int, ...], set[tuple[int, ...]]]] = (),
+) -> list[tuple[tuple[int, ...], set[tuple[int, ...]]]]:
+    """[(least seed, slice members)] of the braid orbits that the seeds meet.
 
-    seeds must be every canonical form of one class vector's tuples.  Each
-    seed is sorted into the slice by Q_i moves and looked up; an unseen
-    slice tuple seeds the search of a new orbit, under the moves of the
-    module docstring.
+    The seeds are canonical tuples of one class vector.  Each is sorted
+    into the slice by Q_i moves and looked up; an unseen slice tuple seeds
+    the search of a new orbit, under the moves of the module docstring.
+    orbits, in the same form, are orbits searched already: they come
+    first, and their seeds are not searched again.
     """
-    if not seeds:
-        return []
-    key = ctx.nclass
-    keys = sorted(key[g] for g in seeds[0])
-    slice_ = _Slice(ctx, keys)
-    if len(seeds) % slice_.arrangements:
-        raise InvariantViolation(
-            f"{len(seeds)} seeds do not split into fibres over the "
-            f"{slice_.arrangements} arrangements of the keys"
-        )
-    orbit_of: dict[tuple[int, ...], int] = {}
-    orbits: list[set[tuple[int, ...]]] = []
+    orbit_of = {u: n for n, (_, members) in enumerate(orbits) for u in members}
+    least = [rep for rep, _ in orbits]
+    found = [members for _, members in orbits]
     for seed in seeds:
-        u = seed
-        if list(map(key.__getitem__, seed)) != keys:
+        u = slice_.place(seed)
+        if u != seed:
             # the moves commute with N-conjugation: canonicalise once, sorted
-            u = ctx.canonical(slice_.place(seed))
+            u = ctx.canonical(u)
         n = orbit_of.get(u)
         if n is None:
-            n = len(orbits)
-            orbit_of.update(dict.fromkeys(slice_.search(u), n))
-            orbits.append(set())
-        orbits[n].add(seed)
-    return orbits
+            members = slice_.search(u)
+            orbit_of.update(dict.fromkeys(members, len(found)))
+            least.append(seed)
+            found.append(members)
+        elif seed < least[n]:
+            least[n] = seed
+    return list(zip(least, found))
 
 
 def braid_orbits(G: FiniteGroup, N: FiniteGroup, cv: ClassVector) -> list[BraidOrbit]:
@@ -706,41 +737,53 @@ def _searched_orbits(
     The count gives T, the number of canonical tuples (module docstring).
     T = 0: no orbit.  Else the orbit of the least canonical tuple is
     searched on the slice; if it holds T / arrangements slice tuples it is
-    the only one.  Only otherwise is every canonical tuple enumerated.
+    the only one.  Only otherwise is every canonical tuple enumerated and
+    partitioned.  A group whose subgroup lattice passes LATTICE_CAP has no
+    count, so its tuples are enumerated first and T is their number.
     """
-    rows = len(ctx.conj_rows)
-    count = nielsen_count(ctx.G, cv) * len(_class_vector_images(ctx, cv))
-    total, rest = divmod(count, rows)
-    if rest:
-        raise InvariantViolation(
-            f"{count} tuples over the N-images of the class vector do not "
-            f"split into orbits of the {rows} conjugation rows"
-        )
+    canonical = None
+    if _mobius(ctx.G) is None:
+        canonical = _enumerate_idx(ctx, cv)
+        total = len(canonical)
+    else:
+        rows = len(ctx.conj_rows)
+        count = nielsen_count(ctx.G, cv) * len(_class_vector_images(ctx, cv))
+        total, rest = divmod(count, rows)
+        if rest:
+            raise InvariantViolation(
+                f"{count} tuples over the N-images of the class vector do not "
+                f"split into orbits of the {rows} conjugation rows"
+            )
     if not total:
         return []
-    hits = _enumerate_idx(ctx, cv, first=True)
+    hits = canonical if canonical is not None else _enumerate_idx(ctx, cv, first=True)
     if not hits:
         raise InvariantViolation(f"{total} canonical tuples counted, but none found")
     rep = min(hits)
     slice_ = _Slice(ctx, sorted(ctx.nclass[g] for g in rep))
-    members = slice_.search(ctx.canonical(slice_.place(rep)))
-    if len(members) * slice_.arrangements == total:
-        # the slice rule: sort into the slice, canonicalise, look up
-        return [(rep, total, lambda t: ctx.canonical(slice_.place(t)) in members)]
-    canonical = _enumerate_idx(ctx, cv)
-    if len(canonical) != total:
+    target, rest = divmod(total, slice_.arrangements)
+    if rest:
         raise InvariantViolation(
-            f"{len(canonical)} canonical tuples enumerated, not the {total} counted"
+            f"{total} canonical tuples do not split into fibres over the "
+            f"{slice_.arrangements} arrangements of the keys"
         )
-    found = _orbit_partition(ctx, canonical)
-    covered = sum(len(members) for members in found)
-    if covered != len(canonical):
-        raise InvariantViolation(
-            f"orbit sizes sum to {covered}, not to the {len(canonical)} canonical tuples"
-        )
+    found = _orbit_partition(ctx, slice_, [rep])
+    if sum(len(members) for _, members in found) != target:
+        if canonical is None:
+            canonical = _enumerate_idx(ctx, cv)
+            if len(canonical) != total:
+                raise InvariantViolation(
+                    f"{len(canonical)} canonical tuples enumerated, not the {total} counted"
+                )
+        found = _orbit_partition(ctx, slice_, canonical, found)
+        covered = sum(len(members) for _, members in found) * slice_.arrangements
+        if covered != total:
+            raise InvariantViolation(
+                f"orbit sizes sum to {covered}, not to the {total} canonical tuples"
+            )
     return [
-        (min(members), len(members), lambda t, m=members: ctx.canonical(t) in m)
-        for members in sorted(found, key=min)
+        (least, len(members) * slice_.arrangements, partial(slice_.holds, members))
+        for least, members in sorted(found)
     ]
 
 

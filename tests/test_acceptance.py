@@ -320,8 +320,9 @@ def test_criterion_7_braid_machinery():
     cv2 = class_vector_of(G, [t, t, c])
     ctx = braid._indexed(G, G)
     seeds = braid._enumerate_idx(ctx, cv2)
-    a_run = sorted(sorted(part) for part in braid._orbit_partition(ctx, seeds))
-    b_run = sorted(sorted(part) for part in braid._orbit_partition(ctx, seeds[::-1]))
+    slice_ = braid._Slice(ctx, sorted(ctx.nclass[g] for g in seeds[0]))
+    a_run = sorted((least, sorted(m)) for least, m in braid._orbit_partition(ctx, slice_, seeds))
+    b_run = sorted((least, sorted(m)) for least, m in braid._orbit_partition(ctx, slice_, seeds[::-1]))
     if not a_run or a_run != b_run:
         ok = False
     verdict(7, ok, "braid relations, Clebsch connectivity, traversal independence", t0)

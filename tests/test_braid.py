@@ -300,12 +300,18 @@ class TestOrbits:
         cv = class_vector_of(G, [t, t, c])
         ctx = braid._indexed(G, G)
         seeds = braid._enumerate_idx(ctx, cv)
-        a = sorted(sorted(part) for part in braid._orbit_partition(ctx, seeds))
-        b = sorted(sorted(part) for part in braid._orbit_partition(ctx, seeds[::-1]))
+        slice_ = slice_of(ctx, seeds)
+        a = sorted((least, sorted(m)) for least, m in braid._orbit_partition(ctx, slice_, seeds))
+        b = sorted((least, sorted(m)) for least, m in braid._orbit_partition(ctx, slice_, seeds[::-1]))
         assert a and a == b
-        # braid_orbits is this partition, sorted by least member
+        # braid_orbits is this partition, sorted by least member: its
+        # membership splits the seeds, each part as large as the orbit
         orbits = braid_orbits(G, G, cv)
-        assert [sorted(filter(o._contains, seeds)) for o in orbits] == a
+        parts = [sorted(filter(o._contains, seeds)) for o in orbits]
+        assert sorted(t for part in parts for t in part) == sorted(seeds)
+        assert [(part[0], len(part), o.size) for part, o in zip(parts, orbits)] == [
+            (least, len(m) * slice_.arrangements, len(m) * slice_.arrangements) for least, m in a
+        ]
 
     def test_orbit_sizes_must_cover_every_canonical_tuple(self, monkeypatch):
         # two orbits (12 and 36), so the count sends braid_orbits on to the
@@ -313,7 +319,7 @@ class TestOrbits:
         # before it
         G, _, cv = slice_case("S4", {2: 2, 4: 2})
         partition = braid._orbit_partition
-        monkeypatch.setattr(braid, "_orbit_partition", lambda ctx, seeds: partition(ctx, seeds)[1:])
+        monkeypatch.setattr(braid, "_orbit_partition", lambda *args: partition(*args)[1:])
         with pytest.raises(InvariantViolation, match="orbit sizes sum to"):
             braid_orbits(G, G, cv)
 
@@ -466,8 +472,12 @@ def check_orbits_against_oracles(G, N, cv):
         assert ctx.canonical(t) == forms[t]
     canonical = sorted(set(forms.values()))
     expect = oracle_orbit_partition(ctx, canonical, forms)
-    got = braid._orbit_partition(ctx, canonical)
-    assert sorted(sorted(members) for members in got) == expect
+    got = braid._orbit_partition(ctx, slice_of(ctx, canonical), canonical) if canonical else []
+    # each orbit as its least member and its slice tuples, those whose
+    # N-class keys are sorted
+    assert sorted((least, sorted(m)) for least, m in got) == [
+        (members[0], [t for t in members if in_slice(ctx, t)]) for members in expect
+    ]
     orbits = braid_orbits(G, N, cv)
     assert [o.size for o in orbits] == [len(members) for members in expect]
     assert [tuple(G.index[g] for g in o.canonical_rep.entries) for o in orbits] == [
@@ -477,6 +487,16 @@ def check_orbits_against_oracles(G, N, cv):
         other = another_class_vector(G, N, cv)
         check_membership(ctx, orbits, expect, braid._enumerate_idx(ctx, other) if other else [])
     return orbits
+
+
+def slice_of(ctx, seeds):
+    """The slice of the class vector of the canonical tuples seeds."""
+    return braid._Slice(ctx, sorted(ctx.nclass[g] for g in seeds[0]))
+
+
+def in_slice(ctx, t):
+    keys = [ctx.nclass[g] for g in t]
+    return keys == sorted(keys)
 
 
 def check_membership(ctx, orbits, parts, refused):
@@ -718,14 +738,15 @@ class TestSliceSearch:
         assert (orbit.size, tuple(G.index[g] for g in orbit.canonical_rep.entries)) == (4536, min(seeds))
         assert all(map(orbit._contains, seeds))
 
-    def test_a_seed_list_short_of_a_whole_fibre_is_refused(self):
-        # 12 canonical tuples over 4!/(2! 2!) = 6 key arrangements: 11 leave a remainder
+    def test_a_seed_list_short_of_a_whole_fibre_is_refused(self, monkeypatch):
+        # 12 canonical tuples over 4!/(2! 2!) = 6 key arrangements: a count
+        # of 11 (66 tuples over S3's 6 rows) leaves a remainder
         G, N, cv = slice_case("S3", {1: 2, 2: 2})
         ctx = braid._indexed(G, N)
-        seeds = braid._enumerate_idx(ctx, cv)
-        assert len(seeds) == 12
-        with pytest.raises(InvariantViolation, match="11 seeds do not split"):
-            braid._orbit_partition(ctx, seeds[1:])
+        assert len(braid._enumerate_idx(ctx, cv)) == 12
+        monkeypatch.setattr(braid, "nielsen_count", lambda G, cv: 66)
+        with pytest.raises(InvariantViolation, match="11 canonical tuples do not split"):
+            braid_orbits(G, N, cv)
 
     def test_visited_cap_counts_every_member_of_one_orbit(self, monkeypatch):
         # one orbit of 45 canonical tuples, 9 of them in the slice
@@ -769,16 +790,22 @@ def refuse_enumeration(*args):
 
 
 def refuse_full_enumeration(monkeypatch):
-    """Let _enumerate_idx run only as a first-hit search, and _orbit_partition not at all."""
-    enumerate_idx = braid._enumerate_idx
+    """Let _enumerate_idx run only as a first-hit search, and _orbit_partition
+    only on one seed with no orbit found before."""
+    enumerate_idx, partition = braid._enumerate_idx, braid._orbit_partition
 
     def first_hit_only(ctx, cv, first=False):
         if not first:
             raise SearchRan
         return enumerate_idx(ctx, cv, first)
 
+    def one_seed_only(ctx, slice_, seeds, orbits=()):
+        if len(seeds) != 1 or orbits:
+            raise SearchRan
+        return partition(ctx, slice_, seeds, orbits)
+
     monkeypatch.setattr(braid, "_enumerate_idx", first_hit_only)
-    monkeypatch.setattr(braid, "_orbit_partition", refuse_enumeration)
+    monkeypatch.setattr(braid, "_orbit_partition", one_seed_only)
 
 
 def stable_by_members(ctx, spec, orbit, members):
@@ -1133,8 +1160,8 @@ class TestCountBeforeSearch:
     def test_empty_and_one_orbit_vectors_are_not_enumerated(self, pair, counts, monkeypatch):
         G, N, cv = slice_case(pair, counts)
         ctx = braid._indexed(G, N)
-        canonical = braid._enumerate_idx(ctx, cv)
-        parts = braid._orbit_partition(ctx, canonical)
+        forms = oracle_forms(ctx, oracle_enumerate_idx(ctx, cv))
+        parts = oracle_orbit_partition(ctx, sorted(set(forms.values())), forms)
         other = another_class_vector(G, N, cv)
         refused = braid._enumerate_idx(ctx, other) if other else []
         refuse_full_enumeration(monkeypatch)
@@ -1144,21 +1171,29 @@ class TestCountBeforeSearch:
         orbits = braid_orbits(G, N, cv)
         assert len(parts) <= 1
         assert [(o.size, o.canonical_rep.entries) for o in orbits] == [
-            (len(m), tuple(G.elements[i] for i in min(m))) for m in parts
+            (len(m), tuple(G.elements[i] for i in m[0])) for m in parts
         ]
         # the slice rule on every member, and on their images under a row
-        check_membership(ctx, orbits, [sorted(m) for m in parts], refused)
+        check_membership(ctx, orbits, parts, refused)
         assert refused or not orbits
 
-    def test_a_vector_of_several_orbits_is_enumerated_and_checked(self, monkeypatch):
+    @pytest.mark.parametrize("extra,error", [
+        # one canonical tuple more: 205 is no multiple of the 4!/2! = 12
+        # key arrangements
+        (1, "205 canonical tuples do not split into fibres"),
+        # one slice tuple more: 216 canonical tuples, but 204 enumerated
+        (12, "204 canonical tuples enumerated, not the 216 counted"),
+    ])
+    def test_a_vector_of_several_orbits_is_enumerated_and_checked(self, extra, error, monkeypatch):
         # the count decides nothing here: the least tuple's orbit holds 60 of
         # the 204 canonical tuples, so every one is enumerated, and a count
         # that disagrees with the enumeration is refused
         G, N, cv = slice_case("A5", {1: 2, 3: 1, 4: 1})
         assert [o.size for o in braid_orbits(G, N, cv)] == [60, 144]
         count = braid.nielsen_count
-        monkeypatch.setattr(braid, "nielsen_count", lambda G, cv: count(G, cv) + len(G.elements))
-        with pytest.raises(InvariantViolation, match="205 counted"):
+        # each canonical tuple stands for len(G.elements) tuples of A5
+        monkeypatch.setattr(braid, "nielsen_count", lambda G, cv: count(G, cv) + extra * len(G.elements))
+        with pytest.raises(InvariantViolation, match=error):
             braid_orbits(G, N, cv)
 
     def test_a_count_with_no_tuple_behind_it_is_refused(self, monkeypatch):
@@ -1180,6 +1215,53 @@ class TestCountBeforeSearch:
         assert series.h2_desk_scale(N, N, spec, 20) == {
             10: 3087, 12: 43904, 14: 218834, 16: 2996448, 18: 29441062, 20: 172828782,
         }
+
+
+class TestLatticeCap:
+    """A subgroup lattice past LATTICE_CAP is not built, and its group is enumerated."""
+
+    def test_the_s6_lattice_stops_at_the_cap(self, monkeypatch):
+        # S6 has 1,455 subgroups, and building them all takes about a minute;
+        # the joins stop once they have built LATTICE_CAP elements
+        G = closure([parse_cycles("(1 2)", 6), parse_cycles("(1 2 3 4 5 6)", 6)], 6)
+        orbit, built = braid._orbit, []
+        monkeypatch.setattr(braid, "_orbit", lambda start, moves: built.append(orbit(start, moves)) or built[-1])
+        braid._mobius.cache_clear()
+        try:
+            assert braid._mobius(G) is None
+            cyclic = sum(len(b) for b in built[: G.order])
+            # the last join may overshoot the cap by one subgroup, at most G
+            assert braid.LATTICE_CAP < sum(len(b) for b in built[G.order :]) <= braid.LATTICE_CAP + G.order
+            assert cyclic == sum(g.order() for g in G)
+            cv = class_vector_of(G, [parse_cycles(c, 6) for c in ("(1 2)", "(1 2 3 4 5)", "(1 6 5 4 3 2)")])
+            with pytest.raises(EnumerationCapExceeded, match="subgroup lattice"):
+                braid.nielsen_count(G, cv)
+        finally:
+            braid._mobius.cache_clear()
+
+    @pytest.mark.parametrize("pair,counts,sizes,cap", [
+        # the joins build 81 elements for S3 and 6,126 for S4
+        ("S4", {3: 2}, [], 6000),
+        ("S3", {1: 4, 2: 1}, [45], 80),
+        ("S4", {2: 2, 4: 2}, [12, 36], 6000),
+    ])
+    def test_a_group_past_the_cap_is_enumerated(self, pair, counts, sizes, cap, monkeypatch):
+        # under a cap just below its lattice, a group's orbits come from the
+        # full enumeration, and equal the counted ones
+        G, N, cv = slice_case(pair, counts)
+        ctx = braid._indexed(G, N)
+        counted = braid_orbits(G, N, cv)
+        assert [o.size for o in counted] == sizes
+        monkeypatch.setattr(braid, "LATTICE_CAP", cap)
+        braid._mobius.cache_clear()
+        try:
+            enumerated = braid_orbits(G, N, cv)
+            assert braid._mobius(G) is None
+        finally:
+            braid._mobius.cache_clear()
+        assert [(o.size, o.canonical_rep) for o in enumerated] == [(o.size, o.canonical_rep) for o in counted]
+        for t in braid._enumerate_idx(ctx, cv):
+            assert [o._contains(t) for o in enumerated] == [o._contains(t) for o in counted]
 
 
 @pytest.mark.parametrize("pair", ["s4", "a4-in-s4", "a5-in-s5", "klueners-g1", "wreath-d", "c3"])

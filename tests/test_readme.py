@@ -57,6 +57,7 @@ def test_limits_state_the_module_constants():
         "ORDER_CAP",
         "NODE_CAP",
         "VISITED_CAP",
+        "LATTICE_CAP",
         "GROUP_CACHE_SIZE",
         "MILLER_RABIN_LIMIT",
     }
