@@ -11,7 +11,7 @@ from malle_lab import (
     class_vector_of,
     closure,
     conway_parker_probe,
-    enumerate_nielsen,
+    nielsen_count,
     parse_cycles,
 )
 
@@ -20,11 +20,9 @@ t = parse_cycles("(1 2)", 3)
 c = parse_cycles("(1 2 3)", 3)
 
 cv = class_vector_of(G, [t] * 4)
-tuples = enumerate_nielsen(G, cv)
-print(f"4-transposition Nielsen tuples: {len(tuples)}")
-print(f"example tuple: {tuples[0].entries}")
-
 orbits = braid_orbits(G, G, cv)
+print(f"4-transposition Nielsen tuples: {nielsen_count(G, cv)}")
+print(f"example tuple: {orbits[0].canonical_rep.entries}")
 print(f"braid orbits: {len(orbits)} (size {orbits[0].size} conjugation classes)")
 
 print("\nmixed class vector {transpositions: 2, 3-cycles: 1}:")

@@ -12,8 +12,8 @@ from .braid import (
     braid_orbits,
     class_vector_of,
     conway_parker_probe,
-    enumerate_nielsen,
     frobenius_stable_orbits,
+    nielsen_count,
 )
 from .errors import MalleLabError
 from .groups import (

@@ -81,51 +81,53 @@ every other row is the identity.  u[:j] = t[:j] also gives j(u) = j(t).
 The rows act freely on generating tuples.  The conjugation rows are
 distinct automorphisms of G, and a row that fixes every entry of a
 generating tuple fixes G pointwise, so it is the identity row.  Each
-canonical tuple thus stands for len(conj_rows) distinct tuples, and
-with N = G these are every tuple of cv (enumerate_nielsen).
+canonical tuple thus stands for len(conj_rows) distinct tuples.
 
-So the orbits of a non-abelian G are counted before they are searched
-(docs/decisions.md, "Count before search").  nielsen_count gives the
-tuples of cv by P. Hall's Möbius inversion; each N-image of cv has as
-many, so the canonical tuples number T = nielsen_count * |images| /
-len(conj_rows), and a remainder raises InvariantViolation.  T = 0 means
-no orbit, and no tuple is searched for.  Otherwise a first-hit search,
-the enumeration stopped at each image's least tuple, gives the least
-canonical tuple, and its orbit is searched on the slice.  The slice
-holds T prod(k_b!)/k! canonical tuples, so if that orbit holds that
-many it is the one orbit.  Only otherwise is every canonical tuple
-enumerated (fewer or more than T raise InvariantViolation) and sorted
-into the orbits, the first one's slice not searched again.  Every orbit
-is kept as its slice tuples: its size is their number times
-k!/prod(k_b!), its representative its least canonical tuple, and a
-tuple is a member iff, sorted into the slice and canonicalised (even
-when no move was made: the tuple need not be canonical), it is one of
-them.  NODE_CAP bounds the first-hit search and the full enumeration
-alike.  The count needs G's subgroup lattice, built under LATTICE_CAP;
-a group whose lattice passes it is enumerated in full first, and T is
-the number of tuples found.
+So the orbits are counted before they are searched (docs/decisions.md,
+"Count before search").  nielsen_count gives the tuples of cv; each
+N-image of cv has as many, so the canonical tuples number T =
+nielsen_count * |images| / len(conj_rows), and a remainder raises
+InvariantViolation.  T = 0 means no orbit, and no tuple is searched
+for.  An abelian G's one orbit is read off T (below).  Otherwise a
+first-hit search, the enumeration stopped at each image's least tuple,
+gives the least canonical tuple, and its orbit is searched on the
+slice.  The slice holds T prod(k_b!)/k! canonical tuples, so if that
+orbit holds that many it is the one orbit.  Only otherwise is every
+canonical tuple enumerated (fewer or more than T raise
+InvariantViolation) and sorted into the orbits, the first one's slice
+not searched again.  Every such orbit is kept as its slice tuples: its
+size is their number times k!/prod(k_b!), its representative its least
+canonical tuple, and a tuple is a member iff, sorted into the slice and
+canonicalised (even when no move was made: the tuple need not be
+canonical), it is one of them.  NODE_CAP bounds the first-hit search
+and the full enumeration alike.  A non-abelian G is counted by P.
+Hall's Möbius inversion over its subgroup lattice, built under
+LATTICE_CAP; a group whose lattice passes it is enumerated in full
+first, and T is the number of tuples found.
 
 An abelian G needs neither the search nor the enumeration: its one orbit
 is counted.  In abelian G, Q_i maps (..., a, b, ...) to (..., b, a, ...),
 since a b a^{-1} = b, and adjacent swaps generate S_k, so any two
 arrangements of one multiset of elements lie in one braid orbit.  Each
-class of an abelian G is one element, so cv names one multiset M of k
-elements, with multiplicities m_c.
+class of an abelian G is one element, and classes are numbered by their
+least member, so a class id is its element's index: cv names one
+multiset M of k elements, with multiplicities m_c, and its N-images,
+as sorted class ids, are the distinct sorted row images of M.
 
+- The count.  Every tuple of cv is an arrangement of M, and product one
+  and generation depend only on the multiset, so nielsen_count is the
+  k!/prod(m_c!) arrangements if M has product one and generates G, and
+  0 otherwise.  No subgroup lattice is built.
 - What the orbit is.  Let U be the set of arrangements of the row images
   of M.  The rows commute with the moves, so U is one braid orbit modulo
-  N-conjugation, or empty; product one and generation depend only on the
-  multiset, so U is non-empty iff M has product one and generates G.
-  The orbit's members are the canonical tuples in U.
-- The size.  Let images be the distinct sorted row images of M.  Each
-  has the multiplicities m_c, so |U| = len(images) k!/prod(m_c!), and
-  the rows permute U freely with one canonical tuple per row orbit:
-  size = |U| / len(conj_rows).  A remainder raises InvariantViolation.
+  N-conjugation, or empty.  The orbit's members are the canonical tuples
+  in U: each image has k!/prod(m_c!) arrangements, and the rows permute
+  U freely with one canonical tuple per row orbit, so they number T.
 - The representative.  U is closed under the rows, so its least element,
-  min(images), is its own least image: the least canonical tuple in U.
+  images[0], is its own least image: the least canonical tuple in U.
 - Membership.  A k-tuple t is N-conjugate to a member of the orbit iff
   it lies in U, that is iff the least sorted row image of its entries is
-  min(images): the rows form a group, so the sorted row images of t and
+  images[0]: the rows form a group, so the sorted row images of t and
   of M are one set exactly when t's multiset is a row image of M.
 
 Frobenius stability of an orbit is a *model*: the entrywise map
@@ -328,9 +330,17 @@ class _IndexedPair:
         return self.least_image(t)[0]
 
 
-def _closure_order(G: FiniteGroup, entries: Collection[int]) -> int:
-    """Order of the subgroup of G generated by the elements indexed by entries."""
-    return len(_orbit(_IDENTITY, [G.mul[g].__getitem__ for g in entries]))
+def _generated(G: FiniteGroup, entries: Iterable[int]) -> frozenset[int]:
+    """The subgroup of G generated by the elements indexed by entries, as element indices."""
+    return frozenset(_orbit(_IDENTITY, [G.mul[g].__getitem__ for g in entries]))
+
+
+def _arrangements(multiplicities: Sequence[int]) -> int:
+    """k!/prod(m!), k = sum(multiplicities): the arrangements of a multiset with these multiplicities."""
+    count = factorial(sum(multiplicities))
+    for m in multiplicities:
+        count //= factorial(m)
+    return count
 
 
 @lru_cache(maxsize=GROUP_CACHE_SIZE)
@@ -338,18 +348,19 @@ def _indexed(G: FiniteGroup, N: FiniteGroup) -> _IndexedPair:
     return _IndexedPair(G, N)
 
 
-def _class_vector_images(ctx: _IndexedPair, cv: ClassVector) -> list[tuple[tuple[int, int], ...]]:
-    """The distinct N-images of cv, each as its sorted multiplicities, in ascending order.
+def _class_vector_images(ctx: _IndexedPair, cv: ClassVector) -> list[tuple[int, ...]]:
+    """The distinct N-images of cv, each as its sorted class ids, one per entry, in ascending order.
 
     N permutes the classes of G: each row sends the class of a
-    representative to the class of its image.
+    representative to the class of its image.  In an abelian G a class id
+    is its element's index, so an image is a sorted row image of cv's
+    elements.
     """
     G = ctx.G
-    class_ids, index, classes = G.class_ids, G.index, G.conjugacy_classes()
-    reps = {cid: index[classes[cid].representative] for cid in cv.counts}
+    index, classes, class_id = G.index, G.conjugacy_classes(), G.class_ids.__getitem__
+    entries = [g for cid, m in cv.multiplicities for g in [index[classes[cid].representative]] * m]
     return sorted({
-        tuple(sorted((class_ids[row[reps[cid]]], m) for cid, m in cv.multiplicities))
-        for row in ctx.conj_rows
+        tuple(sorted(map(class_id, map(row.__getitem__, entries)))) for row in ctx.conj_rows
     })
 
 
@@ -368,8 +379,6 @@ def _enumerate_idx(ctx: _IndexedPair, cv: ClassVector, first: bool = False) -> l
     """
     k = cv.length
     out: list[tuple[int, ...]] = []
-    if k < 2:
-        return out  # a product-one 1-tuple is the identity, in no class of cv
     G = ctx.G
     mul, inv, class_ids, index = G.mul, G.inv, G.class_ids, G.index
     # entry set -> does it generate G; lives for this call only
@@ -421,7 +430,7 @@ def _enumerate_idx(ctx: _IndexedPair, cv: ClassVector, first: bool = False) -> l
                         entries.append(last)
                         key = frozenset(entries)
                         if key not in generates:
-                            generates[key] = _closure_order(G, key) == G.order
+                            generates[key] = len(_generated(G, key)) == G.order
                         if generates[key]:
                             out.append(tuple(entries))
                             if first:
@@ -432,14 +441,15 @@ def _enumerate_idx(ctx: _IndexedPair, cv: ClassVector, first: bool = False) -> l
 
     for image in _class_vector_images(ctx, cv):
         counts = [0] * len(classes)
-        for cid, m in image:
-            counts[cid] = m
+        for cid in image:
+            counts[cid] += 1
+        cids = dict.fromkeys(image)  # ascending, each once
         if first:
             # the image's elements ascending, each run of one class in one piece
-            pool = sorted(g for cid, _ in image for g in members[cid])
+            pool = sorted(g for cid in cids for g in members[cid])
             runs = [(cid, list(run)) for cid, run in groupby(pool, class_ids.__getitem__)]
         else:
-            runs = [(cid, members[cid]) for cid, _ in image]
+            runs = [(cid, members[cid]) for cid in cids]
         entries.clear()
         try:
             dfs(0, _IDENTITY, ctx.conj_rows)
@@ -459,13 +469,8 @@ def _mobius(G: FiniteGroup) -> tuple[tuple[frozenset[int], int], ...] | None:
     None once the joins have built more than LATTICE_CAP elements in all:
     G then has no count, and that answer is kept like a table.
     """
-    mul = G.mul
     built, lattice_cap = 0, LATTICE_CAP
-
-    def generated(gens: tuple[int, ...]) -> frozenset[int]:
-        return frozenset(_orbit(_IDENTITY, [mul[g].__getitem__ for g in gens]))
-
-    cyclic = {generated((g,)): g for g in range(G.order)}
+    cyclic = {_generated(G, (g,)): g for g in range(G.order)}
     gens = {C: (g,) for C, g in cyclic.items()}  # subgroup -> generators
     frontier = list(gens)
     while frontier:
@@ -473,7 +478,7 @@ def _mobius(G: FiniteGroup) -> tuple[tuple[frozenset[int], int], ...] | None:
         for H in frontier:
             for C, g in cyclic.items():
                 if not C <= H:
-                    J = generated(gens[H] + (g,))
+                    J = _generated(G, gens[H] + (g,))
                     built += len(J)
                     if built > lattice_cap:
                         return None
@@ -497,61 +502,53 @@ def nielsen_count(G: FiniteGroup, cv: ClassVector) -> int:
     is the same for every order of the classes (docs/decisions.md, "Count
     before search"), so it is the number of arrangements of cv times one
     pass over partial products in H, in class-id order.  No tuple is built.
-    A group whose subgroup lattice passes LATTICE_CAP has no count:
-    EnumerationCapExceeded.
+    A non-abelian group whose subgroup lattice passes LATTICE_CAP has no
+    count: EnumerationCapExceeded.  An abelian G builds no lattice: its
+    tuples of cv are the arrangements of one multiset of elements, the
+    class ids of cv, or none (module docstring).
     """
     _check_group(G, cv)
-    table = _mobius(G)
-    if table is None:
-        raise EnumerationCapExceeded(
-            f"the subgroup lattice of a group of order {G.order} passed {LATTICE_CAP} elements"
-        )
-    mul, index, classes = G.mul, G.index, G.conjugacy_classes()
-    members = {cid: [index[g] for g in classes[cid].members] for cid in cv.counts}
-    arrangements = factorial(cv.length)
-    for _, m in cv.multiplicities:
-        arrangements //= factorial(m)
-    total = 0
-    for H, mu in table:
-        if not mu:
-            continue
-        parts = [([g for g in members[cid] if g in H], m) for cid, m in cv.multiplicities]
-        if not all(entries for entries, _ in parts):
-            continue  # a class of cv that misses H leaves no tuple in H
-        ways = {_IDENTITY: 1}  # partial product -> number of prefixes
-        for entries, m in parts:
+    mul = G.mul
+    # total: the generating product-one tuples of one arrangement of cv
+    if len(G.conjugacy_classes()) == G.order:
+        prod = _IDENTITY
+        for cid, m in cv.multiplicities:
             for _ in range(m):
-                step: dict[int, int] = {}
-                for x, w in ways.items():
-                    row = mul[x]
-                    for g in entries:
-                        y = row[g]
-                        step[y] = step.get(y, 0) + w
-                ways = step
-        total += mu * ways.get(_IDENTITY, 0)
-    return arrangements * total
+                prod = mul[prod][cid]
+        total = int(prod == _IDENTITY and len(_generated(G, cv.counts)) == G.order)
+    else:
+        table = _mobius(G)
+        if table is None:
+            raise EnumerationCapExceeded(
+                f"the subgroup lattice of a group of order {G.order} passed {LATTICE_CAP} elements"
+            )
+        index, classes = G.index, G.conjugacy_classes()
+        members = {cid: [index[g] for g in classes[cid].members] for cid in cv.counts}
+        total = 0
+        for H, mu in table:
+            if not mu:
+                continue
+            parts = [([g for g in members[cid] if g in H], m) for cid, m in cv.multiplicities]
+            if not all(entries for entries, _ in parts):
+                continue  # a class of cv that misses H leaves no tuple in H
+            ways = {_IDENTITY: 1}  # partial product -> number of prefixes
+            for entries, m in parts:
+                for _ in range(m):
+                    step: dict[int, int] = {}
+                    for x, w in ways.items():
+                        row = mul[x]
+                        for g in entries:
+                            y = row[g]
+                            step[y] = step.get(y, 0) + w
+                    ways = step
+            total += mu * ways.get(_IDENTITY, 0)
+    return _arrangements([m for _, m in cv.multiplicities]) * total if total else 0
 
 
 def _check_group(G: FiniteGroup, cv: ClassVector) -> None:
     # class ids number the classes of cv.group; read in G they name others
     if cv.group is not G and cv.group != G:
         raise ValueError("the class vector is one of another group than G")
-
-
-def enumerate_nielsen(G: FiniteGroup, cv: ClassVector) -> list[NielsenTuple]:
-    """All Nielsen tuples of G whose entry class multiset equals cv.
-
-    Each is a G-conjugate of one canonical form: every conjugation row of
-    G applied to every canonical tuple, in element-index order.  The rows
-    act freely on generating tuples (module docstring), so no tuple
-    comes out twice.
-    """
-    _check_group(G, cv)
-    ctx = _indexed(G, G)
-    tuples = sorted(
-        tuple(map(row.__getitem__, t)) for t in _enumerate_idx(ctx, cv) for row in ctx.conj_rows
-    )
-    return [NielsenTuple(G, tuple(G.elements[i] for i in t)) for t in tuples]
 
 
 @dataclass(frozen=True, eq=False)
@@ -592,9 +589,7 @@ class _Slice:
         # (e(a), s(b)) for each pair of blocks a < b
         self.cross = [(e, s) for a, (_, e) in enumerate(blocks) for s, _ in blocks[a + 1 :]]
         # each orbit has k!/prod(k_b!) times as many members as slice tuples
-        self.arrangements = factorial(k)
-        for s, e in blocks:
-            self.arrangements //= factorial(e - s + 1)
+        self.arrangements = _arrangements([e - s + 1 for s, e in blocks])
 
     def place(self, t: tuple[int, ...]) -> tuple[int, ...]:
         """t moved into the slice by Q_i moves, which swap the keys; not canonicalised."""
@@ -705,15 +700,7 @@ def braid_orbits(G: FiniteGroup, N: FiniteGroup, cv: ClassVector) -> list[BraidO
     cv must be a class vector of G.
     """
     _check_group(G, cv)
-    ctx = _indexed(G, N)
-    if len(G.conjugacy_classes()) == G.order:
-        # abelian G: one orbit, counted (module docstring)
-        parts = [
-            (rep, size, partial(_in_counted_orbit, ctx.conj_rows, rep))
-            for rep, size in _count_abelian_orbit(ctx, cv)
-        ]
-    else:
-        parts = _searched_orbits(ctx, cv)
+    parts = _orbits_of(_indexed(G, N), cv)
     # the slice search caps its own work; every orbit, searched or counted, is capped here
     visited_cap = VISITED_CAP
     if any(size > visited_cap for _, size, _ in parts):
@@ -729,33 +716,46 @@ def braid_orbits(G: FiniteGroup, N: FiniteGroup, cv: ClassVector) -> list[BraidO
     ]
 
 
-def _searched_orbits(
+def _orbits_of(
     ctx: _IndexedPair, cv: ClassVector
 ) -> list[tuple[tuple[int, ...], int, Callable[[tuple[int, ...]], bool]]]:
     """[(least member, size, membership)] of each orbit of cv, counted before searched.
 
     The count gives T, the number of canonical tuples (module docstring).
-    T = 0: no orbit.  Else the orbit of the least canonical tuple is
+    T = 0: no orbit.  An abelian G's one orbit holds T, its least member
+    the least image of cv.  Else the orbit of the least canonical tuple is
     searched on the slice; if it holds T / arrangements slice tuples it is
     the only one.  Only otherwise is every canonical tuple enumerated and
     partitioned.  A group whose subgroup lattice passes LATTICE_CAP has no
     count, so its tuples are enumerated first and T is their number.
     """
+    if cv.length < 2:
+        # a product-one 1-tuple is the identity, in no class of cv, and the
+        # empty vector has no orbit, not even in the trivial group
+        return []
+    G, rows = ctx.G, ctx.conj_rows
+    abelian = len(G.conjugacy_classes()) == G.order
     canonical = None
-    if _mobius(ctx.G) is None:
-        canonical = _enumerate_idx(ctx, cv)
-        total = len(canonical)
-    else:
-        rows = len(ctx.conj_rows)
-        count = nielsen_count(ctx.G, cv) * len(_class_vector_images(ctx, cv))
-        total, rest = divmod(count, rows)
+    if abelian or _mobius(G) is not None:
+        count = nielsen_count(G, cv)
+        if not count:
+            return []  # before the images, which most vectors of a sweep do not need
+        images = _class_vector_images(ctx, cv)
+        count *= len(images)
+        total, rest = divmod(count, len(rows))
         if rest:
             raise InvariantViolation(
                 f"{count} tuples over the N-images of the class vector do not "
-                f"split into orbits of the {rows} conjugation rows"
+                f"split into orbits of the {len(rows)} conjugation rows"
             )
+    else:
+        canonical = _enumerate_idx(ctx, cv)
+        total = len(canonical)
     if not total:
         return []
+    if abelian:
+        # one orbit, counted (module docstring)
+        return [(images[0], total, partial(_in_counted_orbit, rows, images[0]))]
     hits = canonical if canonical is not None else _enumerate_idx(ctx, cv, first=True)
     if not hits:
         raise InvariantViolation(f"{total} canonical tuples counted, but none found")
@@ -787,40 +787,6 @@ def _searched_orbits(
     ]
 
 
-def _count_abelian_orbit(
-    ctx: _IndexedPair, cv: ClassVector
-) -> list[tuple[tuple[int, ...], int]]:
-    """[(least member, size)] of abelian G's one orbit of cv, or [] if none.
-
-    No tuple is built: the module docstring derives both from the row
-    images of cv's element multiset.
-    """
-    G = ctx.G
-    classes = G.conjugacy_classes()
-    index, mul = G.index, G.mul
-    elements = [
-        index[classes[cid].representative] for cid, m in cv.multiplicities for _ in range(m)
-    ]
-    prod = _IDENTITY
-    for g in elements:
-        prod = mul[prod][g]
-    # no tuple shorter than 2, as in _enumerate_idx (a product-one 1-tuple
-    # is the identity, in no class of cv)
-    if len(elements) < 2 or prod != _IDENTITY or _closure_order(G, set(elements)) != G.order:
-        return []
-    images = {tuple(sorted(map(row.__getitem__, elements))) for row in ctx.conj_rows}
-    arrangements = factorial(len(elements))
-    for _, m in cv.multiplicities:
-        arrangements //= factorial(m)
-    size, rest = divmod(len(images) * arrangements, len(ctx.conj_rows))
-    if rest:
-        raise InvariantViolation(
-            f"{len(images)} row images of {arrangements} arrangements each do not "
-            f"split into orbits of the {len(ctx.conj_rows)} conjugation rows"
-        )
-    return [(min(images), size)]
-
-
 def _in_counted_orbit(
     rows: Sequence[tuple[int, ...]], rep: tuple[int, ...], t: tuple[int, ...]
 ) -> bool:
@@ -833,29 +799,29 @@ def frobenius_stable_orbits(
 ) -> list[BraidOrbit]:
     """Orbits sent to themselves by the entrywise twisted-power model.
 
-    The model maps each entry g to spec.image(g) = t_e(g).  If the
-    image tuple is no longer product-one (powering is not a homomorphism),
-    the orbit is reported unstable; otherwise the orbit's own membership
-    test decides.  So the orbits may come from several class vectors;
-    they must all be orbits of the pair (spec.ctx.G, spec.ctx.N).
+    The model maps each entry g to spec.image(g) = t_e(g), and the orbit's
+    own membership test decides.  So the orbits may come from several
+    class vectors; they must all be orbits of the pair (spec.ctx.G,
+    spec.ctx.N).
     """
     if not orbits:
         return []
     G, N = spec.ctx.G, spec.ctx.N
     if any((o.canonical_rep.group, o.ambient) != (G, N) for o in orbits):
         raise ValueError("an orbit of another (G, N) than spec.ctx")
-    index, mul = G.index, G.mul
+    index = G.index
     twist = spec.image_indices
-    stable = []
-    for orbit in orbits:
-        image = tuple(twist[index[g]] for g in orbit.canonical_rep.entries)
-        # product-one must survive for the image to be a tuple at all
-        prod = _IDENTITY
-        for g in image:
-            prod = mul[prod][g]
-        if prod == _IDENTITY and orbit._contains(image):
-            stable.append(orbit)
-    return stable
+    # Powering is not a homomorphism, so the image may not have product
+    # one; both membership rules refuse it then.  The slice rule moves a
+    # tuple by Q_i and conjugates it, and both keep the product, while
+    # every slice tuple has product one.  A counted member's multiset is a
+    # row image of the representative's, and in an abelian G a row image
+    # of a product-one multiset has product one.
+    return [
+        orbit
+        for orbit in orbits
+        if orbit._contains(tuple(twist[index[g]] for g in orbit.canonical_rep.entries))
+    ]
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from itertools import product as iproduct
 
 import pytest
 
-from malle_lab.braid import class_vector_of, enumerate_nielsen
+from malle_lab.braid import class_vector_of
 from malle_lab.groups import (
     FiniteGroup,
     a_invariant,
@@ -310,8 +310,9 @@ def test_criterion_7_braid_machinery():
     t = parse_cycles("(1 2)", 3)
     cv = class_vector_of(G, [t] * 4)
     orbits = braid_orbits(G, G, cv)
+    from test_braid import enumerate_nielsen, union_find_orbits
+
     tuples = [tt.entries for tt in enumerate_nielsen(G, cv)]
-    from test_braid import union_find_orbits
 
     if len(orbits) != 1 or union_find_orbits(G, G, tuples) != 1:
         ok = False

@@ -3,7 +3,7 @@
 import gc
 import weakref
 from collections import Counter
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations, combinations_with_replacement, islice
 from itertools import product as iproduct
 
@@ -18,7 +18,6 @@ from malle_lab.braid import (
     braid_orbits,
     class_vector_of,
     conway_parker_probe,
-    enumerate_nielsen,
     frobenius_stable_orbits,
 )
 from malle_lab.errors import (
@@ -72,6 +71,20 @@ def transposition_tuples(G, k):
     return out
 
 
+def enumerate_nielsen(G, cv):
+    """All Nielsen tuples of G whose entry class multiset equals cv, sorted by element index.
+
+    Each is a G-conjugate of one canonical form: every conjugation row of
+    G applied to every canonical tuple.  The rows act freely on generating
+    tuples (the braid module docstring), so no tuple comes out twice.
+    """
+    ctx = braid._indexed(G, G)
+    tuples = sorted(
+        tuple(map(row.__getitem__, t)) for t in braid._enumerate_idx(ctx, cv) for row in ctx.conj_rows
+    )
+    return [NielsenTuple(G, tuple(G.elements[i] for i in t)) for t in tuples]
+
+
 class TestClassVector:
     def test_rejects_trivial_class(self):
         G = s3()
@@ -112,7 +125,7 @@ class TestClassVector:
         with pytest.raises(ValueError, match="another group"):
             braid_orbits(G, G, cv)
         with pytest.raises(ValueError, match="another group"):
-            enumerate_nielsen(G, cv)
+            braid.nielsen_count(G, cv)
 
 
 class TestNielsenTuple:
@@ -627,6 +640,15 @@ ORDERLY_CASES = (
 )
 
 
+# the abelian suite's groups as G = N, each with the longest class vectors
+# its oracle checks take
+ABELIAN_SUITE_LENGTHS = [("C2xC2", 8), ("C4", 8), ("C6", 7), ("C3xC3", 5)]
+
+
+def abelian_group(label):
+    return abelian_suite()[label].group()
+
+
 class TestMinimalImageOracles:
     @pytest.mark.parametrize("length", range(1, 8))
     def test_s3_every_class_vector(self, length):
@@ -655,11 +677,11 @@ class TestMinimalImageOracles:
     def test_wreath_d_in_n_length_6(self):
         assert check_orbits_against_oracles(*wreath_d_case(WREATH_D_LENGTH_6))
 
-    @pytest.mark.parametrize("label,max_length", [("C2xC2", 8), ("C4", 8), ("C6", 7), ("C3xC3", 5)])
+    @pytest.mark.parametrize("label,max_length", ABELIAN_SUITE_LENGTHS)
     def test_abelian_g_equals_n_every_class_vector(self, label, max_length):
         # braid_orbits counts abelian G's one orbit; the BFS and the
         # counted answer are both checked against the oracle here
-        G = abelian_suite()[label].group()
+        G = abelian_group(label)
         found = 0
         for length in range(1, max_length + 1):
             for cv in class_vectors(G, length):
@@ -913,7 +935,7 @@ def subgroup_closure(G, gens):
     """The subgroup of G generated by the element indices gens.
 
     A plain index-level loop that shares no code with groups._orbit: the
-    reference for braid._closure_order and the oracles' generation test.
+    reference for braid._generated and the oracles' generation test.
     """
     mul = G.mul
     identity = G.index[G.identity]
@@ -932,14 +954,14 @@ def subgroup_closure(G, gens):
 
 
 @pytest.mark.parametrize("make", [s4, klueners])
-def test_closure_order_is_the_reference_closure(make):
+def test_generated_is_the_reference_closure(make):
     # every entry set of up to 3 elements, against the plain loop and groups.closure
     G = make()
     for size in range(4):
         for entries in combinations(range(G.order), size):
-            expect = len(subgroup_closure(G, entries))
-            assert braid._closure_order(G, entries) == expect
-            assert closure([G.elements[i] for i in entries], G.degree).order == expect
+            expect = subgroup_closure(G, entries)
+            assert braid._generated(G, entries) == expect
+            assert closure([G.elements[i] for i in entries], G.degree).order == len(expect)
 
 
 def subgroups_by_cyclic_joins(G):
@@ -1099,10 +1121,10 @@ class TestCountingOracle:
 # braid_orbits' use of it
 
 
-def canonical_total(G, N, cv):
-    """T: the canonical tuples of cv, from the count (module docstring of braid)."""
+def canonical_total(G, N, cv, subgroups):
+    """T: the canonical tuples of cv, from the counting oracle (module docstring of braid)."""
     rows = len(braid._indexed(G, N).conj_rows)
-    total, rest = divmod(braid.nielsen_count(G, cv) * len(class_vector_images(G, N, cv)), rows)
+    total, rest = divmod(count_nielsen(G, cv, subgroups) * len(class_vector_images(G, N, cv)), rows)
     assert rest == 0
     return total
 
@@ -1119,6 +1141,10 @@ class TestCountBeforeSearch:
 
     @pytest.mark.parametrize("make,max_length", [
         (s3, 6), (klueners, 6), (klueners_g1, 6), (s4, 5), (a4, 5), (a5, 4),
+    ] + [
+        # abelian G: the count of one multiset's arrangements
+        pytest.param(partial(abelian_group, label), n, id=f"{label}-{n}")
+        for label, n in ABELIAN_SUITE_LENGTHS
     ])
     def test_count_is_the_oracle_count(self, make, max_length):
         G = make()
@@ -1131,23 +1157,55 @@ class TestCountBeforeSearch:
                 nonzero += expect > 0
         assert nonzero
 
-    @pytest.mark.parametrize("label,max_length", [
-        ("C2xC2", 8), ("C4", 8), ("C6", 7), ("C3xC3", 5), ("G1-in-N", 6),
-    ])
+    @pytest.mark.parametrize("label,max_length", ABELIAN_SUITE_LENGTHS + [("G1-in-N", 6)])
     def test_the_counted_abelian_orbit_holds_t(self, label, max_length):
-        # the abelian path counts its orbit from the row images of cv's
-        # multiset; the Möbius count must agree with it
+        # the abelian exit reads its one orbit off the count; T from the
+        # counting oracle, which counts no arrangement, must agree with it
         if label == "G1-in-N":
             G, N = klueners_g1(), klueners()
         else:
-            G = N = abelian_suite()[label].group()
+            G = N = abelian_group(label)
+        subgroups = subgroups_by_cyclic_joins(G)
         found = 0
         for length in range(1, max_length + 1):
             for cv in class_vectors(G, length):
                 sizes = [o.size for o in braid_orbits(G, N, cv)]
-                assert sum(sizes) == canonical_total(G, N, cv), cv
+                assert len(sizes) <= 1
+                assert sum(sizes) == canonical_total(G, N, cv, subgroups), cv
                 found += len(sizes)
         assert found
+
+    @pytest.mark.parametrize("case", ["wreath-d6", "klueners-pool8"])
+    def test_an_abelian_g_builds_no_lattice(self, case, monkeypatch):
+        # with _mobius refusing, the abelian count, its orbit and h2 still
+        # answer, each against its oracle
+        [(G, N, cv)] = orderly_cases(case)
+        subgroups = subgroups_by_cyclic_joins(G)
+        ctx = find_cyclic_complement(N, G)
+        q, R = (7, 24) if case == "wreath-d6" else (5, 16)
+        expect_h2 = stable_generating_multisets(G, q, R, ctx.tau, 1)
+
+        def refuse(G):
+            raise SearchRan
+
+        monkeypatch.setattr(braid, "_mobius", refuse)
+        assert braid.nielsen_count(G, cv) == count_nielsen(G, cv, subgroups)
+        assert [o.size for o in braid_orbits(G, N, cv)] == [canonical_total(G, N, cv, subgroups)]
+        h2 = series.h2_desk_scale(G, N, TwistSpec(q=q, e=1, ctx=ctx), R)
+        assert h2 and h2 == expect_h2
+
+    def test_fewer_than_two_entries_make_no_orbit(self):
+        # the trivial group's empty vector counts one tuple, the empty one,
+        # and a product-one 1-tuple is the identity: neither makes an orbit
+        T = closure([], 1)
+        empty = ClassVector(T, ())
+        assert braid.nielsen_count(T, empty) == 1
+        assert braid_orbits(T, T, empty) == []
+        for G, N in map(corpus_pair, ("S3", "C3xC3", "G1-in-N")):
+            vectors = class_vectors(G, 1)
+            assert vectors
+            for cv in vectors:
+                assert braid_orbits(G, N, cv) == []
 
     @pytest.mark.parametrize("pair,counts", [
         ("S3", {1: 3}),  # odd: no product one
@@ -1349,6 +1407,49 @@ def check_stability_against_the_model(G, N, vectors):
                 verdicts[stable] += 1
             assert frobenius_stable_orbits(orbits, spec) == expect, (cv, spec.q)
     return verdicts
+
+
+def corpus_pair(name):
+    """(G, N) of an oracle corpus: a slice pair, Klüners N or G1 in N, or an abelian-suite group."""
+    if name in SLICE_PAIRS:
+        return tuple(make() for make in SLICE_PAIRS[name])
+    if name == "N":
+        return klueners(), klueners()
+    if name == "G1-in-N":
+        return klueners_g1(), klueners()
+    return abelian_group(name), abelian_group(name)
+
+
+@pytest.mark.parametrize("name,max_length", [
+    ("S3", 6), ("S4", 4), ("A4-in-S4", 4), ("A5", 3), ("N", 4), ("G1-in-N", 5),
+] + ABELIAN_SUITE_LENGTHS)
+def test_membership_refuses_a_tuple_off_product_one(name, max_length):
+    # frobenius_stable_orbits asks an orbit about a twisted tuple that may
+    # have lost product one.  Swap the last entry of every member of every
+    # oracle orbit for another element of its class (any other non-identity
+    # element where the class is one element): the other entries fix the
+    # last, so the product is no longer one, and no orbit may hold the tuple
+    G, N = corpus_pair(name)
+    ctx = braid._indexed(G, N)
+
+    def others(g):
+        members = G.conjugacy_classes()[G.class_ids[g]].members
+        pool = range(1, G.order) if len(members) == 1 else [G.index[m] for m in members]
+        return [x for x in pool if x != g]
+
+    tried = 0
+    for length in range(1, max_length + 1):
+        for cv in class_vectors(G, length):
+            forms = oracle_forms(ctx, oracle_enumerate_idx(ctx, cv))
+            parts = oracle_orbit_partition(ctx, sorted(set(forms.values())), forms)
+            orbits = braid_orbits(G, N, cv)
+            assert [o.size for o in orbits] == list(map(len, parts))
+            for orbit, part in zip(orbits, parts):
+                for t in part:
+                    for x in others(t[-1]):
+                        assert not orbit._contains(t[:-1] + (x,)), (cv, t, x)
+                        tried += 1
+    assert tried
 
 
 class TestStability:

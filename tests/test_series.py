@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from malle_lab import braid, series
-from malle_lab.braid import ClassVector, enumerate_nielsen
+from malle_lab.braid import ClassVector
 from malle_lab.errors import EnumerationCapExceeded, InsufficientRange, TrivialClassPresent
 from malle_lab.groups import (
     closure,
@@ -353,7 +353,7 @@ class TestH2DeskScale:
         # the orbit count times 7^length, summed over the block combinations
         # of weight r; union_find_orbits calls neither canonical nor
         # _orbit_partition
-        from test_braid import union_find_orbits
+        from test_braid import enumerate_nielsen, union_find_orbits
 
         G = closure([parse_cycles("(1 2)", 3), parse_cycles("(1 2 3)", 3)], 3)
         spec = TwistSpec(q=7, e=1, ctx=find_cyclic_complement(G, G))
