@@ -29,7 +29,10 @@ the composite Q_s ... Q_{e-1}, rightmost first; a block of length 2
 needs only its Q.  They generate the block's braid group B_m, since
 B_m = <sigma_{m-1}, delta> for delta = sigma_1 ... sigma_{m-1}, which
 conjugates sigma_i to sigma_{i+1} (Kassel, Turaev, "Braid Groups",
-GTM 247, 1.1).  The pure braid of blocks a < b is
+GTM 247, 1.1).  A block that spans the whole tuple rotates it by a
+cyclic shift, (x_1, ..., x_k) -> (x_k, x_1, ..., x_{k-1}): a slice tuple
+has product one, so P = x_k^{-1} and P x_k P^{-1} = x_k.  The pure braid
+of blocks a < b is
 
     A_ij = Q_{j-1} ... Q_{i+1} Q_i^2 Q_{i+1}^{-1} ... Q_{j-1}^{-1},
 
@@ -55,6 +58,11 @@ min_rows[t[0]] can produce it; at each later position the rows that miss
 the least entry there drop out, and once one row is left (or the tuple
 ends) that row gives the image.  Generating tuples usually leave one row
 after the first or second entry, instead of the full scan of conj_rows.
+The rows left after the second entry depend only on the pair (t[0],
+t[1]), so where min_rows[t[0]] holds more than one row they are kept in
+a memo on the pair of groups, keyed by that pair: filled as pairs come
+up, never ahead (S6 has 518,400 pairs), at most |G|^2 keys, and freed
+with the pair when _indexed drops it.
 
 Only canonical tuples are generated (orderly generation: McKay,
 "Isomorph-free exhaustive generation", J. Algorithms 26 (1998)).  A tuple
@@ -295,6 +303,10 @@ class _IndexedPair:
             least = min(row[g] for row in self.conj_rows)
             self.min_rows.append([row for row in self.conj_rows if row[g] == least])
             self.nclass.append(class_ids[least])
+        # (a, b) -> the rows of min_rows[a] that send b to its least image
+        # under them, filled by least_image as pairs come up: at most |G|^2
+        # keys, freed with the pair
+        self.pair_rows: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
 
     @cached_property
     def conj(self) -> list[list[int]]:
@@ -313,6 +325,14 @@ class _IndexedPair:
             return t, 0
         rows = self.min_rows[t[0]]
         pos = 1
+        if len(rows) > 1 and len(t) > 1:
+            pair = t[:2]
+            memo = self.pair_rows.get(pair)
+            if memo is None:
+                g = t[1]
+                least = min(row[g] for row in rows)
+                memo = self.pair_rows[pair] = [row for row in rows if row[g] == least]
+            rows, pos = memo, 2
         while len(rows) > 1 and pos < len(t):
             g = t[pos]
             least = min(row[g] for row in rows)
@@ -368,16 +388,19 @@ class _FirstHit(Exception):
     """Ends a first-hit search at the first canonical tuple of an image."""
 
 
-def _enumerate_idx(ctx: _IndexedPair, cv: ClassVector, first: bool = False) -> list[tuple[int, ...]]:
-    """The canonical forms of the generating product-one tuples of cv.
+def _enumerate_idx(
+    ctx: _IndexedPair, images: Sequence[tuple[int, ...]], first: bool = False
+) -> list[tuple[int, ...]]:
+    """The canonical forms of the generating product-one tuples of a class vector cv.
 
-    These are exactly the canonical tuples whose class multiset is an
-    N-image of cv (module docstring).  The search tries the entries of
-    each position class by class; with first, it tries them in ascending
-    order instead, keeps only each image's first tuple, its least, and
-    stops there.
+    images are the N-images of cv, as _class_vector_images gives them.
+    The canonical forms are exactly the canonical tuples whose class
+    multiset is one of them (module docstring).  The search tries the
+    entries of each position class by class; with first, it tries them in
+    ascending order instead, keeps only each image's first tuple, its
+    least, and stops there.
     """
-    k = cv.length
+    k = len(images[0])
     out: list[tuple[int, ...]] = []
     G = ctx.G
     mul, inv, class_ids, index = G.mul, G.inv, G.class_ids, G.index
@@ -439,7 +462,7 @@ def _enumerate_idx(ctx: _IndexedPair, cv: ClassVector, first: bool = False) -> l
                 entries.pop()
             counts[cid] += 1
 
-    for image in _class_vector_images(ctx, cv):
+    for image in images:
         counts = [0] * len(classes)
         for cid in image:
             counts[cid] += 1
@@ -617,44 +640,51 @@ class _Slice:
         conj, mul, inv = ctx.conj, ctx.G.mul, ctx.G.inv
         least_image, last, rotations, cross = ctx.least_image, self.last, self.rotations, self.cross
         visited_cap = VISITED_CAP
+        k = len(seed)
         members = {seed}
         frontier = [least_image(seed)]
+
+        def visit(u: tuple[int, ...], i: int, j: int) -> None:
+            # u: the image of a frontier tuple t under a move whose lowest
+            # changed position is i; past the fixed prefix t[:j] it is
+            # canonical already, and j(u) = j
+            if i < j:
+                u, j = least_image(u)
+            if u not in members:
+                members.add(u)
+                new.append((u, j))
+                if len(members) > visited_cap:
+                    raise EnumerationCapExceeded(f"orbit grew past {visited_cap} canonical tuples")
+
         while frontier:
-            new = []
+            new: list[tuple[tuple[int, ...], int]] = []
             for t, j in frontier:
-                moved = []
                 for i in last:
                     a, b = t[i], t[i + 1]
                     if a != b:  # Q_i fixes t if a == b
-                        moved.append((i, t[:i] + (conj[a][b], a) + t[i + 2 :]))
+                        visit(t[:i] + (conj[a][b], a) + t[i + 2 :], i, j)
                 for s, e in rotations:
+                    if e - s == k - 1:
+                        # the whole tuple has product one: P x_e = 1, so
+                        # P x_e P^-1 = x_e and the rotation is a cyclic shift
+                        visit(t[e:] + t[:e], s, j)
+                        continue
                     p = t[s]
                     for g in t[s + 1 : e]:
                         p = mul[p][g]
-                    moved.append((s, t[:s] + (conj[p][t[e]],) + t[s:e] + t[e + 1 :]))
+                    visit(t[:s] + (conj[p][t[e]],) + t[s:e] + t[e + 1 :], s, j)
                 for i, l in cross:
                     a, b = t[i], t[l]
                     c = mul[a][b]
                     if c == mul[b][a]:
                         continue  # A_il fixes t if a and b commute
                     d = mul[conj[a][b]][inv[b]]  # the commutator a b a^-1 b^-1
-                    moved.append((i, (
+                    visit(
                         t[:i] + (conj[c][a],) + tuple(map(conj[d].__getitem__, t[i + 1 : l]))
-                        + (conj[c][b],) + t[l + 1 :]
-                    )))
-                for i, u in moved:
-                    # a word whose lowest position is past the fixed prefix
-                    # t[:j] keeps u canonical and j(u) = j
-                    uj = j
-                    if i < j:
-                        u, uj = least_image(u)
-                    if u not in members:
-                        members.add(u)
-                        new.append((u, uj))
-                        if len(members) > visited_cap:
-                            raise EnumerationCapExceeded(
-                                f"orbit grew past {visited_cap} canonical tuples"
-                            )
+                        + (conj[c][b],) + t[l + 1 :],
+                        i,
+                        j,
+                    )
             frontier = new
         return members
 
@@ -749,14 +779,15 @@ def _orbits_of(
                 f"split into orbits of the {len(rows)} conjugation rows"
             )
     else:
-        canonical = _enumerate_idx(ctx, cv)
+        images = _class_vector_images(ctx, cv)
+        canonical = _enumerate_idx(ctx, images)
         total = len(canonical)
     if not total:
         return []
     if abelian:
         # one orbit, counted (module docstring)
         return [(images[0], total, partial(_in_counted_orbit, rows, images[0]))]
-    hits = canonical if canonical is not None else _enumerate_idx(ctx, cv, first=True)
+    hits = canonical if canonical is not None else _enumerate_idx(ctx, images, first=True)
     if not hits:
         raise InvariantViolation(f"{total} canonical tuples counted, but none found")
     rep = min(hits)
@@ -770,7 +801,7 @@ def _orbits_of(
     found = _orbit_partition(ctx, slice_, [rep])
     if sum(len(members) for _, members in found) != target:
         if canonical is None:
-            canonical = _enumerate_idx(ctx, cv)
+            canonical = _enumerate_idx(ctx, images)
             if len(canonical) != total:
                 raise InvariantViolation(
                     f"{len(canonical)} canonical tuples enumerated, not the {total} counted"

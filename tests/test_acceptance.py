@@ -310,7 +310,7 @@ def test_criterion_7_braid_machinery():
     t = parse_cycles("(1 2)", 3)
     cv = class_vector_of(G, [t] * 4)
     orbits = braid_orbits(G, G, cv)
-    from test_braid import enumerate_nielsen, union_find_orbits
+    from test_braid import enumerate_idx, enumerate_nielsen, union_find_orbits
 
     tuples = [tt.entries for tt in enumerate_nielsen(G, cv)]
 
@@ -320,7 +320,7 @@ def test_criterion_7_braid_machinery():
     c = parse_cycles("(1 2 3)", 3)
     cv2 = class_vector_of(G, [t, t, c])
     ctx = braid._indexed(G, G)
-    seeds = braid._enumerate_idx(ctx, cv2)
+    seeds = enumerate_idx(ctx, cv2)
     slice_ = braid._Slice(ctx, sorted(ctx.nclass[g] for g in seeds[0]))
     a_run = sorted((least, sorted(m)) for least, m in braid._orbit_partition(ctx, slice_, seeds))
     b_run = sorted((least, sorted(m)) for least, m in braid._orbit_partition(ctx, slice_, seeds[::-1]))

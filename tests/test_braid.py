@@ -71,6 +71,11 @@ def transposition_tuples(G, k):
     return out
 
 
+def enumerate_idx(ctx, cv):
+    """braid._enumerate_idx over the N-images of cv."""
+    return braid._enumerate_idx(ctx, braid._class_vector_images(ctx, cv))
+
+
 def enumerate_nielsen(G, cv):
     """All Nielsen tuples of G whose entry class multiset equals cv, sorted by element index.
 
@@ -80,7 +85,7 @@ def enumerate_nielsen(G, cv):
     """
     ctx = braid._indexed(G, G)
     tuples = sorted(
-        tuple(map(row.__getitem__, t)) for t in braid._enumerate_idx(ctx, cv) for row in ctx.conj_rows
+        tuple(map(row.__getitem__, t)) for t in enumerate_idx(ctx, cv) for row in ctx.conj_rows
     )
     return [NielsenTuple(G, tuple(G.elements[i] for i in t)) for t in tuples]
 
@@ -312,7 +317,7 @@ class TestOrbits:
         c = parse_cycles("(1 2 3)", 3)
         cv = class_vector_of(G, [t, t, c])
         ctx = braid._indexed(G, G)
-        seeds = braid._enumerate_idx(ctx, cv)
+        seeds = enumerate_idx(ctx, cv)
         slice_ = slice_of(ctx, seeds)
         a = sorted((least, sorted(m)) for least, m in braid._orbit_partition(ctx, slice_, seeds))
         b = sorted((least, sorted(m)) for least, m in braid._orbit_partition(ctx, slice_, seeds[::-1]))
@@ -498,7 +503,7 @@ def check_orbits_against_oracles(G, N, cv):
     ]
     if orbits:
         other = another_class_vector(G, N, cv)
-        check_membership(ctx, orbits, expect, braid._enumerate_idx(ctx, other) if other else [])
+        check_membership(ctx, orbits, expect, enumerate_idx(ctx, other) if other else [])
     return orbits
 
 
@@ -537,7 +542,7 @@ def another_class_vector(G, N, cv):
     cids = [c.class_id for c in G.conjugacy_classes() if not c.is_trivial]
     for combo in combinations_with_replacement(cids, cv.length):
         other = ClassVector.from_counts(G, Counter(combo))
-        if other not in images and braid._enumerate_idx(ctx, other):
+        if other not in images and enumerate_idx(ctx, other):
             return other
     return None
 
@@ -552,7 +557,7 @@ def check_orderly_enumeration(G, N, cv):
     """
     ctx = braid._indexed(G, N)
     tuples = oracle_enumerate_idx(ctx, cv)
-    got = braid._enumerate_idx(ctx, cv)
+    got = enumerate_idx(ctx, cv)
     assert len(set(got)) == len(got)
     assert set(got) == {ctx.canonical(t) for t in tuples}
     assert len(got) * len(ctx.conj_rows) == len(tuples) * len(class_vector_images(G, N, cv))
@@ -564,7 +569,7 @@ def check_fixed_prefix(G, N, cv):
     ctx = braid._indexed(G, N)
     mul, inv = G.mul, G.inv
     checked = 0
-    for t in braid._enumerate_idx(ctx, cv):
+    for t in enumerate_idx(ctx, cv):
         u, j = ctx.least_image(t)
         assert u == t
         assert j == oracle_fixed_prefix(ctx, t)
@@ -744,7 +749,7 @@ class TestSliceSearch:
         # canonical tuple finds all 162, so nothing is enumerated
         G, N, cv = slice_case("S3", {1: 6, 2: 2})
         ctx = braid._indexed(G, N)
-        seeds = braid._enumerate_idx(ctx, cv)
+        seeds = enumerate_idx(ctx, cv)
         searches = []
         search = braid._Slice.search
 
@@ -765,10 +770,34 @@ class TestSliceSearch:
         # of 11 (66 tuples over S3's 6 rows) leaves a remainder
         G, N, cv = slice_case("S3", {1: 2, 2: 2})
         ctx = braid._indexed(G, N)
-        assert len(braid._enumerate_idx(ctx, cv)) == 12
+        assert len(enumerate_idx(ctx, cv)) == 12
         monkeypatch.setattr(braid, "nielsen_count", lambda G, cv: 66)
         with pytest.raises(InvariantViolation, match="11 canonical tuples do not split"):
             braid_orbits(G, N, cv)
+
+    @pytest.mark.parametrize("pair,counts,size", [
+        ("S3", {1: 6}, 40), ("S3", {1: 10}, 3280), ("S4", {1: 6}, 120),
+        ("N", {7: 6}, 40),  # Klüners N: six conjugates of (1 4 2 5 3 6)
+    ])
+    def test_a_whole_tuple_rotation_is_a_cyclic_shift(self, pair, counts, size):
+        # one block spans the whole tuple, and the search rotates it by the
+        # cyclic shift; on each slice tuple that is the composite
+        # Q_0 ... Q_{k-2}, rightmost first
+        G, N = corpus_pair(pair)
+        cv = ClassVector.from_counts(G, counts)
+        ctx = braid._indexed(G, N)
+        seeds = enumerate_idx(ctx, cv)
+        k = cv.length
+        slice_ = slice_of(ctx, seeds)
+        assert slice_.rotations == [(0, k - 1)] and not slice_.cross
+        assert all(map(partial(in_slice, ctx), seeds))
+        for t in seeds:
+            entries = tuple(G.elements[g] for g in t)
+            composite = entries
+            for i in range(k - 1, 0, -1):
+                composite = braid_generator(composite, i)
+            assert composite == entries[k - 1 :] + entries[: k - 1]
+        assert len(seeds) == size
 
     def test_visited_cap_counts_every_member_of_one_orbit(self, monkeypatch):
         # one orbit of 45 canonical tuples, 9 of them in the slice
@@ -796,7 +825,7 @@ class TestAbelianOneOrbit:
     @pytest.mark.parametrize("case", ["wreath-d6", "klueners-pool8"])
     def test_abelian_g_needs_no_search(self, case, no_search):
         [(G, N, cv)] = orderly_cases(case)
-        canonical = braid._enumerate_idx(braid._indexed(G, N), cv)
+        canonical = enumerate_idx(braid._indexed(G, N), cv)
         [orbit] = braid_orbits(G, N, cv)
         assert orbit.size == len(canonical)
         assert all(map(orbit._contains, canonical))
@@ -814,12 +843,12 @@ def refuse_enumeration(*args):
 def refuse_full_enumeration(monkeypatch):
     """Let _enumerate_idx run only as a first-hit search, and _orbit_partition
     only on one seed with no orbit found before."""
-    enumerate_idx, partition = braid._enumerate_idx, braid._orbit_partition
+    enumerate_, partition = braid._enumerate_idx, braid._orbit_partition
 
-    def first_hit_only(ctx, cv, first=False):
+    def first_hit_only(ctx, images, first=False):
         if not first:
             raise SearchRan
-        return enumerate_idx(ctx, cv, first)
+        return enumerate_(ctx, images, first)
 
     def one_seed_only(ctx, slice_, seeds, orbits=()):
         if len(seeds) != 1 or orbits:
@@ -850,7 +879,7 @@ def check_stability_shortcut(G, N, qs, vectors):
     specs = [TwistSpec(q=q, e=1, ctx=find_cyclic_complement(N, G)) for q in qs]
     verdicts = Counter()
     for cv in vectors:
-        members = set(braid._enumerate_idx(ctx, cv))
+        members = set(enumerate_idx(ctx, cv))
         for orbit in braid_orbits(G, N, cv):
             assert orbit.size == len(members)
             for spec in specs:
@@ -868,7 +897,7 @@ class TestCountedOrbit:
         [(G, N, cv)] = orderly_cases(case)
         ctx = braid._indexed(G, N)
         spec = TwistSpec(q=q, e=1, ctx=find_cyclic_complement(N, G))
-        canonical = braid._enumerate_idx(ctx, cv)
+        canonical = enumerate_idx(ctx, cv)
         monkeypatch.setattr(braid, "_enumerate_idx", refuse_enumeration)
         [orbit] = braid_orbits(G, N, cv)
         stable = stable_by_members(ctx, spec, orbit, set(canonical))
@@ -916,7 +945,7 @@ class TestOrderlyEnumeration:
         # N swaps the blocks of Klüners G1, so the vector has two images
         G, N, cv = klueners_case(KLUENERS_G1_LENGTH_8)
         assert len(class_vector_images(G, N, cv)) == 2
-        assert len(braid._enumerate_idx(braid._indexed(G, N), cv)) == 3360
+        assert len(enumerate_idx(braid._indexed(G, N), cv)) == 3360
 
     def test_every_row_on_every_canonical_form_gives_every_tuple(self):
         # enumerate_nielsen expands the canonical forms of (G, G)
@@ -924,7 +953,7 @@ class TestOrderlyEnumeration:
             ctx = braid._indexed(G, G)
             got = [tuple(map(G.index.__getitem__, t.entries)) for t in enumerate_nielsen(G, cv)]
             assert got == sorted(oracle_enumerate_idx(ctx, cv))
-            assert len(got) == len(braid._enumerate_idx(ctx, cv)) * len(ctx.conj_rows)
+            assert len(got) == len(enumerate_idx(ctx, cv)) * len(ctx.conj_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -1079,7 +1108,7 @@ class TestCountingOracle:
             expect = count_nielsen(G, cv, subgroups)
             for G, N in pairs:
                 ctx = braid._indexed(G, N)
-                got = braid._enumerate_idx(ctx, cv)
+                got = enumerate_idx(ctx, cv)
                 assert len(got) * len(ctx.conj_rows) == expect * len(class_vector_images(G, N, cv))
                 found += len(got)
         assert found
@@ -1111,7 +1140,7 @@ class TestCountingOracle:
         # the rows act freely on generating tuples (check_orderly_enumeration)
         for G, N, cv in orderly_cases(name):
             ctx = braid._indexed(G, N)
-            got = braid._enumerate_idx(ctx, cv)
+            got = enumerate_idx(ctx, cv)
             expect = count_nielsen(G, cv, subgroups_by_cyclic_joins(G))
             assert len(got) * len(ctx.conj_rows) == expect * len(class_vector_images(G, N, cv))
 
@@ -1221,7 +1250,7 @@ class TestCountBeforeSearch:
         forms = oracle_forms(ctx, oracle_enumerate_idx(ctx, cv))
         parts = oracle_orbit_partition(ctx, sorted(set(forms.values())), forms)
         other = another_class_vector(G, N, cv)
-        refused = braid._enumerate_idx(ctx, other) if other else []
+        refused = enumerate_idx(ctx, other) if other else []
         refuse_full_enumeration(monkeypatch)
         if not parts:
             # an empty vector is not searched at all, not even for a first hit
@@ -1318,7 +1347,7 @@ class TestLatticeCap:
         finally:
             braid._mobius.cache_clear()
         assert [(o.size, o.canonical_rep) for o in enumerated] == [(o.size, o.canonical_rep) for o in counted]
-        for t in braid._enumerate_idx(ctx, cv):
+        for t in enumerate_idx(ctx, cv):
             assert [o._contains(t) for o in enumerated] == [o._contains(t) for o in counted]
 
 
@@ -1370,11 +1399,20 @@ def test_canonical_is_the_least_image_and_a_conjugation_invariant(pair, data):
     G, N = pair
     ctx = braid._IndexedPair(G, N)
     for _ in range(5):
-        t = tuple(data.draw(st.lists(st.integers(0, G.order - 1), min_size=1, max_size=6)))
-        assert ctx.canonical(t) == oracle_canonical(ctx, t)
+        drawn = tuple(data.draw(st.lists(st.integers(0, G.order - 1), min_size=1, max_size=6)))
+        # as drawn, its first entry alone, and with the first entry doubled
+        for t in (drawn, drawn[:1], drawn[:1] + drawn):
+            assert ctx.canonical(t) == oracle_canonical(ctx, t)
+            # the pair memo is filled on first use, and only where
+            # min_rows[t[0]] holds more than one row and t goes on
+            memoised = len(t) > 1 and len(ctx.min_rows[t[0]]) > 1
+            u, j = ctx.least_image(t)
+            assert (t[:2] in ctx.pair_rows) == memoised
+            assert j == oracle_fixed_prefix(ctx, u)
+            assert ctx.least_image(t) == (u, j)
         x = data.draw(st.sampled_from(N.elements))
-        moved = tuple(G.index[G.elements[g].conjugate_by(x)] for g in t)
-        assert ctx.canonical(moved) == ctx.canonical(t)
+        moved = tuple(G.index[G.elements[g].conjugate_by(x)] for g in drawn)
+        assert ctx.canonical(moved) == ctx.canonical(drawn)
 
 
 def check_stability_against_the_model(G, N, vectors):
@@ -1517,7 +1555,7 @@ class TestStability:
         (first,), (second,) = braid_orbits(G, G, cv), braid_orbits(G, G, cv)
         assert first == first and first != second
         assert (first.size, first.canonical_rep) == (second.size, second.canonical_rep)
-        seeds = braid._enumerate_idx(braid._indexed(G, G), cv)
+        seeds = enumerate_idx(braid._indexed(G, G), cv)
         assert all(first._contains(t) and second._contains(t) for t in seeds)
 
 
@@ -1565,7 +1603,7 @@ class TestCaps:
         G, base, pad = a5_probe_input()
         cv = base + pad
         ctx = braid._indexed(G, G)
-        full = set(braid._enumerate_idx(ctx, cv))
+        full = set(enumerate_idx(ctx, cv))
         monkeypatch.setattr(braid, "NODE_CAP", 100)
         with pytest.raises(EnumerationCapExceeded) as info:
             braid_orbits(G, G, cv)
