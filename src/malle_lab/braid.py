@@ -44,11 +44,11 @@ The search applies these moves forward only.  N-conjugation commutes with
 every move, so each move permutes the finite set of canonical tuples, and
 a permutation of a finite set has finite order: its inverse is a positive
 power of it.  The forward closure of a slice seed is therefore already its
-whole orbit on the slice.  When every canonical tuple is enumerated, the
-seeds are placed in one pass: each is sorted into the slice by Q_i moves,
-canonicalised once at the end if a move was made (the moves commute with
-N-conjugation; a seed already in the slice is canonical), and looked up;
-a slice tuple not yet seen seeds the search of a new orbit.
+whole orbit on the slice.  The canonical tuples are placed as they are
+drawn: each is sorted into the slice by Q_i moves, canonicalised once at
+the end if a move was made (the moves commute with N-conjugation; a seed
+already in the slice is canonical), and looked up; a slice tuple not yet
+seen seeds the search of a new orbit.
 
 The canonical form of a tuple is its least image under simultaneous
 N-conjugation, found as a minimal image (Jefferson, Jonauskyte, Pfeiffer,
@@ -76,7 +76,9 @@ have class multiset x(cv) for some x in N, not always cv (N may fuse
 classes of G), and each canonical tuple of class multiset x(cv) is the
 canonical form of its x^{-1}-image; so the enumeration runs once for
 each distinct N-image of cv, and the union is exactly the set of
-canonical forms of cv's tuples.
+canonical forms of cv's tuples.  Each image's search tries the entries
+of every position in ascending order, so its tuples come out ascending,
+and merging the images' streams gives all of them in ascending order.
 
 The orbit search canonicalises only where it has to.  For a canonical t
 let j(t) be the least prefix length after which only the identity row
@@ -96,22 +98,24 @@ So the orbits are counted before they are searched (docs/decisions.md,
 N-image of cv has as many, so the canonical tuples number T =
 nielsen_count * |images| / len(conj_rows), and a remainder raises
 InvariantViolation.  T = 0 means no orbit, and no tuple is searched
-for.  An abelian G's one orbit is read off T (below).  Otherwise a
-first-hit search, the enumeration stopped at each image's least tuple,
-gives the least canonical tuple, and its orbit is searched on the
-slice.  The slice holds T prod(k_b!)/k! canonical tuples, so if that
-orbit holds that many it is the one orbit.  Only otherwise is every
-canonical tuple enumerated (fewer or more than T raise
-InvariantViolation) and sorted into the orbits, the first one's slice
-not searched again.  Every such orbit is kept as its slice tuples: its
+for.  An abelian G's one orbit is read off T (below).  Otherwise one
+lazy search draws the canonical tuples in ascending order, and each
+whose slice form is unseen seeds the search of a new orbit
+(docs/decisions.md, "One ascending search").  The slice holds
+T prod(k_b!)/k! canonical tuples, and no tuple is drawn once the orbits
+hold that many, so a vector of one orbit draws one tuple; orbits that
+miss that number, the search read to its end, raise InvariantViolation.
+The first tuple drawn from an orbit O is its least canonical member m:
+the tuples drawn before m are smaller, so none lies in O, O is not yet
+searched, and m seeds it.  Every orbit is kept as its slice tuples: its
 size is their number times k!/prod(k_b!), its representative its least
 canonical tuple, and a tuple is a member iff, sorted into the slice and
 canonicalised (even when no move was made: the tuple need not be
-canonical), it is one of them.  NODE_CAP bounds the first-hit search
-and the full enumeration alike.  A non-abelian G is counted by P.
-Hall's Möbius inversion over its subgroup lattice, built under
-LATTICE_CAP; a group whose lattice passes it is enumerated in full
-first, and T is the number of tuples found.
+canonical), it is one of them.  NODE_CAP bounds the one search of a
+vector.  A non-abelian G is counted by P. Hall's Möbius inversion over
+its subgroup lattice, built under LATTICE_CAP; a group whose lattice
+passes it has its search read to the end first, and T is the number of
+tuples found.
 
 An abelian G needs neither the search nor the enumeration: its one orbit
 is counted.  In abelian G, Q_i maps (..., a, b, ...) to (..., b, a, ...),
@@ -147,9 +151,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
+from heapq import merge
 from itertools import groupby
 from math import factorial
-from typing import Callable, Collection, Iterable, Mapping, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     EnumerationCapExceeded,
@@ -384,101 +389,92 @@ def _class_vector_images(ctx: _IndexedPair, cv: ClassVector) -> list[tuple[int, 
     })
 
 
-class _FirstHit(Exception):
-    """Ends a first-hit search at the first canonical tuple of an image."""
-
-
 def _enumerate_idx(
-    ctx: _IndexedPair, images: Sequence[tuple[int, ...]], first: bool = False
-) -> list[tuple[int, ...]]:
-    """The canonical forms of the generating product-one tuples of a class vector cv.
+    ctx: _IndexedPair, images: Sequence[tuple[int, ...]]
+) -> Iterator[tuple[int, ...]]:
+    """The canonical forms of the generating product-one tuples of a class vector cv, ascending.
 
     images are the N-images of cv, as _class_vector_images gives them.
     The canonical forms are exactly the canonical tuples whose class
-    multiset is one of them (module docstring).  The search tries the
-    entries of each position class by class; with first, it tries them in
-    ascending order instead, keeps only each image's first tuple, its
-    least, and stops there.
+    multiset is one of them (module docstring).  Each image is searched
+    with the entries of every position in ascending order, so its tuples
+    come out ascending, and heapq.merge interleaves the images (no tuple
+    has two class multisets).  The search is lazy: it runs as far as the
+    tuples drawn from it, and NODE_CAP bounds its prefix states over all
+    images, partial holding the tuples found so far.
     """
     k = len(images[0])
-    out: list[tuple[int, ...]] = []
+    found: list[tuple[int, ...]] = []
     G = ctx.G
     mul, inv, class_ids, index = G.mul, G.inv, G.class_ids, G.index
-    # entry set -> does it generate G; lives for this call only
+    # entry set -> does it generate G; lives as long as the search
     generates: dict[frozenset[int], bool] = {}
     classes = G.conjugacy_classes()
     members = [[index[m] for m in c.members] for c in classes]
     nodes, node_cap = 0, NODE_CAP
-    entries: list[int] = []
 
-    def dfs(pos: int, prefix: int, fixing: list[tuple[int, ...]]):
-        # fixing: the rows that fix entries[:pos] pointwise; counts: the
-        # entries left of each class of the image being searched, by class
-        # id (the trivial class has none, so the last entry is never the
-        # identity); runs: that image's elements, as (class id, elements)
-        # runs.  The entry at pos is placed here, and at pos = k - 2 the
-        # product fixes the last
-        nonlocal nodes
-        nodes += 1
-        if nodes > node_cap:
-            raise EnumerationCapExceeded(
-                f"tuple enumeration exceeded {node_cap} prefix states",
-                partial=list(out),
-            )
-        row = mul[prefix]
-        leaf = pos == k - 2
-        for cid, run in runs:
-            if not counts[cid]:
-                continue
-            counts[cid] -= 1
-            for g in run:
-                if pos == 0:
-                    stabiliser = ctx.min_rows[g]
-                    if stabiliser[0][g] != g:
-                        continue
-                elif len(fixing) > 1:
-                    if any(r[g] < g for r in fixing):
-                        continue
-                    stabiliser = [r for r in fixing if r[g] == g]
-                else:
-                    stabiliser = fixing
-                entries.append(g)
-                if not leaf:
-                    dfs(pos + 1, row[g], stabiliser)
-                else:
-                    last = inv[row[g]]
-                    if counts[class_ids[last]] and (
-                        len(stabiliser) == 1 or all(r[last] >= last for r in stabiliser)
-                    ):
-                        entries.append(last)
-                        key = frozenset(entries)
-                        if key not in generates:
-                            generates[key] = len(_generated(G, key)) == G.order
-                        if generates[key]:
-                            out.append(tuple(entries))
-                            if first:
-                                raise _FirstHit
-                        entries.pop()
-                entries.pop()
-            counts[cid] += 1
-
-    for image in images:
+    def search(image: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+        # counts: the entries left of each class of the image, by class id
+        # (the trivial class has none, so the last entry is never the
+        # identity); runs: the image's elements ascending, as (class id,
+        # elements) runs, each run of one class in one piece
         counts = [0] * len(classes)
         for cid in image:
             counts[cid] += 1
-        cids = dict.fromkeys(image)  # ascending, each once
-        if first:
-            # the image's elements ascending, each run of one class in one piece
-            pool = sorted(g for cid in cids for g in members[cid])
-            runs = [(cid, list(run)) for cid, run in groupby(pool, class_ids.__getitem__)]
-        else:
-            runs = [(cid, members[cid]) for cid in cids]
-        entries.clear()
-        try:
-            dfs(0, _IDENTITY, ctx.conj_rows)
-        except _FirstHit:
-            pass
-    return out
+        pool = sorted(g for cid in dict.fromkeys(image) for g in members[cid])
+        runs = [(cid, list(run)) for cid, run in groupby(pool, class_ids.__getitem__)]
+        entries: list[int] = []
+
+        def dfs(pos: int, prefix: int, fixing: list[tuple[int, ...]]) -> Iterator[tuple[int, ...]]:
+            # fixing: the rows that fix entries[:pos] pointwise.  The entry
+            # at pos is placed here, and at pos = k - 2 the product fixes
+            # the last
+            nonlocal nodes
+            nodes += 1
+            if nodes > node_cap:
+                raise EnumerationCapExceeded(
+                    f"tuple enumeration exceeded {node_cap} prefix states",
+                    partial=list(found),
+                )
+            row = mul[prefix]
+            leaf = pos == k - 2
+            for cid, run in runs:
+                if not counts[cid]:
+                    continue
+                counts[cid] -= 1
+                for g in run:
+                    if pos == 0:
+                        stabiliser = ctx.min_rows[g]
+                        if stabiliser[0][g] != g:
+                            continue
+                    elif len(fixing) > 1:
+                        if any(r[g] < g for r in fixing):
+                            continue
+                        stabiliser = [r for r in fixing if r[g] == g]
+                    else:
+                        stabiliser = fixing
+                    entries.append(g)
+                    if not leaf:
+                        yield from dfs(pos + 1, row[g], stabiliser)
+                    else:
+                        last = inv[row[g]]
+                        if counts[class_ids[last]] and (
+                            len(stabiliser) == 1 or all(r[last] >= last for r in stabiliser)
+                        ):
+                            entries.append(last)
+                            key = frozenset(entries)
+                            if key not in generates:
+                                generates[key] = len(_generated(G, key)) == G.order
+                            if generates[key]:
+                                found.append(tuple(entries))
+                                yield found[-1]
+                            entries.pop()
+                    entries.pop()
+                counts[cid] += 1
+
+        return dfs(0, _IDENTITY, ctx.conj_rows)
+
+    return merge(*map(search, images))
 
 
 @lru_cache(maxsize=GROUP_CACHE_SIZE)
@@ -693,19 +689,19 @@ def _orbit_partition(
     ctx: _IndexedPair,
     slice_: _Slice,
     seeds: Iterable[tuple[int, ...]],
-    orbits: Sequence[tuple[tuple[int, ...], set[tuple[int, ...]]]] = (),
+    target: int | None = None,
 ) -> list[tuple[tuple[int, ...], set[tuple[int, ...]]]]:
     """[(least seed, slice members)] of the braid orbits that the seeds meet.
 
     The seeds are canonical tuples of one class vector.  Each is sorted
     into the slice by Q_i moves and looked up; an unseen slice tuple seeds
     the search of a new orbit, under the moves of the module docstring.
-    orbits, in the same form, are orbits searched already: they come
-    first, and their seeds are not searched again.
+    With target, no seed is drawn once the orbits hold target slice
+    tuples.
     """
-    orbit_of = {u: n for n, (_, members) in enumerate(orbits) for u in members}
-    least = [rep for rep, _ in orbits]
-    found = [members for _, members in orbits]
+    orbit_of: dict[tuple[int, ...], int] = {}
+    least: list[tuple[int, ...]] = []
+    found: list[set[tuple[int, ...]]] = []
     for seed in seeds:
         u = slice_.place(seed)
         if u != seed:
@@ -717,6 +713,8 @@ def _orbit_partition(
             orbit_of.update(dict.fromkeys(members, len(found)))
             least.append(seed)
             found.append(members)
+            if len(orbit_of) == target:
+                break
         elif seed < least[n]:
             least[n] = seed
     return list(zip(least, found))
@@ -753,11 +751,11 @@ def _orbits_of(
 
     The count gives T, the number of canonical tuples (module docstring).
     T = 0: no orbit.  An abelian G's one orbit holds T, its least member
-    the least image of cv.  Else the orbit of the least canonical tuple is
-    searched on the slice; if it holds T / arrangements slice tuples it is
-    the only one.  Only otherwise is every canonical tuple enumerated and
-    partitioned.  A group whose subgroup lattice passes LATTICE_CAP has no
-    count, so its tuples are enumerated first and T is their number.
+    the least image of cv.  Else the canonical tuples are drawn in
+    ascending order and partitioned on the slice until the orbits hold
+    T / arrangements slice tuples.  A group whose subgroup lattice passes
+    LATTICE_CAP has no count, so its tuples are enumerated first and T is
+    their number.
     """
     if cv.length < 2:
         # a product-one 1-tuple is the identity, in no class of cv, and the
@@ -765,7 +763,6 @@ def _orbits_of(
         return []
     G, rows = ctx.G, ctx.conj_rows
     abelian = len(G.conjugacy_classes()) == G.order
-    canonical = None
     if abelian or _mobius(G) is not None:
         count = nielsen_count(G, cv)
         if not count:
@@ -778,40 +775,33 @@ def _orbits_of(
                 f"{count} tuples over the N-images of the class vector do not "
                 f"split into orbits of the {len(rows)} conjugation rows"
             )
+        if abelian:
+            # one orbit, counted (module docstring); no remainder leaves total > 0
+            return [(images[0], total, partial(_in_counted_orbit, rows, images[0]))]
+        tuples = _enumerate_idx(ctx, images)
     else:
         images = _class_vector_images(ctx, cv)
-        canonical = _enumerate_idx(ctx, images)
-        total = len(canonical)
-    if not total:
-        return []
-    if abelian:
-        # one orbit, counted (module docstring)
-        return [(images[0], total, partial(_in_counted_orbit, rows, images[0]))]
-    hits = canonical if canonical is not None else _enumerate_idx(ctx, images, first=True)
-    if not hits:
-        raise InvariantViolation(f"{total} canonical tuples counted, but none found")
-    rep = min(hits)
-    slice_ = _Slice(ctx, sorted(ctx.nclass[g] for g in rep))
+        tuples = list(_enumerate_idx(ctx, images))
+        total = len(tuples)
+        if not total:
+            return []
+    # every N-image of cv has cv's N-class keys
+    index, classes = G.index, G.conjugacy_classes()
+    slice_ = _Slice(ctx, sorted(ctx.nclass[index[classes[cid].representative]] for cid in images[0]))
     target, rest = divmod(total, slice_.arrangements)
     if rest:
         raise InvariantViolation(
             f"{total} canonical tuples do not split into fibres over the "
             f"{slice_.arrangements} arrangements of the keys"
         )
-    found = _orbit_partition(ctx, slice_, [rep])
-    if sum(len(members) for _, members in found) != target:
-        if canonical is None:
-            canonical = _enumerate_idx(ctx, images)
-            if len(canonical) != total:
-                raise InvariantViolation(
-                    f"{len(canonical)} canonical tuples enumerated, not the {total} counted"
-                )
-        found = _orbit_partition(ctx, slice_, canonical, found)
-        covered = sum(len(members) for _, members in found) * slice_.arrangements
-        if covered != total:
-            raise InvariantViolation(
-                f"orbit sizes sum to {covered}, not to the {total} canonical tuples"
-            )
+    found = _orbit_partition(ctx, slice_, tuples, target)
+    if not found:
+        raise InvariantViolation(f"{total} canonical tuples counted, but none found")
+    covered = sum(len(members) for _, members in found) * slice_.arrangements
+    if covered != total:
+        raise InvariantViolation(
+            f"orbit sizes sum to {covered}, not to the {total} canonical tuples"
+        )
     return [
         (least, len(members) * slice_.arrangements, partial(slice_.holds, members))
         for least, members in sorted(found)

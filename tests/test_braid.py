@@ -72,8 +72,8 @@ def transposition_tuples(G, k):
 
 
 def enumerate_idx(ctx, cv):
-    """braid._enumerate_idx over the N-images of cv."""
-    return braid._enumerate_idx(ctx, braid._class_vector_images(ctx, cv))
+    """braid._enumerate_idx over the N-images of cv, drawn to the end."""
+    return list(braid._enumerate_idx(ctx, braid._class_vector_images(ctx, cv)))
 
 
 def enumerate_nielsen(G, cv):
@@ -746,7 +746,7 @@ class TestSliceSearch:
     def test_an_orbit_holding_the_whole_slice_ends_the_pass(self, monkeypatch):
         # one orbit of 4536 canonical tuples, 4536 / (8!/(6! 2!)) = 162 in the
         # slice: the count says so, and the one search from the least
-        # canonical tuple finds all 162, so nothing is enumerated
+        # canonical tuple finds all 162, so no second tuple is drawn
         G, N, cv = slice_case("S3", {1: 6, 2: 2})
         ctx = braid._indexed(G, N)
         seeds = enumerate_idx(ctx, cv)
@@ -759,8 +759,9 @@ class TestSliceSearch:
             return members
 
         monkeypatch.setattr(braid._Slice, "search", counting)
-        refuse_full_enumeration(monkeypatch)
+        drawn = count_draws(monkeypatch)
         [orbit] = braid_orbits(G, N, cv)
+        assert drawn == [min(seeds)]
         assert searches == [(min(seeds), 162)]
         assert (orbit.size, tuple(G.index[g] for g in orbit.canonical_rep.entries)) == (4536, min(seeds))
         assert all(map(orbit._contains, seeds))
@@ -809,6 +810,58 @@ class TestSliceSearch:
             braid_orbits(G, N, cv)
 
 
+class TestAscendingSearch:
+    """One lazy search per vector: ascending canonical tuples, drawn only as far as the orbits need."""
+
+    @pytest.mark.parametrize("pair,max_length", [
+        ("S3", 6), ("S4", 5), ("A5", 4), ("A4-in-S4", 5), ("N", 4),
+    ])
+    def test_the_canonical_forms_come_out_ascending(self, pair, max_length):
+        # in A4 in S4, N fuses the two classes of 3-cycles, so a vector may
+        # have two images, whose streams are merged
+        G, N = corpus_pair(pair)
+        ctx = braid._indexed(G, N)
+        merged = 0
+        for length in range(1, max_length + 1):
+            for cv in class_vectors(G, length):
+                got = enumerate_idx(ctx, cv)
+                forms = oracle_forms(ctx, oracle_enumerate_idx(ctx, cv))
+                assert got == sorted(set(forms.values())), cv
+                assert all(a < b for a, b in zip(got, got[1:]))
+                merged += len({tuple(sorted(G.class_ids[g] for g in t)) for t in got}) > 1
+        assert merged or pair != "A4-in-S4"
+
+    @pytest.mark.parametrize("pair,max_length", [("S4", 5), ("A4-in-S4", 5), ("A5", 4)])
+    def test_each_orbit_is_searched_once_and_the_search_stops_early(self, pair, max_length, monkeypatch):
+        # each orbit is searched once, from its least canonical tuple, and
+        # no tuple is drawn past the least tuple of the last orbit met: a
+        # vector of several orbits draws fewer tuples than T
+        G, N = corpus_pair(pair)
+        searches = []
+        search = braid._Slice.search
+
+        def counting(self, seed):
+            searches.append(seed)
+            return search(self, seed)
+
+        monkeypatch.setattr(braid._Slice, "search", counting)
+        drawn = count_draws(monkeypatch)
+        vectors = [cv for length in range(2, max_length + 1) for cv in class_vectors(G, length)]
+        vectors += [slice_case(p, counts)[2] for p, counts, _ in PINNED_SLICE_VECTORS if p == pair]
+        several = 0
+        for cv in vectors:
+            searches.clear()
+            drawn.clear()
+            orbits = braid_orbits(G, N, cv)
+            reps = [tuple(G.index[g] for g in o.canonical_rep.entries) for o in orbits]
+            assert len(searches) == len(orbits), cv
+            assert set(reps) <= set(drawn) and drawn[-1:] == reps[-1:]
+            if len(orbits) > 1:
+                several += 1
+                assert len(drawn) < sum(o.size for o in orbits), cv
+        assert several
+
+
 class SearchRan(Exception):
     pass
 
@@ -840,23 +893,18 @@ def refuse_enumeration(*args):
     raise SearchRan
 
 
-def refuse_full_enumeration(monkeypatch):
-    """Let _enumerate_idx run only as a first-hit search, and _orbit_partition
-    only on one seed with no orbit found before."""
-    enumerate_, partition = braid._enumerate_idx, braid._orbit_partition
+def count_draws(monkeypatch):
+    """Record every tuple drawn from _enumerate_idx; returns the list they go into."""
+    enumerate_ = braid._enumerate_idx
+    drawn = []
 
-    def first_hit_only(ctx, images, first=False):
-        if not first:
-            raise SearchRan
-        return enumerate_(ctx, images, first)
+    def counting(ctx, images):
+        for t in enumerate_(ctx, images):
+            drawn.append(t)
+            yield t
 
-    def one_seed_only(ctx, slice_, seeds, orbits=()):
-        if len(seeds) != 1 or orbits:
-            raise SearchRan
-        return partition(ctx, slice_, seeds, orbits)
-
-    monkeypatch.setattr(braid, "_enumerate_idx", first_hit_only)
-    monkeypatch.setattr(braid, "_orbit_partition", one_seed_only)
+    monkeypatch.setattr(braid, "_enumerate_idx", counting)
+    return drawn
 
 
 def stable_by_members(ctx, spec, orbit, members):
@@ -1251,11 +1299,13 @@ class TestCountBeforeSearch:
         parts = oracle_orbit_partition(ctx, sorted(set(forms.values())), forms)
         other = another_class_vector(G, N, cv)
         refused = enumerate_idx(ctx, other) if other else []
-        refuse_full_enumeration(monkeypatch)
+        drawn = count_draws(monkeypatch)
         if not parts:
-            # an empty vector is not searched at all, not even for a first hit
+            # an empty vector is not searched at all
             monkeypatch.setattr(braid, "_enumerate_idx", refuse_enumeration)
         orbits = braid_orbits(G, N, cv)
+        # a one-orbit vector draws its least canonical tuple and no other
+        assert drawn == [m[0] for m in parts]
         assert len(parts) <= 1
         assert [(o.size, o.canonical_rep.entries) for o in orbits] == [
             (len(m), tuple(G.elements[i] for i in m[0])) for m in parts
@@ -1268,13 +1318,14 @@ class TestCountBeforeSearch:
         # one canonical tuple more: 205 is no multiple of the 4!/2! = 12
         # key arrangements
         (1, "205 canonical tuples do not split into fibres"),
-        # one slice tuple more: 216 canonical tuples, but 204 enumerated
-        (12, "204 canonical tuples enumerated, not the 216 counted"),
+        # one slice tuple more: 216 canonical tuples, but the orbits, read
+        # to the end of the search, hold 204
+        (12, "orbit sizes sum to 204, not to the 216"),
     ])
     def test_a_vector_of_several_orbits_is_enumerated_and_checked(self, extra, error, monkeypatch):
-        # the count decides nothing here: the least tuple's orbit holds 60 of
-        # the 204 canonical tuples, so every one is enumerated, and a count
-        # that disagrees with the enumeration is refused
+        # the least tuple's orbit holds 60 of the 204 canonical tuples, so
+        # the search goes on to the second orbit, and a count that the
+        # orbits do not reach is refused
         G, N, cv = slice_case("A5", {1: 2, 3: 1, 4: 1})
         assert [o.size for o in braid_orbits(G, N, cv)] == [60, 144]
         count = braid.nielsen_count
@@ -1285,7 +1336,7 @@ class TestCountBeforeSearch:
 
     def test_a_count_with_no_tuple_behind_it_is_refused(self, monkeypatch):
         # three 3-cycles of S3 generate A3 at most: no tuple.  A count of 6
-        # (one canonical tuple over S3's 6 rows) sends the first-hit search
+        # (one canonical tuple over S3's 6 rows) sends the search
         # looking for it
         G, N, cv = slice_case("S3", {2: 3})
         assert braid_orbits(G, N, cv) == []
@@ -1588,9 +1639,9 @@ def s3_probe_input():
 
 
 def a5_probe_input():
-    # base (3 4 5)^2 (1 2 3 4 5): one orbit of 3, and a first-hit search of
-    # 2 prefix states; base + pad: two orbits (1500 and 1125), a first-hit
-    # search of 5 prefix states and a full enumeration of 395
+    # base (3 4 5)^2 (1 2 3 4 5): one orbit of 3, found in 2 prefix states;
+    # base + pad: two orbits (1500 and 1125), found in 6 prefix states, and
+    # 8 for base + 2 pad.  Enumerating every tuple of base + pad takes 395
     G = a5()
     c, f = parse_cycles("(3 4 5)", 5), parse_cycles("(1 2 3 4 5)", 5)
     return G, class_vector_of(G, [c, c, f]), class_vector_of(G, [c, c])
@@ -1598,20 +1649,22 @@ def a5_probe_input():
 
 class TestCaps:
     def test_node_cap_raises_with_canonical_partial(self, monkeypatch):
-        # the first-hit search passes under the cap; the full enumeration
-        # that the two orbits need hits it
+        # with no subgroup lattice there is no count, so every tuple is
+        # enumerated first: 395 prefix states, past a cap of 100
         G, base, pad = a5_probe_input()
         cv = base + pad
         ctx = braid._indexed(G, G)
-        full = set(enumerate_idx(ctx, cv))
+        full = enumerate_idx(ctx, cv)
+        sizes = [o.size for o in braid_orbits(G, G, cv)]
+        monkeypatch.setattr(braid, "_mobius", lambda G: None)
+        assert [o.size for o in braid_orbits(G, G, cv)] == sizes == [1500, 1125]
         monkeypatch.setattr(braid, "NODE_CAP", 100)
         with pytest.raises(EnumerationCapExceeded) as info:
             braid_orbits(G, G, cv)
         partial = info.value.partial
-        assert isinstance(partial, list) and partial
-        assert len(set(partial)) == len(partial)
-        assert set(partial) < full
-        assert all(ctx.canonical(t) == t for t in partial)
+        # G = N: one image, so the tuples found so far are the least ones
+        assert isinstance(partial, list) and 0 < len(partial) < len(full)
+        assert partial == full[: len(partial)]
 
     def test_visited_cap_bounds_one_orbit(self, monkeypatch):
         # the 4-transposition vector of S3 has one orbit of 4 canonical tuples
@@ -1632,13 +1685,17 @@ class TestCaps:
         with pytest.raises(EnumerationCapExceeded, match="orbit grew past 11 canonical tuples"):
             braid_orbits(G, N, cv)
 
-    @pytest.mark.parametrize("node_cap", [5, 60, 200])
+    @pytest.mark.parametrize("node_cap", [2, 5, 6, 8])
     def test_probe_truncates_at_the_node_cap(self, node_cap, monkeypatch):
+        # m = 0, 1, 2 need 2, 6 and 8 prefix states: the probe keeps the
+        # counts of the m values whose search fits under the cap, all
+        # three at a cap of 8
         G, base, pad = a5_probe_input()
         monkeypatch.setattr(braid, "NODE_CAP", node_cap)
+        finished = sum(need <= node_cap for need in (2, 6, 8))
         probe = conway_parker_probe(G, G, base, pad, max_m=2)
-        assert probe.truncated
-        assert probe.counts == ((0, 1),)
+        assert probe.truncated == (finished < 3)
+        assert probe.counts == ((0, 1), (1, 2), (2, 2))[:finished]
 
     def test_probe_truncates_at_the_visited_cap(self, monkeypatch):
         G, base, pad = s3_probe_input()
