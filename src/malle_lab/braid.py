@@ -478,8 +478,12 @@ def _enumerate_idx(
 
 
 @lru_cache(maxsize=GROUP_CACHE_SIZE)
-def _mobius(G: FiniteGroup) -> tuple[tuple[frozenset[int], int], ...] | None:
-    """(H, mu(H, G)) for every subgroup H of G, as a set of element indices.
+def _mobius(
+    G: FiniteGroup,
+) -> tuple[tuple[frozenset[int], int, tuple[tuple[int, ...], ...]], ...] | None:
+    """(H, mu(H, G), in_h) for every subgroup H of G, H as a set of element
+    indices and in_h[cid] the indices of G's class cid that lie in H,
+    ascending: a count reads each class's part in H without a filter.
 
     Every subgroup is the join of the cyclic subgroups of its elements, so
     joining cyclic subgroups onto the subgroups found so far, from the
@@ -505,10 +509,14 @@ def _mobius(G: FiniteGroup) -> tuple[tuple[frozenset[int], int], ...] | None:
                         gens[J] = gens[H] + (g,)
                         new.append(J)
         frontier = new
-    table: list[tuple[frozenset[int], int]] = []
+    class_ids = G.class_ids
+    table: list[tuple[frozenset[int], int, tuple[tuple[int, ...], ...]]] = []
     for H in sorted(gens, key=len, reverse=True):
-        mu = 1 if len(H) == G.order else -sum(m for K, m in table if m and H < K)
-        table.append((H, mu))
+        mu = 1 if len(H) == G.order else -sum(m for K, m, _ in table if m and H < K)
+        in_h: list[list[int]] = [[] for _ in G.conjugacy_classes()]
+        for g in sorted(H):
+            in_h[class_ids[g]].append(g)
+        table.append((H, mu, tuple(map(tuple, in_h))))
     return tuple(table)
 
 
@@ -541,13 +549,11 @@ def nielsen_count(G: FiniteGroup, cv: ClassVector) -> int:
             raise EnumerationCapExceeded(
                 f"the subgroup lattice of a group of order {G.order} passed {LATTICE_CAP} elements"
             )
-        index, classes = G.index, G.conjugacy_classes()
-        members = {cid: [index[g] for g in classes[cid].members] for cid in cv.counts}
         total = 0
-        for H, mu in table:
+        for _, mu, in_h in table:
             if not mu:
                 continue
-            parts = [([g for g in members[cid] if g in H], m) for cid, m in cv.multiplicities]
+            parts = [(in_h[cid], m) for cid, m in cv.multiplicities]
             if not all(entries for entries, _ in parts):
                 continue  # a class of cv that misses H leaves no tuple in H
             ways = {_IDENTITY: 1}  # partial product -> number of prefixes

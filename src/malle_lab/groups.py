@@ -269,15 +269,24 @@ def centralizer(N: FiniteGroup, G: FiniteGroup) -> FiniteGroup:
     """Cen_N(G) = {x in N : xg = gx for all g in G}."""
     if not G.is_subgroup_of(N):
         raise NotASubgroup("G is not a subgroup of N")
-    # xg = gx: the gather of g by x against the gather of x by g
-    gens = [(g.images, _left(g.images)) for g in G.generators or G.elements]
-    members = []
-    for x in N.elements:
-        a = x.images
-        x_left = _left(a)
-        if all(x_left(g) == g_left(a) for g, g_left in gens):
-            members.append(x)
+    members = N.elements
+    for g in G.generators or G.elements:
+        members = _commuting(members, g)
     return FiniteGroup(N.degree, tuple(members), members)
+
+
+def _commuting(members: Sequence[Permutation], g: Permutation) -> list[Permutation]:
+    """The x of members with xg = gx.
+
+    (g * x).images is the gather _left(g) of x, and (x * g).images the
+    gather of g, padded as points are 1-based, at x's images.  The
+    identity commutes with all, and skipping it keeps a one-index
+    itemgetter out of degree 1.
+    """
+    if g.is_identity:
+        return list(members)
+    g_left, g_pad = _left(g.images), (0,) + g.images
+    return [x for x in members if itemgetter(*x.images)(g_pad) == g_left(x.images)]
 
 
 def subgroup_generated(N: FiniteGroup, seed: Iterable[Permutation]) -> FiniteGroup:
@@ -432,6 +441,12 @@ def find_cyclic_complement(N: FiniteGroup, G: FiniteGroup) -> GNContext:
     """
     if not G.is_normal_in(N):
         raise NotASubgroup("G is not a normal subgroup of N")
+    return _cyclic_complement(N, G, centralizer(N, G).elements)
+
+
+def _cyclic_complement(N: FiniteGroup, G: FiniteGroup, cen: Sequence[Permutation]) -> GNContext:
+    """find_cyclic_complement(N, G) for G normal in N, given the elements
+    of Cen_N(G): the caller has proved normality and built the centralizer."""
     d = N.order // G.order
     coset, _, orders = _cosets(N, G)
     coset_gens = [x for x in N.elements if orders[coset[x.images]] == d]
@@ -444,10 +459,9 @@ def find_cyclic_complement(N: FiniteGroup, G: FiniteGroup) -> GNContext:
     if not split:
         tau = coset_gens[0]
 
-    cen = centralizer(N, G)
     # G is normal in N, so G C is a subgroup of order |G||C| / |G ∩ C|
-    meet = sum(1 for x in cen.elements if x in G)
-    d_prime = N.order * meet // (G.order * cen.order)
+    meet = sum(1 for x in cen if x in G)
+    d_prime = N.order * meet // (G.order * len(cen))
     return GNContext(N=N, G=G, d=d, tau=tau, d_prime=d_prime, split=split)
 
 
@@ -465,14 +479,33 @@ def _abelian_lattice(
     whose class rows are filled once.  The key is N itself: a hit
     on the same object is an identity check (docs/decisions.md, "A
     group's abelian-quotient lattice is built once").
+
+    The G share their work.  Each contains [N, N], so each is normal
+    and the complement search skips that proof.  Cen_N(g_1, ..., g_m) is
+    Cen_N(g_1, ..., g_{m-1}) filtered by g_m, so the centralizers are
+    kept by generator prefix: a G built as <H, x>, generators
+    H.generators + (x,), filters only H's centralizer.  ind(x) is read
+    once per element of N, and a(G) is 1 / min of it over G - {1}: the
+    identity is the one element of index 0.
     """
+    chain: dict[tuple[Permutation, ...], Sequence[Permutation]] = {(): N.elements}
+    ind = {x.images: x.index() for x in N.elements}
     rows = []
     for G in normal_subgroups_with_abelian_quotient(N):
+        gens = G.generators
+        k = len(gens)
+        while gens[:k] not in chain:
+            k -= 1
+        for m in range(k, len(gens)):
+            chain[gens[: m + 1]] = _commuting(chain[gens[:m]], gens[m])
         try:
-            ctx = find_cyclic_complement(N, G)
+            ctx = _cyclic_complement(N, G, chain[gens])
         except NonCyclicQuotient:
             ctx = None
-        rows.append((G, a_invariant(G) if G.order > 1 else None, ctx))
+        a = None
+        if G.order > 1:
+            a = Fraction(1, min(filter(None, (ind[g.images] for g in G.elements))))
+        rows.append((G, a, ctx))
     return tuple(rows)
 
 

@@ -11,9 +11,11 @@ Speed rule: loops that run once per group element or per product (the
 closure, classes, centralizers, cosets and subgroup lattice in
 ``groups``) compose image tuples with one C-level gather: ``g * x`` has
 images ``itemgetter(*[i - 1 for i in g])(x)`` (``groups._left(g)``),
-hashed and compared in C.  In degree 1 ``itemgetter`` of one index
-returns a bare item, not a 1-tuple; there the only g is the identity,
-and ``_left`` returns x itself.  A ``Permutation`` object wraps only a
+hashed and compared in C; ``x * g`` is the gather of g, padded with a
+0 as points are 1-based, at x's images: ``itemgetter(*x)((0,) + g)``.
+In degree 1 ``itemgetter`` of one index returns a bare item, not a
+1-tuple; there the only g is the identity, and ``_left`` returns x
+itself.  A ``Permutation`` object wraps only a
 result that is kept.  A power ``g ** k``, k < 0 too, rotates each cycle
 of g by k steps.
 """

@@ -1211,10 +1211,16 @@ class TestCountBeforeSearch:
     def test_mobius_tables(self, make, size):
         # every subgroup, with the oracle's mu: S3 and C3 x C3 have 6
         # subgroups, Klüners' N = C3 wr C2 has 14 and S4 has 30
+        # each row keeps H's meet with every class, read by the count
         G = make()
         table = braid._mobius(G)
         assert len(table) == size
-        assert dict(table) == mobius_values(G, subgroups_by_cyclic_joins(G))
+        assert {H: mu for H, mu, _ in table} == mobius_values(G, subgroups_by_cyclic_joins(G))
+        for H, _, in_h in table:
+            assert in_h == tuple(
+                tuple(G.index[g] for g in c.members if G.index[g] in H)
+                for c in G.conjugacy_classes()
+            )
 
     @pytest.mark.parametrize("make,max_length", [
         (s3, 6), (klueners, 6), (klueners_g1, 6), (s4, 5), (a4, 5), (a5, 4),

@@ -2,6 +2,7 @@
 
 import gc
 import weakref
+from dataclasses import fields
 from fractions import Fraction
 from itertools import product as iproduct
 
@@ -18,6 +19,7 @@ from malle_lab.errors import (
     TrivialGroup,
 )
 from malle_lab.groups import (
+    GNContext,
     _subgroups_between,
     a_invariant,
     centralizer,
@@ -347,6 +349,59 @@ class TestLatticeOracles:
         # the oracle lattice costs up to |N|^3 products: 2 s at |N| = 120
         assume(N.order <= 72)
         check_lattice_against_oracles(N)
+
+
+def check_lattice_rows(monkeypatch, N):
+    """Each row of _abelian_lattice(N) against the public routines: the
+    context against find_cyclic_complement field by field, a against
+    a_invariant, and the centralizer the prefix chain handed to the
+    complement search against centralizer(N, G)."""
+    chained = {}
+    search = groups._cyclic_complement
+
+    def recorded(N, G, cen):
+        chained[G.elements] = tuple(cen)
+        return search(N, G, cen)
+
+    monkeypatch.setattr(groups, "_cyclic_complement", recorded)
+    groups._abelian_lattice.cache_clear()
+    rows = groups._abelian_lattice(N)
+    monkeypatch.undo()
+    assert [G for G, _, _ in rows] == normal_subgroups_with_abelian_quotient(N)
+    assert len(chained) == len(rows)
+    for G, a, ctx in rows:
+        assert chained[G.elements] == centralizer(N, G).elements
+        assert a == (a_invariant(G) if G.order > 1 else None)
+        try:
+            expected = find_cyclic_complement(N, G)
+        except NonCyclicQuotient:
+            assert ctx is None
+            continue
+        for f in fields(GNContext):
+            assert getattr(ctx, f.name) == getattr(expected, f.name), (G, f.name)
+
+
+class TestLatticeRows:
+    """The lattice shares its work across its G (docs/decisions.md,
+    "Shared work across the lattice"); each row is what the public
+    routines give for that G alone."""
+
+    @pytest.mark.parametrize("name", sorted(PRESET_SPECS))
+    def test_preset_groups(self, monkeypatch, name):
+        check_lattice_rows(monkeypatch, PRESET_SPECS[name].group())
+
+    def test_s3_and_s4(self, monkeypatch):
+        degree, gens = SMALL_GROUPS["S4"]
+        for N in (s3(), closure([parse_cycles(g, degree) for g in gens], degree)):
+            check_lattice_rows(monkeypatch, N)
+
+    @settings(
+        max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(data=st.data())
+    def test_random_groups(self, monkeypatch, data):
+        gens, degree = random_group(data, (1, 2, 3, 4, 5, 6))
+        check_lattice_rows(monkeypatch, closure(gens, degree))
 
 
 # ---------------------------------------------------------------------------

@@ -484,13 +484,16 @@ class TestOneLatticePerN:
         clear_library_memos()
 
         lattices = self.count_calls(monkeypatch, groups.normal_subgroups_with_abelian_quotient)
-        complements = self.count_calls(monkeypatch, groups.find_cyclic_complement)
+        # the lattice searches through the routine after the normality
+        # proof, with the centralizer it chains (docs/decisions.md, "Shared
+        # work across the lattice")
+        complements = self.count_calls(monkeypatch, groups._cyclic_complement)
         for (N, fieldspec), report in zip(cases, fresh):
             assert revised_b(N, fieldspec) == report, (N, fieldspec)
         assert sorted(id(N) for N, in lattices) == sorted(map(id, Ns))
         # one complement search per (N, G), G over the lattice of N
         assert len(complements) == sum(len(normal_subgroups_with_abelian_quotient(N)) for N in Ns)
-        assert len({(id(N), G.elements) for N, G in complements}) == len(complements)
+        assert len({(id(N), G.elements) for N, G, _ in complements}) == len(complements)
 
     def test_the_cyclic_quotients_are_a_read_of_the_lattice(self, monkeypatch):
         # after revised_b, the cyclic quotients are a read of N's lattice:
@@ -498,11 +501,29 @@ class TestOneLatticePerN:
         spec = get_preset("klueners-s6").spec
         N = spec.group()
         revised_b(N, FunctionField(5))
-        fns = (groups.closure, groups.derived_subgroup, groups.find_cyclic_complement)
+        fns = (groups.closure, groups.derived_subgroup, groups._cyclic_complement)
         calls = [self.count_calls(monkeypatch, fn) for fn in fns]
         subs = normal_subgroups_with_cyclic_quotient(N)
         assert calls == [[], [], []]
         assert [id(G) for G in subs] == [id(ctx.G) for ctx in spec.cyclic_pairs()]
+
+    def test_a_fresh_lattice_proves_no_normality_and_builds_no_centralizer(self, monkeypatch):
+        # every member contains [N, N], and its centralizer is its parent's
+        # filtered by one generator: neither is worked out per G
+        N = get_preset("wreath-s18").spec.group()
+        fns = (groups.centralizer, groups.find_cyclic_complement)
+        calls = [self.count_calls(monkeypatch, fn) for fn in fns]
+        proofs = []
+        is_normal_in = FiniteGroup.is_normal_in
+
+        def counted(G, other):
+            proofs.append(G)
+            return is_normal_in(G, other)
+
+        monkeypatch.setattr(FiniteGroup, "is_normal_in", counted)
+        assert len(groups._abelian_lattice(N)) == 12
+        assert calls == [[], []]
+        assert proofs == []
 
     @staticmethod
     def count_calls(monkeypatch, fn) -> list[tuple]:
