@@ -355,6 +355,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub["verify"].add_argument("--preset", required=True, help="named preset scenario")
     for p in sub.values():
         p.add_argument("--out", help="write the JSON report to this file")
+    # main parses an argv that starts with a command by its sub-parser alone
+    parser.command_parsers = sub
     return parser
 
 
@@ -366,12 +368,23 @@ def report_error(exc: Exception, exit_code: int) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = parser.parse_args(argv)
+        if argv and argv[0] in COMMANDS:
+            # one pass: the sub-parser that the top parser would hand the
+            # rest to, then the top parser's own error for what it leaves
+            command = argv[0]
+            args, extra = parser.command_parsers[command].parse_known_args(argv[1:])
+            if extra:
+                parser.error(f"unrecognized arguments: {' '.join(extra)}")
+        else:
+            args = parser.parse_args(argv)
+            command = args.command
     except SystemExit as exc:
         return 2 if exc.code else 0
     try:
-        report = COMMANDS[args.command](args)
+        report = COMMANDS[command](args)
     except (*VALIDATION_ERRORS, err.MalleLabError) as exc:
         return report_error(exc, 2 if isinstance(exc, VALIDATION_ERRORS) else 1)
     exit_code = report.pop("exit_hint", 0)

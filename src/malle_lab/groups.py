@@ -61,6 +61,10 @@ class FiniteGroup:
         # class rows of class_image, keyed by (k mod |G|, x.images): row[cid]
         # is the class id of x^{-1} g^k x for g in class cid, or -1 until asked
         self._class_rows: dict[tuple[int, Images], list[int]] = {}
+        # twist orbits of invariants.orbit_blocks, keyed by a row's key and
+        # the pool (True: the minimal-index classes, False: every nontrivial
+        # class): each orbit's class ids and their shared index
+        self._twist_orbits: dict[tuple[int, Images, bool], list[tuple[frozenset[int], int]]] = {}
 
     # Integer tables over `elements`, built on first use.  `mul` holds |G|^2
     # products, so only the small groups braid.py works on build it.
@@ -518,4 +522,5 @@ def group_index(G: FiniteGroup) -> int:
     """min{ind(g) : g in G, g != 1}."""
     if G.order == 1:
         raise TrivialGroup("index undefined for the trivial group")
-    return min(g.index() for g in G.elements if not g.is_identity)
+    # each class holds its members' index; class 0 is the identity's
+    return min(c.index for c in G.conjugacy_classes()[1:])

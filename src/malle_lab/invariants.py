@@ -213,18 +213,57 @@ def _class_orbits(pool: list[ConjugacyClass], steps: list[Callable[[int], int]])
 
 
 def orbit_blocks(spec: TwistSpec, restrict_minimal: bool) -> list[OrbitBlock]:
-    """t_e-orbits of the nontrivial G-classes (or of C(G) only)."""
+    """t_e-orbits of the nontrivial G-classes (or of C(G) only).
+
+    The orbits depend only on G, q mod |G|, tau^{-e} and the pool, so G
+    keeps each walk beside its class rows, keyed by the row's key and the
+    pool: every later spec on that row and pool reads them.
+    """
+    G = spec.ctx.G
+    key = (spec.q % G.order, spec.conjugator.images, restrict_minimal)
+    orbits = G._twist_orbits.get(key)
+    if orbits is None:
+        orbits = G._twist_orbits[key] = _twist_orbits(spec, restrict_minimal)
+    return [OrbitBlock(spec.e, classes, len(classes), index) for classes, index in orbits]
+
+
+def _twist_orbits(spec: TwistSpec, restrict_minimal: bool) -> list[tuple[frozenset[int], int]]:
+    """The t_e-orbits on the pool, by least class id, each as its class
+    ids and the index they share.
+
+    t_e is one permutation of G's classes, so the orbit of a class is its
+    cycle, walked until it returns.  Raises InvariantViolation if a step
+    leaves the pool, lands on another index, or reaches a class walked
+    before, which no permutation does.
+    """
     G = spec.ctx.G
     classes = G.conjugacy_classes()
-    if restrict_minimal:
-        pool = minimal_index_classes(G)
-    else:
-        pool = [c for c in classes if not c.is_trivial]
-    # twist_class is looked up at call time, so a wrapper around it sees every call
-    return [
-        OrbitBlock(spec.e, frozenset(o), len(o), classes[min(o)].index)
-        for o in _class_orbits(pool, [lambda cid: twist_class(classes[cid], spec).class_id])
-    ]
+    pool = minimal_index_classes(G) if restrict_minimal else classes[1:]
+    index = {c.class_id: c.index for c in pool}
+    seen: set[int] = set()
+    orbits = []
+    for c in pool:
+        start = c.class_id
+        if start in seen:
+            continue
+        seen.add(start)
+        orbit = [start]
+        # twist_class is looked up at call time, so a wrapper around it sees every call
+        image = twist_class(c, spec)
+        while image.class_id != start:
+            cid = image.class_id
+            i = index.get(cid)
+            if i is None:
+                raise InvariantViolation("the action left the class pool")
+            if i != c.index:
+                raise InvariantViolation("an orbit mixes class indices")
+            if cid in seen:
+                raise InvariantViolation("the twist is not a permutation of the classes")
+            seen.add(cid)
+            orbit.append(cid)
+            image = twist_class(image, spec)
+        orbits.append((frozenset(orbit), c.index))
+    return orbits
 
 
 def b_e(spec: TwistSpec) -> int:

@@ -1,5 +1,6 @@
 """CLI dispatch, exit codes, report determinism."""
 
+import argparse
 import json
 import os
 import shlex
@@ -9,9 +10,12 @@ from pathlib import Path
 
 import pytest
 
+from malle_lab import cli
 from malle_lab import series as ser
 from malle_lab.cli import build_parser, main
+from malle_lab.errors import MalleLabError
 from malle_lab.presets import preset_names
+from malle_lab.report import dump_report
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
@@ -310,6 +314,74 @@ class TestFlagsPerCommand:
         assert len(examples) >= len(COMMAND_FLAGS)
         for argv in examples:
             build_parser().parse_args(argv)
+
+
+def two_level_route(argv):
+    """main with the top parser's parse_args in front of every argv, then
+    the handler: the route main takes for an argv that names no command
+    first."""
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return 2 if exc.code else 0
+    try:
+        report = cli.COMMANDS[args.command](args)
+    except (*cli.VALIDATION_ERRORS, MalleLabError) as exc:
+        return cli.report_error(exc, 2 if isinstance(exc, cli.VALIDATION_ERRORS) else 1)
+    exit_code = report.pop("exit_hint", 0)
+    sys.stdout.write(dump_report(report))
+    return exit_code
+
+
+ROUTES = (
+    [[c, *VALID[c]] for c in VALID]
+    + [[c, "--help"] for c in VALID]
+    + [[c, *VALID[c], "--help"] for c in VALID]
+    + [[c, *VALID[c], f, "1"] for c, f in UNREAD]
+    + [[], ["--help"], ["-h"], ["frobnicate"], ["frobnicate", "--q", "5"]]
+    # flags before the command
+    + [["--q", "5", "conjecture", "--preset", "klueners-s6"], ["--help", "presets"], ["--", "presets"]]
+    # a missing --q, --group with --preset, a value argparse refuses
+    + [
+        ["invariants", "--preset", "klueners-s6", "--normal", "G1"],
+        ["conjecture", "--group", "klueners.json", "--preset", "klueners-s6", "--q", "5"],
+        ["invariants", "--preset", "klueners-s6", "--normal", "G1", "--q", "five"],
+    ]
+    # a bare command, a stray positional, an abbreviated flag, a handler error
+    + [
+        ["invariants"],
+        ["presets", "extra"],
+        ["conjecture", "--pre", "klueners-s6", "--q", "5"],
+        ["verify", "--preset", "nope"],
+    ]
+)
+
+
+class TestOneParserPass:
+    def test_route_count(self):
+        assert len(ROUTES) == 3 * len(VALID) + len(UNREAD) + 15
+
+    @pytest.mark.parametrize("argv", ROUTES, ids=[" ".join(a) or "(none)" for a in ROUTES])
+    def test_main_matches_the_two_level_route(self, capsys, argv):
+        code = main(list(argv))
+        out, err = capsys.readouterr()
+        expected = two_level_route(list(argv))
+        assert (code, out, err) == (expected, *capsys.readouterr())
+
+    def test_an_argv_that_starts_with_a_command_is_parsed_once(self, capsys, monkeypatch):
+        parse, parsers = argparse.ArgumentParser.parse_known_args, []
+
+        def counted(parser, *args, **kwargs):
+            parsers.append(parser.prog)
+            return parse(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+        assert main(["conjecture", *VALID["conjecture"]]) == 0
+        assert parsers == ["malle-lab conjecture"]
+        parsers.clear()
+        assert main(["--q", "5", "conjecture", *VALID["conjecture"]]) == 2
+        assert parsers == ["malle-lab"]
+        capsys.readouterr()
 
 
 class TestBraidCommand:

@@ -32,7 +32,7 @@ from malle_lab.groups import (
     subgroup_generated,
 )
 from malle_lab.perms import Permutation, parse_cycles
-from malle_lab.presets import abelian_suite, get_preset
+from malle_lab.presets import abelian_suite, get_preset, preset_names
 
 
 def s3():
@@ -134,6 +134,28 @@ class TestInvariants:
         T = closure([Permutation.identity(3)], 3)
         with pytest.raises(TrivialGroup):
             a_invariant(T)
+        with pytest.raises(TrivialGroup):
+            group_index(T)
+
+    def test_group_index_is_the_element_scan(self):
+        # group_index reads the index each class stores; the oracle scans
+        # every element of G
+        groups_checked = [
+            s3(),
+            closure([parse_cycles("(1 2)", 4), parse_cycles("(1 2 3 4)", 4)], 4),
+            closure([parse_cycles("(1 2 3)", 5), parse_cycles("(1 2 3 4 5)", 5)], 5),
+        ]
+        assert [G.order for G in groups_checked] == [6, 24, 60]
+        for name in preset_names():
+            spec = get_preset(name).spec
+            groups_checked += [spec.group(), *map(spec.subgroup, sorted(spec.named_subgroups))]
+        groups_checked += [spec.group() for spec in abelian_suite().values()]
+        for name in ("wreath-s18", "klueners-s6"):
+            lattice = groups._abelian_lattice(get_preset(name).spec.group())
+            groups_checked += [G for G, _, _ in lattice if G.order > 1]
+        assert len(groups_checked) > 3 + len(preset_names()) + 12
+        for G in groups_checked:
+            assert group_index(G) == min(g.index() for g in G.elements if not g.is_identity)
 
 
 class TestSubgroupSearch:

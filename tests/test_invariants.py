@@ -34,6 +34,7 @@ from malle_lab.groups import (
 )
 from malle_lab.invariants import (
     FunctionField,
+    OrbitBlock,
     RationalNumberField,
     TwistSpec,
     _check_phi,
@@ -923,3 +924,91 @@ class TestTwistRows:
             G1.class_image(1, 5, ctx.conjugator(1))
         with pytest.raises(InvariantViolation, match="not well defined on classes"):
             G1.class_image(1, 5, G1.identity)
+
+
+def oracle_orbit_blocks(spec, restrict_minimal, twist):
+    """orbit_blocks as a breadth-first search per orbit under `twist`,
+    through _class_orbits, with no stored orbits."""
+    G = spec.ctx.G
+    classes = G.conjugacy_classes()
+    pool = minimal_index_classes(G) if restrict_minimal else classes[1:]
+    orbits = invariants._class_orbits(pool, [lambda cid: twist(classes[cid], spec).class_id])
+    return [OrbitBlock(spec.e, frozenset(o), len(o), classes[min(o)].index) for o in orbits]
+
+
+class TestStoredOrbits:
+    """orbit_blocks walks each orbit set once and keeps it on G."""
+
+    def test_stored_orbits_agree_with_the_search_and_are_read_again(self, monkeypatch):
+        pairs = every_pair()
+        names = {(ctx.N.order, ctx.G.order) for ctx in pairs}
+        # Kluners' N, G1 and G2; wreath A-D; S3; C5 in F20
+        kluners = {(18, 18), (18, 9), (18, 3)}
+        wreath = {(162, 162), (162, 81), (162, 54), (162, 27)}
+        assert kluners | wreath | {(6, 6), (20, 5)} <= names
+        twist, calls = invariants.twist_class, []
+
+        def counted(c, spec):
+            calls.append(c.class_id)
+            return twist(c, spec)
+
+        monkeypatch.setattr(invariants, "twist_class", counted)
+        # (G, q mod |G|, tau^{-e}, pool) of every set walked so far; the
+        # pairs stay alive in `pairs`, so no id is reused
+        walked = set()
+        checked = 0
+        for ctx in pairs:
+            G = ctx.G
+            qs = []
+            for q in range(2, 60):
+                try:
+                    require_prime_power(q)
+                except NotAPrimePower:
+                    continue
+                if gcd(q, ctx.N.order) == 1:
+                    qs.append(q)
+            assert qs
+            for q in qs:
+                for e in ctx.admissible_e():
+                    spec = TwistSpec(q=q, e=e, ctx=ctx)
+                    for restrict_minimal in (True, False):
+                        key = (id(G), q % G.order, spec.conjugator.images, restrict_minimal)
+                        calls.clear()
+                        blocks = orbit_blocks(spec, restrict_minimal)
+                        if key in walked:
+                            # a q' = q mod |G| on the same row and pool walked them
+                            assert calls == []
+                        walked.add(key)
+                        assert blocks == oracle_orbit_blocks(spec, restrict_minimal, twist)
+                        calls.clear()
+                        assert orbit_blocks(spec, restrict_minimal) == blocks
+                        assert calls == []
+                        checked += 1
+        # some rows are read by a second q of the same residue
+        assert checked > len(walked) > 0
+
+    def test_a_second_context_on_the_row_reads_its_own_e(self):
+        # tau^3 in F20 makes the conjugator of e = 1 the old tau^{-3}: the
+        # stored orbits are shared, the blocks carry each spec's own e
+        ctx = next(ctx for ctx in twisted_pairs() if ctx.G.order == 5)
+        moved = replace(ctx, tau=ctx.tau**3)
+        old = orbit_blocks(TwistSpec(q=7, e=3, ctx=ctx), restrict_minimal=False)
+        new = orbit_blocks(TwistSpec(q=7, e=1, ctx=moved), restrict_minimal=False)
+        assert [b.e for b in old] == [3] * len(old)
+        assert new == [replace(b, e=1) for b in old]
+
+    def test_a_twist_that_is_no_permutation_is_a_typed_error(self, monkeypatch):
+        # a map that sends two classes to one would send the walk round a
+        # cycle that never returns to its start
+        N = klueners()
+        G1 = klueners_g1(N)
+        spec = TwistSpec(q=5, e=1, ctx=find_cyclic_complement(N, G1))
+        first, second = minimal_index_classes(G1)[:2]
+        monkeypatch.setattr(
+            invariants, "twist_class", lambda c, spec: second if c is first else c
+        )
+        with pytest.raises(InvariantViolation, match="not a permutation"):
+            orbit_blocks(spec, restrict_minimal=True)
+        # nothing was stored: the next call walks again
+        with pytest.raises(InvariantViolation, match="not a permutation"):
+            orbit_blocks(spec, restrict_minimal=True)
